@@ -2,9 +2,10 @@
 algorithm, verify the bound over enumerated or streamed corpora, check the
 catalog observations, and emit generator/catalog graphs.
 
-Exit codes: 0 pass, 1 verification violation, 2 input error, 3 precondition
-error. All vertex labels printed are 1-based; --json output is stable for
-golden-file tests.
+Exit codes: 0 pass, 1 verification violation, 2 input error (including
+unreadable lines in a verified stream), 3 precondition error, 4 internal
+error of the constructive algorithm. All vertex labels printed are 1-based;
+--json output is stable for golden-file tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import json
 import sys
 
 from . import generators
-from .constructive import PreconditionViolated, isolate_p3_subcubic
+from .constructive import (InternalCaseExhausted, PreconditionViolated,
+                           isolate_p3_subcubic)
 from .graph_io import (EdgeListError, Graph6Error, emit_edge_list, emit_graph6,
                        parse_edge_list, parse_graph6)
 from .graphcore import Graph
@@ -70,7 +72,7 @@ def cmd_iota(args) -> int:
             "iota": cert.value,
             "exact": cert.exact,
             "set": _one_based(cert.set),
-            "graph6": emit_graph6(g) if g.n <= 62 else None,
+            "graph6": emit_graph6(g),
         }
         out.append(rec)
         if not args.json:
@@ -90,6 +92,9 @@ def cmd_isolate(args) -> int:
         except PreconditionViolated as exc:
             print(f"precondition violated: {exc.reason}", file=sys.stderr)
             return 3
+        except InternalCaseExhausted as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 4
         rec = {
             "n": g.n,
             "size": len(cert.set),
@@ -125,7 +130,15 @@ def cmd_verify(args) -> int:
             print(f"n={row['order']:2d} examined={row['examined']:6d} "
                   f"eligible={row['eligible']:6d} exceptions=[{exc}] "
                   f"violations={len(row['violations'])} ({row['elapsed_s']}s)")
-        print("PASS" if payload["passed"] else "FAIL: bound violated by a non-catalog graph")
+        if report.skipped:
+            print(f"FAIL: {len(report.skipped)} unreadable line(s) skipped")
+        else:
+            print("PASS" if payload["passed"] else
+                  "FAIL: bound violated by a non-catalog graph")
+    for lineno, msg in report.skipped:
+        print(f"input error: line {lineno}: {msg}", file=sys.stderr)
+    if report.skipped:
+        return 2
     return 0 if payload["passed"] else 1
 
 

@@ -6,14 +6,22 @@ up to 15 go to the budgeted exact solver, max-degree-2 graphs get closed
 forms, and otherwise a degree-3 vertex v is deleted with its neighborhood
 and the components of the remainder are classified against the exceptional
 catalog. Exceptional components trigger one of the named cases below; each
-case assembles the answer from prescribed vertices plus recursive
-solutions of strictly smaller eligible graphs, lifting child certificates
-through the relabeling maps that vertex deletion returns.
+case assembles the answer from prescribed vertices plus solutions of
+strictly smaller eligible pieces.
+
+A piece is a vertex mask of the input graph, so every set and every trace
+label is in the input's own labels. Only pieces of order <= 15 (for the
+exact solver) and components of a catalog order (3, 7, 11, 15, for the
+isomorphism tests) are extracted as relabeled graphs. Each case is a
+generator that yields the mask of a smaller piece and is sent back that
+piece's set; one loop over an explicit stack drives them, so the depth of
+the deletion never becomes depth of the Python stack.
 
 Every case re-checks the structural facts it relies on (connectivity,
 non-exceptionality, component shapes) and raises InternalCaseExhausted on
-any mismatch; the top level then falls back to the budgeted exact solver,
-which preserves the output contract while surfacing the bug in the trace.
+any mismatch; the top level then falls back to the budgeted exact solver
+on graphs of order at most FALLBACK_MAX_ORDER, which preserves the output
+contract while surfacing the bug in the trace, and re-raises above it.
 """
 
 from __future__ import annotations
@@ -43,6 +51,13 @@ CASE_223 = "Case2.2.3"
 CASE_224 = "Case2.2.4"
 CASE_FALLBACK = "Fallback"
 
+# Largest order on which a failed case falls back to the exact solver; the
+# solver's search grows exponentially with the order, so larger inputs get
+# the InternalCaseExhausted error instead of an unbounded search.
+FALLBACK_MAX_ORDER = 40
+
+_CATALOG_ORDERS = (3, 7, 11, 15)
+
 
 class PreconditionViolated(ValueError):
     """Input outside the algorithm's contract; ``reason`` names the check."""
@@ -53,7 +68,14 @@ class PreconditionViolated(ValueError):
 
 
 class InternalCaseExhausted(RuntimeError):
-    """No proof case matched the instance: an implementation bug."""
+    """No proof case matched the instance: an implementation bug.
+
+    ``partial_cases`` lists the case ids traced before the failure.
+    """
+
+    def __init__(self, message: str, partial_cases=()):
+        super().__init__(message)
+        self.partial_cases = list(partial_cases)
 
 
 @dataclass(frozen=True)
@@ -126,6 +148,15 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     return is_isolating(g, cert.family, cert.set) and len(cert.set) <= cert.value
 
 
+def _closed_form_positions(n: int, kind: str) -> range:
+    """0-based positions along an n-vertex path or cycle that form its set.
+
+    Paths take every fourth vertex from the fourth on (floor(n/4) of them);
+    cycles take every fifth from the first (floor((n+4)/5) of them).
+    """
+    return range(3, n, 4) if kind == "path" else range(0, n, 5)
+
+
 def path_cycle_isolating_set(n: int, kind: str) -> Certificate:
     """The closed-form isolating sets for paths and cycles (1-based positions).
 
@@ -138,31 +169,16 @@ def path_cycle_isolating_set(n: int, kind: str) -> Certificate:
         if n < 1:
             raise BadOrder("path needs n >= 1")
         g = generators.path(n)
-        positions = [4 * k for k in range(1, n // 4 + 1)]
-        bits = 0
-        for p in positions:
-            bits |= 1 << (p - 1)
-        cert = Certificate(VertexSet(bits, n), len(positions), False, P3)
-        if not is_isolating(g, P3, cert.set):
-            return solver.isolation_number(g, P3)
-        return cert
-    if kind == "cycle":
+    elif kind == "cycle":
         if n < 3:
             raise BadOrder("cycle needs n >= 3")
         g = generators.cycle(n)
-        positions = []
-        k = 1
-        while 5 * k - 4 <= n:
-            positions.append(5 * k - 4)
-            k += 1
-        bits = 0
-        for p in positions:
-            bits |= 1 << (p - 1)
-        cert = Certificate(VertexSet(bits, n), len(positions), False, P3)
-        if not is_isolating(g, P3, cert.set):
-            return solver.isolation_number(g, P3)
-        return cert
-    raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
+    else:
+        raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
+    dset = VertexSet.of(n, _closed_form_positions(n, kind))
+    if not is_isolating(g, P3, dset):
+        return solver.isolation_number(g, P3)
+    return Certificate(dset, len(dset), False, P3)
 
 
 def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
@@ -171,7 +187,8 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
     Preconditions: connected, subcubic, no induced 6-cycle, not a catalog
     graph. Violations raise PreconditionViolated with the failed check's
     name. The certificate is always revalidated with is_isolating before
-    being returned.
+    being returned. A failed proof case on a graph of order above
+    FALLBACK_MAX_ORDER raises InternalCaseExhausted.
     """
     if not is_connected(g):
         raise PreconditionViolated("NotConnected")
@@ -183,19 +200,22 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
         raise PreconditionViolated("ExceptionalGraph")
 
     trace = CaseTrace()
-    ctx = tuple(range(g.n))
     bound = g.n // 4
     try:
-        bits = _solve(g, ctx, trace)
-        dset = VertexSet(bits, g.n)
+        dset = VertexSet(_solve(g, g.full_mask(), trace), g.n)
         if not is_isolating(g, P3, dset) or len(dset) > bound:
             raise InternalCaseExhausted("assembled set violates the contract")
     except InternalCaseExhausted as exc:
+        partial = trace.case_ids()
+        if g.n > FALLBACK_MAX_ORDER:
+            raise InternalCaseExhausted(
+                f"{exc} (after {len(partial)} case steps; order {g.n} is above "
+                f"the exact fallback limit {FALLBACK_MAX_ORDER})", partial) from exc
         cert = solver.isolation_number(g, P3, budget=bound, canonical=False)
         if not cert.exact:
             raise InternalCaseExhausted(
-                f"fallback solver exceeded floor(n/4); original failure: {exc}")
-        partial = trace.case_ids()
+                f"fallback solver exceeded floor(n/4); original failure: {exc}",
+                partial) from exc
         trace.steps.clear()
         trace.add(CASE_FALLBACK, cert.set, range(g.n),
                   {"error": str(exc), "partial_cases": partial})
@@ -203,7 +223,28 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
     return Certificate(dset, len(dset), False, P3), trace
 
 
-# -- recursion ---------------------------------------------------------------
+# -- the explicit stack and mask helpers ---------------------------------------
+
+
+def _solve(g: Graph, mask: int, trace: CaseTrace) -> int:
+    """Isolating set bits for the eligible piece ``mask`` of g.
+
+    Each stack entry is a case generator at work on one piece; a yielded
+    mask is pushed as a new piece, and a finished piece's bits are sent to
+    the entry below it.
+    """
+    stack = [_piece(g, mask, trace)]
+    bits = None
+    while stack:
+        try:
+            sub = stack[-1].send(bits)
+        except StopIteration as done:
+            stack.pop()
+            bits = done.value
+        else:
+            stack.append(_piece(g, sub, trace))
+            bits = None
+    return bits
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -215,157 +256,173 @@ def _extract(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     return delete_vertices(g, VertexSet(g.full_mask() & ~mask, g.n))
 
 
-def _lift(child_bits: int, old_of_new: tuple[int, ...]) -> int:
-    bits = 0
-    for i in bit_indices(child_bits):
-        bits |= 1 << old_of_new[i]
+def _degree(g: Graph, mask: int, u: int) -> int:
+    return (g.rows[u] & mask).bit_count()
+
+
+def _catalog_id(g: Graph, mask: int) -> str | None:
+    """Which exceptional graph the piece is a copy of; only catalog orders
+    are extracted."""
+    if mask.bit_count() not in _CATALOG_ORDERS:
+        return None
+    return patterns.catalog_match(_extract(g, mask)[0])
+
+
+def _require_plain(g: Graph, mask: int, msg: str) -> None:
+    _require(_catalog_id(g, mask) is None, msg)
+
+
+def _component_with(parts: list[int], v: int) -> int:
+    return next(p for p in parts if (p >> v) & 1)
+
+
+def _one_beside(g: Graph, mask: int, kill: int, piece: int,
+                msg_piece: str, msg_rest: str) -> int:
+    """The single component of the piece minus ``kill`` other than ``piece``."""
+    parts = component_masks(g, within=mask & ~kill)
+    _require(piece in parts, msg_piece)
+    rest = [p for p in parts if p != piece]
+    _require(len(rest) == 1, msg_rest)
+    return rest[0]
+
+
+def _attachments(g: Graph, x: int, mask: int) -> list[int]:
+    return list(bit_indices(g.rows[x] & mask))
+
+
+def _leftover(g: Graph, removed: int, bits: int) -> list[int]:
+    return list(bit_indices(removed & ~closed_mask(g, bits)))
+
+
+def _close(g, trace, bits: int, case: str, chosen, removed: int, **detail) -> int:
+    """Trace a step whose undominated removed vertices survive on purpose."""
+    detail["leftover"] = _leftover(g, removed, bits)
+    trace.add(case, chosen, bit_indices(removed), detail)
     return bits
 
 
-def _solve_sub(g: Graph, mask: int, ctx, trace) -> int:
-    """Recurse on the subgraph induced on ``mask``; result in g's labels."""
-    sub, old = _extract(g, mask)
-    child_ctx = tuple(ctx[o] for o in old)
-    return _lift(_solve(sub, child_ctx, trace), old)
+def _base_step(trace: CaseTrace, cert: Certificate, old: tuple[int, ...],
+               detail: dict) -> int:
+    """Trace an exact solution of an extracted piece; its bits in g's labels."""
+    chosen = [old[v] for v in cert.set]
+    trace.add(CASE_BASE, chosen, old, detail)
+    return sum(1 << u for u in chosen)
 
 
-def _exact_small(g: Graph, mask: int, ctx, trace, note: str) -> int:
+def _exact_small(g: Graph, mask: int, trace: CaseTrace, note: str) -> int:
     """Exact solve of a small (possibly exceptional) component."""
     sub, old = _extract(g, mask)
     _require(sub.n <= 15, f"{note}: expected a small component")
     cert = solver.isolation_number(sub, P3, canonical=False)
-    trace.add(CASE_BASE, [ctx[old[v]] for v in cert.set],
-              [ctx[o] for o in old], {"note": note, "order": sub.n})
-    return _lift(cert.set.bits, old)
+    return _base_step(trace, cert, old, {"note": note, "order": sub.n})
 
 
-def _solve(g: Graph, ctx, trace) -> int:
-    """Isolating set of size <= floor(n/4) for an eligible graph.
+def _plain_or_small(g: Graph, mask: int, trace: CaseTrace, note: str):
+    """Solve a piece that may be a small exceptional component."""
+    if _catalog_id(g, mask) is None:
+        return (yield mask)
+    return _exact_small(g, mask, trace, note)
 
+
+# -- the recursion ---------------------------------------------------------------
+
+
+def _piece(g: Graph, mask: int, trace: CaseTrace):
+    """Isolating set of size <= floor(n/4) for an eligible piece.
+
+    Like every case below, a generator run by _solve: it yields the masks of
+    smaller pieces and returns the set bits, in g's labels.
     Eligible: connected, subcubic, no induced 6-cycle, not exceptional.
     Connectivity/exceptionality are implied by construction at call sites
     and re-checked cheaply here.
     """
-    n = g.n
-    _require(is_connected(g), "recursed into a disconnected graph")
-    if n <= 15:
-        _require(patterns.catalog_match(g) is None,
+    _require(connected_within(g, mask), "recursed into a disconnected graph")
+    if mask.bit_count() <= 15:
+        sub, old = _extract(g, mask)
+        _require(patterns.catalog_match(sub) is None,
                  "recursed into an exceptional graph")
-        cert = solver.isolation_number(g, P3, budget=n // 4, canonical=False)
-        _require(cert.exact, f"small graph needs more than floor({n}/4)")
-        trace.add(CASE_BASE, [ctx[v] for v in cert.set], [ctx[v] for v in range(n)],
-                  {"order": n})
-        return cert.set.bits
-    if g.max_degree() <= 2:
-        return _delta2(g, ctx, trace)
-    v = min(u for u in range(n) if g.degree(u) == 3)
-    return _solve_with_vertex(g, v, ctx, trace)
+        cert = solver.isolation_number(sub, P3, budget=sub.n // 4, canonical=False)
+        _require(cert.exact, f"small graph needs more than floor({sub.n}/4)")
+        return _base_step(trace, cert, old, {"order": sub.n})
+    v = next((u for u in bit_indices(mask) if _degree(g, mask, u) == 3), None)
+    if v is None:
+        return _delta2(g, mask, trace)
+    return (yield from _solve_with_vertex(g, mask, v, trace))
 
 
-def _delta2(g: Graph, ctx, trace) -> int:
+def _delta2(g: Graph, mask: int, trace: CaseTrace) -> int:
     """Closed forms for connected paths and cycles of order >= 16."""
-    n = g.n
-    ends = [u for u in range(n) if g.degree(u) == 1]
+    n = mask.bit_count()
+    ends = [u for u in bit_indices(mask) if _degree(g, mask, u) == 1]
     if ends:
         _require(len(ends) == 2, "max-degree-2 graph is neither path nor cycle")
-        order = _walk_from(g, min(ends))
-        picks = [order[4 * k - 1] for k in range(1, n // 4 + 1)]
-        case = CASE_PATH
+        kind, case = "path", CASE_PATH
     else:
-        order = _walk_from(g, 0)
-        picks = []
-        k = 1
-        while 5 * k - 4 <= n:
-            picks.append(order[5 * k - 5])
-            k += 1
-        case = CASE_CYCLE
-    trace.add(case, [ctx[p] for p in picks], [ctx[u] for u in range(n)],
-              {"order": n})
-    bits = 0
-    for p in picks:
-        bits |= 1 << p
-    return bits
-
-
-def _walk_from(g: Graph, start: int) -> list[int]:
-    order = [start]
+        kind, case = "cycle", CASE_CYCLE
+    order = [ends[0] if ends else (mask & -mask).bit_length() - 1]
     prev = -1
-    cur = start
-    while len(order) < g.n:
-        nxt = min(u for u in g.neighbors(cur) if u != prev)
+    while len(order) < n:
+        nxt = min(u for u in bit_indices(g.rows[order[-1]] & mask) if u != prev)
+        prev = order[-1]
         order.append(nxt)
-        prev, cur = cur, nxt
-    return order
+    picks = [order[p] for p in _closed_form_positions(n, kind)]
+    trace.add(case, picks, bit_indices(mask), {"order": n})
+    return sum(1 << p for p in picks)
 
 
 @dataclass
 class _Comp:
     mask: int
-    sub: Graph
-    old: tuple[int, ...]
     cid: str | None
-    linked: tuple[int, ...] = ()
+    linked: tuple[int, ...]
 
 
-def _attachments(g: Graph, x: int, mask: int) -> list[int]:
-    return sorted(bit_indices(g.rows[x] & mask))
-
-
-def _lemma_gv(g: Graph, mask: int, y: int, ctx, trace) -> tuple[int, int]:
+def _lemma_gv(g: Graph, cmask: int, y: int):
     """The deletion step for an exceptional component H and y in H, d_H(y) <= 2.
 
     Returns (set bits, removed-here bits): solves H - y when |V(H)| > 3
     (connected and non-exceptional, of order 4k+2), contributes nothing
     when H is a 3-vertex graph.
     """
-    size = mask.bit_count()
-    _require((g.rows[y] & mask).bit_count() <= 2, "attachment vertex has full degree")
-    if size == 3:
-        return 0, mask
-    rest = mask & ~(1 << y)
+    _require(_degree(g, cmask, y) <= 2, "attachment vertex has full degree")
+    if cmask.bit_count() == 3:
+        return 0, cmask
+    rest = cmask & ~(1 << y)
     _require(connected_within(g, rest), "exceptional minus attachment is disconnected")
-    sub, old = _extract(g, rest)
-    _require(patterns.catalog_match(sub) is None,
-             "exceptional minus attachment is still exceptional")
-    child_ctx = tuple(ctx[o] for o in old)
-    return _lift(_solve(sub, child_ctx, trace), old), 1 << y
+    _require_plain(g, rest, "exceptional minus attachment is still exceptional")
+    return (yield rest), 1 << y
 
 
-def _solve_with_vertex(g: Graph, v: int, ctx, trace) -> int:
+def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
     """The deletion analysis at a chosen degree-3 vertex."""
-    n = g.n
-    _require(g.degree(v) == 3, "deletion vertex must have degree 3")
-    nv = closed_mask(g, 1 << v)
-    rest = g.full_mask() & ~nv
+    _require(_degree(g, mask, v) == 3, "deletion vertex must have degree 3")
+    nv = closed_mask(g, 1 << v) & mask
+    rest = mask & ~nv
     _require(rest != 0, "closed neighborhood swallowed the graph")
-    nbrs = g.neighbors(v)
+    nbrs = tuple(bit_indices(g.rows[v] & mask))
 
     comps: list[_Comp] = []
-    for mask in component_masks(g, within=rest):
-        sub, old = _extract(g, mask)
-        cid = patterns.catalog_match(sub)
-        linked = tuple(x for x in nbrs if g.rows[x] & mask)
-        _require(linked, "a component is not linked to any neighbor of v")
-        comps.append(_Comp(mask, sub, old, cid, linked))
+    for cmask in component_masks(g, within=rest):
+        linked = tuple(x for x in nbrs if g.rows[x] & cmask)
+        _require(bool(linked), "a component is not linked to any neighbor of v")
+        comps.append(_Comp(cmask, _catalog_id(g, cmask), linked))
     exceptional = [c for c in comps if c.cid]
     regular = [c for c in comps if not c.cid]
 
     if not exceptional:
-        trace.add(CASE_NO_EXC, [ctx[v]], [ctx[u] for u in bit_indices(nv)],
-                  {"components": len(comps)})
+        trace.add(CASE_NO_EXC, [v], bit_indices(nv), {"components": len(comps)})
         bits = 1 << v
         for c in regular:
-            bits |= _solve_sub(g, c.mask, ctx, trace)
+            bits |= yield c.mask
         return bits
 
     for x in nbrs:
-        hx = [c for c in exceptional if x in c.linked]
-        if len(hx) >= 2:
-            return _case1(g, v, x, nv, exceptional, regular, ctx, trace)
+        if sum(1 for c in exceptional if x in c.linked) >= 2:
+            return (yield from _case1(g, v, x, nv, exceptional, regular, trace))
 
     solo = [c for c in exceptional if len(c.linked) == 1]
     if solo:
-        return _case21(g, v, nv, solo[0], ctx, trace)
+        return (yield from _case21(g, mask, v, solo[0], trace))
 
     _require(len(exceptional) == 1,
              "several exceptional components each linked twice is impossible")
@@ -374,18 +431,22 @@ def _solve_with_vertex(g: Graph, v: int, ctx, trace) -> int:
     w = next(u for u in nbrs if u not in (x1, x1p))
 
     if h1.cid == "G15":
-        return _case221(g, v, nv, h1, x1, x1p, ctx, trace)
-    if h1.cid in ("C11", "G11"):
-        return _case222(g, v, nv, h1, x1, x1p, w, ctx, trace)
-    if h1.cid in ("C7", "G71", "G72", "G73", "G75"):
-        return _case223(g, v, nv, h1, x1, x1p, w, ctx, trace)
+        return (yield from _case221(g, mask, h1, x1, x1p, trace))
+    if h1.cid == "G11":
+        return (yield from _case222_g11(g, mask, h1, trace))
+    if h1.cid in ("C11", "C7"):
+        k = h1.mask.bit_count()
+        return (yield from _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w,
+                                                 trace, k))
+    if h1.cid in ("G71", "G72", "G73", "G75"):
+        return (yield from _case223_non_cycle(g, mask, h1, x1, trace))
     if h1.cid in ("P3", "C3"):
-        return _case224(g, v, nv, h1, ctx, trace)
+        return (yield from _case224(g, mask, v, h1, trace))
     raise InternalCaseExhausted(
         f"component {h1.cid} cannot be doubly linked")  # G74/G76 have one open slot
 
 
-def _case1(g, v, x, nv, exceptional, regular, ctx, trace) -> int:
+def _case1(g, v, x, nv, exceptional, regular, trace):
     """Two exceptional components share the link vertex x."""
     chosen_bits = (1 << v) | (1 << x)
     bits = chosen_bits
@@ -398,125 +459,104 @@ def _case1(g, v, x, nv, exceptional, regular, ctx, trace) -> int:
             chosen_bits |= 1 << xh
             bits |= 1 << xh
             y = _attachments(g, xh, c.mask)[0]
-        sub_bits, rem = _lemma_gv(g, c.mask, y, ctx, trace)
+        sub_bits, rem = yield from _lemma_gv(g, c.mask, y)
         bits |= sub_bits
         removed |= rem
     leftover = []
     for c in exceptional:
         if c.mask.bit_count() == 3:
-            leftover.extend(ctx[u] for u in bit_indices(c.mask & ~closed_mask(g, bits)))
-    trace.add(CASE_1, [ctx[u] for u in bit_indices(chosen_bits)],
-              [ctx[u] for u in bit_indices(removed)],
+            leftover.extend(_leftover(g, c.mask, bits))
+    trace.add(CASE_1, bit_indices(chosen_bits), bit_indices(removed),
               {"leftover": leftover, "exceptional": [c.cid for c in exceptional]})
     for c in regular:
-        bits |= _solve_sub(g, c.mask, ctx, trace)
+        bits |= yield c.mask
     return bits
 
 
-def _case21(g, v, nv, ch, ctx, trace) -> int:
+def _case21(g, mask, v, ch, trace):
     """An exceptional component linked to exactly one neighbor of v."""
     xh = ch.linked[0]
     y = _attachments(g, xh, ch.mask)[0]
     bits = 1 << xh
-    sub_bits, removed = _lemma_gv(g, ch.mask, y, ctx, trace)
+    sub_bits, removed = yield from _lemma_gv(g, ch.mask, y)
     bits |= sub_bits
     removed |= 1 << xh
-    star = (1 << xh) | ch.mask
-    parts = component_masks(g, within=g.full_mask() & ~star)
-    gv_mask = next(p for p in parts if (p >> v) & 1)
+    parts = component_masks(g, within=mask & ~((1 << xh) | ch.mask))
+    gv_mask = _component_with(parts, v)
     detail: dict = {"exceptional": ch.cid, "leftover": []}
     for p in parts:
         if p == gv_mask:
             continue
-        sub, _ = _extract(g, p)
-        _require(patterns.catalog_match(sub) is None,
-                 "side component in Case 2.1 is exceptional")
-        bits |= _solve_sub(g, p, ctx, trace)
-    gv_sub, gv_old = _extract(g, gv_mask)
-    if patterns.catalog_match(gv_sub) is None:
-        bits |= _solve_sub(g, gv_mask, ctx, trace)
+        _require_plain(g, p, "side component in Case 2.1 is exceptional")
+        bits |= yield p
+    gv_cid = _catalog_id(g, gv_mask)
+    if gv_cid is None:
+        bits |= yield gv_mask
     else:
         # v lost its link vertex, so it has degree 2 in this exceptional copy
-        _require((g.rows[v] & gv_mask).bit_count() == 2,
+        _require(_degree(g, gv_mask, v) == 2,
                  "v should have degree 2 in the exceptional remainder")
-        gbits, grem = _lemma_gv(g, gv_mask, v, ctx, trace)
+        gbits, grem = yield from _lemma_gv(g, gv_mask, v)
         bits |= gbits
         removed |= grem
-        detail["gv_exceptional"] = patterns.catalog_match(gv_sub)
+        detail["gv_exceptional"] = gv_cid
         if gv_mask.bit_count() == 3:
-            detail["leftover"] = [ctx[u] for u in bit_indices(gv_mask & ~closed_mask(g, bits))]
+            detail["leftover"] = _leftover(g, gv_mask, bits)
     if ch.mask.bit_count() == 3:
         detail["leftover"] = sorted(set(detail["leftover"]) |
-                                    {ctx[u] for u in bit_indices(ch.mask & ~closed_mask(g, bits))})
-    trace.add(CASE_21, [ctx[xh]], [ctx[u] for u in bit_indices(removed)], detail)
+                                    set(_leftover(g, ch.mask, bits)))
+    trace.add(CASE_21, [xh], bit_indices(removed), detail)
     return bits
 
 
-def _case221(g, v, nv, h1, x1, x1p, ctx, trace) -> int:
+def _normalize(g: Graph, h_mask: int, cid: str, pin: int | None = None):
+    """psi[i] = the vertex of the catalog copy h_mask playing catalog vertex
+    i (0-based), with catalog vertex 0 pinned to ``pin`` if given; None if
+    no such isomorphism exists."""
+    sub, old = _extract(g, h_mask)
+    fixed = None if pin is None else {0: old.index(pin)}
+    wit = patterns.find_isomorphism(sub, generators.catalog_graphs_raw()[cid],
+                                    fixed=fixed)
+    return [old[i] for i in wit.mapping] if wit else None
+
+
+def _delete_inner(g, mask, h_mask, y, trace, case, note, **detail):
+    """Delete N[y] for an inner vertex y of a catalog copy and recurse once."""
+    _require(g.rows[y] & mask & ~h_mask == 0, f"inner {note} vertex has outside edges")
+    kill = closed_mask(g, 1 << y) & mask
+    star = mask & ~kill
+    _require(connected_within(g, star), f"{note} case remainder is disconnected")
+    _require_plain(g, star, f"{note} case remainder is exceptional")
+    trace.add(case, [y], bit_indices(kill), detail)
+    return (1 << y) | (yield star)
+
+
+def _case221(g, mask, h1, x1, x1p, trace):
     """The doubly linked component is a copy of the order-15 graph."""
-    g15 = generators.catalog_graphs_raw()["G15"]
-    sub_index = {o: i for i, o in enumerate(h1.old)}
     psi = None
     for xa in (x1, x1p):
         for t in _attachments(g, xa, h1.mask):
-            wit = patterns.find_isomorphism(h1.sub, g15, fixed={0: sub_index[t]})
-            if wit:
-                psi = [h1.old[wit.mapping[i]] for i in range(15)]
+            psi = _normalize(g, h1.mask, "G15", pin=t)
+            if psi:
                 break
         if psi:
             break
     _require(psi is not None, "no attachment of the G15 copy is triangle-type")
-    y13 = psi[12]
-    _require(g.rows[y13] & ~h1.mask == 0, "inner G15 vertex has outside edges")
-    kill = closed_mask(g, 1 << y13)
-    star = g.full_mask() & ~kill
-    _require(connected_within(g, star), "G15 case remainder is disconnected")
-    sub, _ = _extract(g, star)
-    _require(patterns.catalog_match(sub) is None, "G15 case remainder is exceptional")
-    trace.add(CASE_221, [ctx[y13]], [ctx[u] for u in bit_indices(kill)],
-              {"normalization": {i + 1: ctx[psi[i]] for i in range(15)}})
-    return (1 << y13) | _solve_sub(g, star, ctx, trace)
+    return (yield from _delete_inner(
+        g, mask, h1.mask, psi[12], trace, CASE_221, "G15",
+        normalization={i + 1: psi[i] for i in range(15)}))
 
 
-def _ensure_outside_link(g, v, x1, x1p, w, y_mask) -> tuple[int, int]:
-    """Swap x1/x1p if needed so some neighbor of v other than x1 has an
-    edge leaving Y = N[v] union V(H1)."""
-    outside = g.full_mask() & ~y_mask
-    if (g.rows[x1p] | g.rows[w]) & outside:
-        return x1, x1p
-    _require(bool(g.rows[x1] & outside), "no edge leaves Y although n > |Y|")
-    return x1p, x1
+def _case222_g11(g, mask, h1, trace):
+    """The doubly linked component is a copy of the order-11 non-cycle."""
+    psi = _normalize(g, h1.mask, "G11")
+    _require(psi is not None, "catalog said G11 but no isomorphism found")
+    return (yield from _delete_inner(
+        g, mask, h1.mask, psi[1], trace, CASE_222, "G11", subcase="G11",
+        normalization={i + 1: psi[i] for i in range(11)}))
 
 
-def _case222(g, v, nv, h1, x1, x1p, w, ctx, trace) -> int:
-    """The doubly linked component is an order-11 exceptional graph."""
-    if h1.cid == "G11":
-        g11 = generators.catalog_graphs_raw()["G11"]
-        wit = patterns.find_isomorphism(h1.sub, g11)
-        _require(wit is not None, "catalog said G11 but no isomorphism found")
-        psi = [h1.old[wit.mapping[i]] for i in range(11)]
-        y2 = psi[1]
-        _require(g.rows[y2] & ~h1.mask == 0, "inner G11 vertex has outside edges")
-        kill = closed_mask(g, 1 << y2)
-        star = g.full_mask() & ~kill
-        _require(connected_within(g, star), "G11 case remainder is disconnected")
-        sub, _ = _extract(g, star)
-        _require(patterns.catalog_match(sub) is None, "G11 case remainder is exceptional")
-        trace.add(CASE_222, [ctx[y2]], [ctx[u] for u in bit_indices(kill)],
-                  {"subcase": "G11",
-                   "normalization": {i + 1: ctx[psi[i]] for i in range(11)}})
-        return (1 << y2) | _solve_sub(g, star, ctx, trace)
-    return _cycle_component_case(g, v, nv, h1, x1, x1p, w, ctx, trace, k=11)
-
-
-def _case223(g, v, nv, h1, x1, x1p, w, ctx, trace) -> int:
-    """The doubly linked component is an order-7 exceptional graph."""
-    if h1.cid != "C7":
-        return _case223_non_cycle(g, v, nv, h1, x1, ctx, trace)
-    return _cycle_component_case(g, v, nv, h1, x1, x1p, w, ctx, trace, k=7)
-
-
-def _case223_non_cycle(g, v, nv, h1, x1, ctx, trace) -> int:
+def _case223_non_cycle(g, mask, h1, x1, trace):
     """H1 in {G71, G72, G73, G75}: delete a prescribed inner degree-3 vertex.
 
     A suitable y* (full degree, outside the closed neighborhood of x1's
@@ -524,185 +564,152 @@ def _case223_non_cycle(g, v, nv, h1, x1, ctx, trace) -> int:
     connected non-exceptional remainder overall) always exists for these
     four graphs; the candidates are scanned in label order.
     """
-    a1 = _attachments(g, x1, h1.mask)[0]
-    sub_index = {o: i for i, o in enumerate(h1.old)}
-    a1_sub = sub_index[a1]
-    banned = closed_mask(h1.sub, 1 << a1_sub)
-    for ys in range(h1.sub.n):
-        if (banned >> ys) & 1 or h1.sub.degree(ys) != 3:
+    h_mask = h1.mask
+    a1 = _attachments(g, x1, h_mask)[0]
+    banned = closed_mask(g, 1 << a1)
+    for ystar in bit_indices(h_mask & ~banned):
+        if _degree(g, h_mask, ystar) != 3:
             continue
-        remnant = h1.sub.full_mask() & ~closed_mask(h1.sub, 1 << ys)
-        if remnant.bit_count() != 3 or not connected_within(h1.sub, remnant):
+        remnant = h_mask & ~closed_mask(g, 1 << ystar)
+        if remnant.bit_count() != 3 or not connected_within(g, remnant):
             continue
-        ystar = h1.old[ys]
-        if g.rows[ystar] & ~h1.mask:
+        if g.rows[ystar] & mask & ~h_mask:
             continue
-        kill = closed_mask(g, 1 << ystar)
-        star = g.full_mask() & ~kill
-        if not connected_within(g, star):
+        kill = closed_mask(g, 1 << ystar) & mask
+        star = mask & ~kill
+        if not connected_within(g, star) or _catalog_id(g, star) is not None:
             continue
-        sub, _ = _extract(g, star)
-        if patterns.catalog_match(sub) is not None:
-            continue
-        trace.add(CASE_223, [ctx[ystar]], [ctx[u] for u in bit_indices(kill)],
-                  {"subcase": h1.cid})
-        return (1 << ystar) | _solve_sub(g, star, ctx, trace)
+        trace.add(CASE_223, [ystar], bit_indices(kill), {"subcase": h1.cid})
+        return (1 << ystar) | (yield star)
     raise InternalCaseExhausted(f"no usable inner vertex in a {h1.cid} component")
 
 
-def _cycle_component_case(g, v, nv, h1, x1, x1p, w, ctx, trace, k: int) -> int:
+def _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w, trace, k: int):
     """Doubly linked C7 (k=7) or C11 (k=11) component."""
     y_mask = nv | h1.mask
-    x1, x1p = _ensure_outside_link(g, v, x1, x1p, w, y_mask)
+    # swap x1/x1p if needed so some neighbor of v other than x1 has an edge
+    # leaving Y = N[v] union V(H1)
+    outside = mask & ~y_mask
+    if not (g.rows[x1p] | g.rows[w]) & outside:
+        _require(bool(g.rows[x1] & outside), "no edge leaves Y although n > |Y|")
+        x1, x1p = x1p, x1
     a1 = _attachments(g, x1, h1.mask)[0]
-    sub_index = {o: i for i, o in enumerate(h1.old)}
-    ck = generators.catalog_graphs_raw()["C7" if k == 7 else "C11"]
-    wit = patterns.find_isomorphism(h1.sub, ck, fixed={0: sub_index[a1]})
-    _require(wit is not None, "catalog said cycle but no isomorphism found")
-    psi = [h1.old[wit.mapping[i]] for i in range(k)]
+    psi = _normalize(g, h1.mask, f"C{k}", pin=a1)
+    _require(psi is not None, "catalog said cycle but no isomorphism found")
     y1 = psi[0]
-    kill = closed_mask(g, 1 << y1)
+    kill = closed_mask(g, 1 << y1) & mask
     _require(kill == (1 << y1) | (1 << x1) | (1 << psi[1]) | (1 << psi[k - 1]),
              "cycle attachment vertex has unexpected neighbors")
-    i_mask = y_mask & ~kill
+    case = CASE_222 if k == 11 else CASE_223
 
-    if connected_within(g, i_mask):
-        parts = component_masks(g, within=g.full_mask() & ~kill)
-        gv_mask = next(p for p in parts if (p >> v) & 1)
-        gv_sub, _ = _extract(g, gv_mask)
-        _require(patterns.catalog_match(gv_sub) is None,
-                 "component of G-N[y1] holding v is exceptional in the connected subcase")
-        bits = (1 << y1) | _solve_sub(g, gv_mask, ctx, trace)
+    if connected_within(g, y_mask & ~kill):
+        parts = component_masks(g, within=mask & ~kill)
+        gv_mask = _component_with(parts, v)
+        _require_plain(g, gv_mask, "component of G-N[y1] holding v is "
+                       "exceptional in the connected subcase")
+        bits = (1 << y1) | (yield gv_mask)
         for p in parts:
             if p == gv_mask:
                 continue
-            side, _ = _extract(g, p)
-            _require(patterns.catalog_match(side) is None,
-                     "side component in the cycle case is exceptional")
-            bits |= _solve_sub(g, p, ctx, trace)
-        trace.add(CASE_222 if k == 11 else CASE_223, [ctx[y1]],
-                  [ctx[u] for u in bit_indices(kill)],
+            _require_plain(g, p, "side component in the cycle case is exceptional")
+            bits |= yield p
+        trace.add(case, [y1], bit_indices(kill),
                   {"subcase": f"C{k}-connected",
-                   "normalization": {i + 1: ctx[psi[i]] for i in range(k)}})
+                   "normalization": {i + 1: psi[i] for i in range(k)}})
         return bits
 
     att_x1p = set(_attachments(g, x1p, h1.mask))
     _require(att_x1p <= {psi[1], psi[k - 1]},
              "disconnected subcase needs x1' attached next to y1")
     if k == 11:
-        return _c11_disconnected(g, v, h1, x1, x1p, w, psi, y_mask, att_x1p, ctx, trace)
-    return _c7_disconnected(g, v, h1, x1, x1p, w, psi, kill, att_x1p, ctx, trace)
+        return (yield from _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace))
+    return (yield from _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace))
 
 
-def _c11_disconnected(g, v, h1, x1, x1p, w, psi, y_mask, att_x1p, ctx, trace) -> int:
+def _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace):
     if psi[1] in att_x1p:
         d_prime = [psi[0], psi[1], psi[6]]
     else:
         d_prime = [psi[0], psi[5], psi[10]]
     kill = y_mask & ~((1 << v) | (1 << w))
-    parts = component_masks(g, within=g.full_mask() & ~kill)
-    gv_mask = next(p for p in parts if (p >> v) & 1)
+    parts = component_masks(g, within=mask & ~kill)
+    gv_mask = _component_with(parts, v)
     _require((gv_mask >> w) & 1, "v and w should share a component")
-    bits = 0
-    for p in d_prime:
-        bits |= 1 << p
+    bits = sum(1 << p for p in d_prime)
     for p in parts:
         if p == gv_mask:
             continue
-        side, _ = _extract(g, p)
-        _require(patterns.catalog_match(side) is None,
-                 "side component in the C11 disconnected subcase is exceptional")
-        bits |= _solve_sub(g, p, ctx, trace)
-    gv_sub, _ = _extract(g, gv_mask)
-    if patterns.catalog_match(gv_sub) is None:
-        bits |= _solve_sub(g, gv_mask, ctx, trace)
-    else:
-        bits |= _exact_small(g, gv_mask, ctx, trace, "C11-disconnected remainder")
-    leftover = [ctx[u] for u in bit_indices(kill & ~closed_mask(g, bits))]
-    trace.add(CASE_222, [ctx[p] for p in d_prime],
-              [ctx[u] for u in bit_indices(kill)],
-              {"subcase": "C11-disconnected", "leftover": leftover,
-               "normalization": {i + 1: ctx[psi[i]] for i in range(11)}})
-    return bits
+        _require_plain(g, p, "side component in the C11 disconnected subcase "
+                       "is exceptional")
+        bits |= yield p
+    bits |= yield from _plain_or_small(g, gv_mask, trace, "C11-disconnected remainder")
+    return _close(g, trace, bits, CASE_222, d_prime, kill, subcase="C11-disconnected",
+                  normalization={i + 1: psi[i] for i in range(11)})
 
 
-def _c7_disconnected(g, v, h1, x1, x1p, w, psi, kill, att_x1p, ctx, trace) -> int:
+def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
     # re-orient the 7-cycle so x1' attaches at position 7
     if psi[6] not in att_x1p:
         psi = [psi[0]] + psi[1:][::-1]
     _require(psi[6] in att_x1p, "x1' attachment not adjacent to y1 on the cycle")
     y1 = psi[0]
-    j_mask = 0
-    for i in range(2, 6):
-        j_mask |= 1 << psi[i]
-    parts = component_masks(g, within=g.full_mask() & ~kill)
+    j_mask = sum(1 << psi[i] for i in range(2, 6))
+    parts = component_masks(g, within=mask & ~kill)
     _require(j_mask in parts, "the 4-path remnant of the 7-cycle is not a component")
-    gv_mask = next(p for p in parts if (p >> v) & 1)
+    gv_mask = _component_with(parts, v)
     side_parts = [p for p in parts if p not in (gv_mask, j_mask)]
     for p in side_parts:
-        side, _ = _extract(g, p)
-        _require(patterns.catalog_match(side) is None,
-                 "side component in the C7 disconnected subcase is exceptional")
-    gv_sub, gv_old = _extract(g, gv_mask)
-    cm = patterns.catalog_match(gv_sub)
+        _require_plain(g, p, "side component in the C7 disconnected subcase "
+                       "is exceptional")
+    cm = _catalog_id(g, gv_mask)
 
     if cm is None:
         bits = (1 << y1) | (1 << psi[4])
-        bits |= _solve_sub(g, gv_mask, ctx, trace)
+        bits |= yield gv_mask
         for p in side_parts:
-            bits |= _solve_sub(g, p, ctx, trace)
-        leftover = [ctx[u] for u in bit_indices((kill | j_mask) & ~closed_mask(g, bits))]
-        trace.add(CASE_223, [ctx[y1], ctx[psi[4]]],
-                  [ctx[u] for u in bit_indices(kill | j_mask)],
-                  {"subcase": "C7-disconnected", "leftover": leftover,
-                   "normalization": {i + 1: ctx[psi[i]] for i in range(7)}})
-        return bits
+            bits |= yield p
+        return _close(g, trace, bits, CASE_223, [y1, psi[4]], kill | j_mask,
+                      subcase="C7-disconnected",
+                      normalization={i + 1: psi[i] for i in range(7)})
 
     if cm in ("C11", "G11"):
         trace.add(CASE_223, [], [], {"subcase": "C7-disconnected-reenter",
-                                     "reenter_at": ctx[y1], "gv": cm})
-        return _solve_with_vertex(g, y1, ctx, trace)
+                                     "reenter_at": y1, "gv": cm})
+        return (yield from _solve_with_vertex(g, mask, y1, trace))
 
     _require(cm == "C7", f"C7-disconnected remainder is {cm}, expected C7/C11/G11")
     # G_v^* is a 7-cycle through x1'-v-w; walk it from x1' away from v
-    gv_nbrs_v = [u for u in bit_indices(g.rows[v] & gv_mask)]
-    _require(sorted(gv_nbrs_v) == sorted((x1p, w)), "cycle through v must pass x1' and w")
+    _require(sorted(bit_indices(g.rows[v] & gv_mask)) == sorted((x1p, w)),
+             "cycle through v must pass x1' and w")
     walk = [x1p]
     prev = v
     while len(walk) < 6:
         cur = walk[-1]
-        nxt = next(u for u in bit_indices(g.rows[cur] & gv_mask) if u != prev)
+        walk.append(next(u for u in bit_indices(g.rows[cur] & gv_mask) if u != prev))
         prev = cur
-        walk.append(nxt)
-    u1, u2, u3, u4 = walk[1:5]
+    u2, u4 = walk[2], walk[4]
     _require(walk[5] == w, "7-cycle walk should end at w")
-    kill2 = closed_mask(g, (1 << x1p) | (1 << u4))
-    parts2 = component_masks(g, within=g.full_mask() & ~kill2)
-    _require(1 << u2 in parts2, "u2 should be isolated after the double deletion")
-    rest2 = [p for p in parts2 if p != 1 << u2]
-    _require(len(rest2) == 1, "double deletion should leave one big component")
-    hdag_mask = rest2[0]
-    hsub, _ = _extract(g, hdag_mask)
-    _require(patterns.catalog_match(hsub) is None, "H-dagger is exceptional")
+    kill2 = closed_mask(g, (1 << x1p) | (1 << u4)) & mask
+    hdag_mask = _one_beside(g, mask, kill2, 1 << u2,
+                            "u2 should be isolated after the double deletion",
+                            "double deletion should leave one big component")
+    _require_plain(g, hdag_mask, "H-dagger is exceptional")
     bits = (1 << x1p) | (1 << u4)
-    bits |= _solve_sub(g, hdag_mask, ctx, trace)
-    leftover = [ctx[u] for u in bit_indices((kill2 | (1 << u2)) & ~closed_mask(g, bits))]
-    trace.add(CASE_223, [ctx[x1p], ctx[u4]],
-              [ctx[u] for u in bit_indices(kill2 | (1 << u2))],
-              {"subcase": "C7-disconnected-C7", "leftover": leftover})
-    return bits
+    bits |= yield hdag_mask
+    return _close(g, trace, bits, CASE_223, [x1p, u4], kill2 | (1 << u2),
+                  subcase="C7-disconnected-C7")
 
 
-def _case224(g, v, nv, h1, ctx, trace) -> int:
+def _case224(g, mask, v, h1, trace):
     """The doubly linked component is a 3-vertex graph."""
-    nbrs = g.neighbors(v)
+    nbrs = tuple(bit_indices(g.rows[v] & mask))
     h_mask = h1.mask
-    h_verts = sorted(bit_indices(h_mask))
-    deg2 = [t for t in h_verts if (g.rows[t] & h_mask).bit_count() == 2]
+    h_verts = list(bit_indices(h_mask))
+    deg2 = [t for t in h_verts if _degree(g, h_mask, t) == 2]
     adjacent_pairs = [(t, u) for t in deg2 for u in nbrs if g.has_edge(t, u)]
 
     if adjacent_pairs:
-        return _case224_deg2_attached(g, v, nv, h1, adjacent_pairs, ctx, trace)
+        return (yield from _case224_deg2_attached(g, mask, v, h1, adjacent_pairs, trace))
 
     # condition (1): no degree-2 vertex of H1 touches N(v); H1 must be a path
     _require(h1.cid == "P3", "triangle component always violates condition (1)")
@@ -715,10 +722,11 @@ def _case224(g, v, nv, h1, ctx, trace) -> int:
         w = next(u for u in nbrs if u not in (x1, x1p))
         y_mid = next(t for t in h_verts if g.has_edge(y1, t))
         y_far = next(t for t in h_verts if t not in (y1, y_mid))
-        return _case224_double(g, v, y1, x1, x1p, w, y_mid, y_far, ctx, trace)
+        return (yield from _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far,
+                                           trace))
 
     # each H1 vertex touches at most one neighbor of v: attachments at the ends
-    ends = [t for t in h_verts if (g.rows[t] & h_mask).bit_count() == 1]
+    ends = [t for t in h_verts if _degree(g, h_mask, t) == 1]
     ystar = next(t for t in h_verts if t not in ends)
     attach = {t: [u for u in nbrs if g.has_edge(t, u)] for t in ends}
     linked_ends = [t for t in ends if attach[t]]
@@ -737,161 +745,120 @@ def _case224(g, v, nv, h1, ctx, trace) -> int:
         x1, x1p, y1, y1p = x1p, x1, y1p, y1
     _require(not g.has_edge(w, y1p),
              "w adjacent to the far end forces an induced 6-cycle")
-    kill = closed_mask(g, 1 << x1)
+    kill = closed_mask(g, 1 << x1) & mask
     _require(kill == (1 << x1) | (1 << v) | (1 << x1p) | (1 << y1),
              "x1 should be saturated by v, x1', y1")
-    parts = component_masks(g, within=g.full_mask() & ~kill)
     k2_mask = (1 << y1p) | (1 << ystar)
-    _require(k2_mask in parts, "the far end plus middle should come off as a K2")
-    rest = [p for p in parts if p != k2_mask]
-    _require(len(rest) == 1, "exactly one component should hold w")
-    gw_mask = rest[0]
+    gw_mask = _one_beside(g, mask, kill, k2_mask,
+                          "the far end plus middle should come off as a K2",
+                          "exactly one component should hold w")
     _require((gw_mask >> w) & 1, "w missing from its component")
-    gw_sub, _ = _extract(g, gw_mask)
     bits = 1 << x1
-    if patterns.catalog_match(gw_sub) is None:
-        bits |= _solve_sub(g, gw_mask, ctx, trace)
-    else:
-        bits |= _exact_small(g, gw_mask, ctx, trace, "Case 2.2.4 w-side remainder")
-    leftover = [ctx[u] for u in bit_indices((kill | k2_mask) & ~closed_mask(g, bits))]
-    trace.add(CASE_224, [ctx[x1]], [ctx[u] for u in bit_indices(kill | k2_mask)],
-              {"subcase": "ends-x1x1p-edge", "leftover": leftover})
-    return bits
+    bits |= yield from _plain_or_small(g, gw_mask, trace, "Case 2.2.4 w-side remainder")
+    return _close(g, trace, bits, CASE_224, [x1], kill | k2_mask,
+                  subcase="ends-x1x1p-edge")
 
 
-def _case224_double(g, v, y1, x1, x1p, w, y_mid, y_far, ctx, trace) -> int:
+def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace):
     """A path end y1 of the 3-vertex component is adjacent to two of N(v)."""
-    kill = closed_mask(g, 1 << y1)
+    kill = closed_mask(g, 1 << y1) & mask
     _require(kill == (1 << y1) | (1 << x1) | (1 << x1p) | (1 << y_mid),
              "doubly attached end should be saturated")
-    parts = component_masks(g, within=g.full_mask() & ~kill)
-    gv_mask = next(p for p in parts if (p >> v) & 1)
+    parts = component_masks(g, within=mask & ~kill)
+    gv_mask = _component_with(parts, v)
     far_single = (1 << y_far) in parts
     side_parts = [p for p in parts if p != gv_mask and p != (1 << y_far)]
     for p in side_parts:
-        side, _ = _extract(g, p)
-        _require(patterns.catalog_match(side) is None,
-                 "side component in the double-attachment subcase is exceptional")
-    gv_sub, gv_old = _extract(g, gv_mask)
-    cm = patterns.catalog_match(gv_sub)
+        _require_plain(g, p, "side component in the double-attachment subcase "
+                       "is exceptional")
+    cm = _catalog_id(g, gv_mask)
     removed = kill | ((1 << y_far) if far_single else 0)
 
     if cm is None:
         bits = 1 << y1
-        bits |= _solve_sub(g, gv_mask, ctx, trace)
+        bits |= yield gv_mask
         for p in side_parts:
-            bits |= _solve_sub(g, p, ctx, trace)
-        leftover = [ctx[u] for u in bit_indices(removed & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[y1]], [ctx[u] for u in bit_indices(removed)],
-                  {"subcase": "double-attachment", "leftover": leftover})
-        return bits
+            bits |= yield p
+        return _close(g, trace, bits, CASE_224, [y1], removed,
+                      subcase="double-attachment")
 
-    v_sub = gv_old.index(v)
-    _require(gv_sub.degree(v_sub) == 1, "v should be a leaf of the exceptional remainder")
+    _require(_degree(g, gv_mask, v) == 1, "v should be a leaf of the exceptional remainder")
     if cm == "G71":
         _require(far_single, "two leaves adjacent to w cannot form this catalog copy")
-        g71 = generators.catalog_graphs_raw()["G71"]
-        wit = patterns.find_isomorphism(gv_sub, g71, fixed={0: v_sub})
-        _require(wit is not None, "leaf-pinned isomorphism to the order-7 copy failed")
-        z = gv_old[wit.mapping[2]]
-        bits = (1 << w) | (1 << y1) | (1 << z)
-        for p in side_parts:
-            bits |= _solve_sub(g, p, ctx, trace)
-        removed |= gv_mask
-        leftover = [ctx[u] for u in bit_indices(removed & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[w], ctx[y1], ctx[z]],
-                  [ctx[u] for u in bit_indices(removed)],
-                  {"subcase": "double-attachment-G71", "leftover": leftover})
-        return bits
-    if cm == "P3":
+        psi = _normalize(g, gv_mask, "G71", pin=v)
+        _require(psi is not None, "leaf-pinned isomorphism to the order-7 copy failed")
+        chosen = [w, y1, psi[2]]
+    elif cm == "P3":
         _require(not (gv_mask >> y_far) & 1,
                  "far end inside the P3 remainder forces order 7")
-        bits = (1 << w) | (1 << y1)
-        for p in side_parts:
-            bits |= _solve_sub(g, p, ctx, trace)
-        removed |= gv_mask
-        leftover = [ctx[u] for u in bit_indices(removed & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[w], ctx[y1]],
-                  [ctx[u] for u in bit_indices(removed)],
-                  {"subcase": "double-attachment-P3", "leftover": leftover})
-        return bits
-    raise InternalCaseExhausted(
-        f"leaf remainder matched {cm}, expected P3 or G71")
+        chosen = [w, y1]
+    else:
+        raise InternalCaseExhausted(f"leaf remainder matched {cm}, expected P3 or G71")
+    bits = sum(1 << u for u in chosen)
+    for p in side_parts:
+        bits |= yield p
+    return _close(g, trace, bits, CASE_224, chosen, removed | gv_mask,
+                  subcase=f"double-attachment-{cm}")
 
 
-def _case224_deg2_attached(g, v, nv, h1, pairs, ctx, trace) -> int:
+def _case224_deg2_attached(g, mask, v, h1, pairs, trace):
     """Condition (1) fails: a degree-2 vertex of H1 touches N(v)."""
-    nbrs = g.neighbors(v)
+    nbrs = tuple(bit_indices(g.rows[v] & mask))
     h_mask = h1.mask
     y1, x1 = pairs[0]
     linked_others = [u for u in nbrs if u != x1 and g.rows[u] & h_mask]
-    _require(linked_others, "the component must be linked to a second neighbor")
+    _require(bool(linked_others), "the component must be linked to a second neighbor")
     x1p = linked_others[0]
     w = next(u for u in nbrs if u not in (x1, x1p))
     y1p = _attachments(g, x1p, h_mask)[0]
     _require(y1p != y1, "saturated y1 cannot host a second attachment")
     ystar = next(t for t in bit_indices(h_mask) if t not in (y1, y1p))
-    kill = closed_mask(g, 1 << y1)
+    kill = closed_mask(g, 1 << y1) & mask
     _require(kill == (1 << x1) | h_mask, "N[y1] should be x1 plus the component")
 
-    parts = component_masks(g, within=g.full_mask() & ~kill)
-    gv_mask = next(p for p in parts if (p >> v) & 1)
+    parts = component_masks(g, within=mask & ~kill)
+    gv_mask = _component_with(parts, v)
     others = [p for p in parts if p != gv_mask]
     _require(len(others) <= 1, "x1 has one open slot, so at most one side component")
     hstar_mask = others[0] if others else 0
     if hstar_mask:
-        hside, _ = _extract(g, hstar_mask)
-        _require(patterns.catalog_match(hside) is None,
-                 "side component hanging off x1 is exceptional")
-    gv_sub, gv_old = _extract(g, gv_mask)
-    cm = patterns.catalog_match(gv_sub)
+        _require_plain(g, hstar_mask, "side component hanging off x1 is exceptional")
+    cm = _catalog_id(g, gv_mask)
 
     if cm is None:
-        bits = (1 << y1) | _solve_sub(g, gv_mask, ctx, trace)
+        bits = (1 << y1) | (yield gv_mask)
         if hstar_mask:
-            bits |= _solve_sub(g, hstar_mask, ctx, trace)
-        leftover = [ctx[u] for u in bit_indices(kill & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[y1]], [ctx[u] for u in bit_indices(kill)],
-                  {"subcase": "deg2-attached", "leftover": leftover})
-        return bits
+            bits |= yield hstar_mask
+        return _close(g, trace, bits, CASE_224, [y1], kill, subcase="deg2-attached")
     if cm in ("C7", "C11", "G11"):
         trace.add(CASE_224, [], [], {"subcase": "deg2-attached-reenter",
-                                     "reenter_at": ctx[y1], "gv": cm})
-        return _solve_with_vertex(g, y1, ctx, trace)
+                                     "reenter_at": y1, "gv": cm})
+        return (yield from _solve_with_vertex(g, mask, y1, trace))
 
     _require(cm in ("P3", "C3"), f"unexpected remainder {cm} in Case 2.2.4")
     _require(gv_mask == (1 << v) | (1 << x1p) | (1 << w),
              "3-vertex remainder must be exactly v, x1', w")
     _require(hstar_mask != 0, "order at least 16 forces a side component")
-    hstar_size = hstar_mask.bit_count()
-    if hstar_size % 4 != 0:
-        bits = 1 << y1
-        bits |= _exact_small(g, gv_mask, ctx, trace, "small remainder at v")
-        bits |= _solve_sub(g, hstar_mask, ctx, trace)
-        leftover = [ctx[u] for u in bit_indices(kill & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[y1]], [ctx[u] for u in bit_indices(kill)],
-                  {"subcase": "deg2-attached-small-gv", "leftover": leftover})
-        return bits
+    if hstar_mask.bit_count() % 4 != 0:
+        bits = (1 << y1) | _exact_small(g, gv_mask, trace, "small remainder at v")
+        bits |= yield hstar_mask
+        return _close(g, trace, bits, CASE_224, [y1], kill,
+                      subcase="deg2-attached-small-gv")
 
     # |V(H*)| = 4k: the prescribed second deletions
     if g.has_edge(x1p, ystar):
-        kill2 = closed_mask(g, 1 << x1p)
+        kill2 = closed_mask(g, 1 << x1p) & mask
         _require(kill2 == (1 << x1p) | (1 << v) | (1 << y1p) | (1 << ystar),
                  "x1' should be saturated by v, y1', y*")
-        parts2 = component_masks(g, within=g.full_mask() & ~kill2)
-        _require(1 << w in parts2, "w should be isolated by the second deletion")
-        rest2 = [p for p in parts2 if p != 1 << w]
-        _require(len(rest2) == 1, "second deletion should leave one big component")
-        hdag = rest2[0]
-        hsub, _ = _extract(g, hdag)
-        _require(patterns.catalog_match(hsub) is None, "H-dagger is exceptional")
-        bits = (1 << x1p) | _solve_sub(g, hdag, ctx, trace)
-        leftover = [ctx[u] for u in bit_indices((kill2 | (1 << w)) & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[x1p]], [ctx[u] for u in bit_indices(kill2 | (1 << w))],
-                  {"subcase": "deg2-attached-x1p-ystar", "leftover": leftover})
-        return bits
+        hdag = _one_beside(g, mask, kill2, 1 << w,
+                           "w should be isolated by the second deletion",
+                           "second deletion should leave one big component")
+        _require_plain(g, hdag, "H-dagger is exceptional")
+        bits = (1 << x1p) | (yield hdag)
+        return _close(g, trace, bits, CASE_224, [x1p], kill2 | (1 << w),
+                      subcase="deg2-attached-x1p-ystar")
 
-    d_y1p_in_h = (g.rows[y1p] & h_mask).bit_count()
+    d_y1p_in_h = _degree(g, h_mask, y1p)
     if d_y1p_in_h == 2 or not g.has_edge(w, ystar):
         # delete x1' plus the whole component; the rest is connected, non-
         # exceptional, and covered from y1' (for the path shape, y* splits off)
@@ -900,50 +867,36 @@ def _case224_deg2_attached(g, v, nv, h1, pairs, ctx, trace) -> int:
             kill2 &= ~(1 << ystar)
         _require(kill2 & ~closed_mask(g, 1 << y1p) == 0,
                  "second deletion set must lie inside N[y1']")
-        parts2 = component_masks(g, within=g.full_mask() & ~kill2)
+        parts2 = component_masks(g, within=mask & ~kill2)
         if d_y1p_in_h == 1:
             _require((1 << ystar) in parts2, "y* should split off as a singleton")
         big = [p for p in parts2 if p != 1 << ystar]
         _require(len(big) == 1, "one component should remain beside y*")
         g1_mask = big[0]
-        g1_sub, _ = _extract(g, g1_mask)
-        _require(patterns.catalog_match(g1_sub) is None, "G1' is exceptional")
-        bits = (1 << y1p) | _solve_sub(g, g1_mask, ctx, trace)
+        _require_plain(g, g1_mask, "G1' is exceptional")
+        bits = (1 << y1p) | (yield g1_mask)
         removed = kill2 | ((1 << ystar) if (1 << ystar) in parts2 else 0)
-        leftover = [ctx[u] for u in bit_indices(removed & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[y1p]], [ctx[u] for u in bit_indices(removed)],
-                  {"subcase": "deg2-attached-r0-y1p", "leftover": leftover})
-        return bits
+        return _close(g, trace, bits, CASE_224, [y1p], removed,
+                      subcase="deg2-attached-r0-y1p")
 
     # path shape, w adjacent to y*: one of two closing edges must exist
     if g.has_edge(w, y1p):
-        kill2 = closed_mask(g, 1 << y1p)
+        kill2 = closed_mask(g, 1 << y1p) & mask
         _require(kill2 == (1 << y1p) | (1 << x1p) | (1 << w) | (1 << y1),
                  "y1' should be saturated by x1', w, y1")
-        parts2 = component_masks(g, within=g.full_mask() & ~kill2)
-        _require(1 << ystar in parts2, "y* should be isolated here")
-        rest2 = [p for p in parts2 if p != 1 << ystar]
-        _require(len(rest2) == 1, "one big component expected")
-        a_mask = rest2[0]
-        a_sub, _ = _extract(g, a_mask)
-        _require(patterns.catalog_match(a_sub) is None, "remainder is exceptional")
-        bits = (1 << y1p) | _solve_sub(g, a_mask, ctx, trace)
-        leftover = [ctx[u] for u in bit_indices((kill2 | (1 << ystar)) & ~closed_mask(g, bits))]
-        trace.add(CASE_224, [ctx[y1p]],
-                  [ctx[u] for u in bit_indices(kill2 | (1 << ystar))],
-                  {"subcase": "deg2-attached-r0-wy1p", "leftover": leftover})
-        return bits
+        a_mask = _one_beside(g, mask, kill2, 1 << ystar, "y* should be isolated here",
+                             "one big component expected")
+        _require_plain(g, a_mask, "remainder is exceptional")
+        bits = (1 << y1p) | (yield a_mask)
+        return _close(g, trace, bits, CASE_224, [y1p], kill2 | (1 << ystar),
+                      subcase="deg2-attached-r0-wy1p")
     _require(g.has_edge(x1p, w),
              "both closing edges absent would leave an induced 6-cycle")
-    kill2 = closed_mask(g, 1 << x1p)
+    kill2 = closed_mask(g, 1 << x1p) & mask
     _require(kill2 == (1 << x1p) | (1 << v) | (1 << w) | (1 << y1p),
              "x1' should be saturated by v, w, y1'")
-    gdag = g.full_mask() & ~kill2
+    gdag = mask & ~kill2
     _require(connected_within(g, gdag), "G-dagger should be connected")
-    gdag_sub, _ = _extract(g, gdag)
-    _require(patterns.catalog_match(gdag_sub) is None, "G-dagger is exceptional")
-    bits = (1 << x1p) | _solve_sub(g, gdag, ctx, trace)
-    leftover = [ctx[u] for u in bit_indices(kill2 & ~closed_mask(g, bits))]
-    trace.add(CASE_224, [ctx[x1p]], [ctx[u] for u in bit_indices(kill2)],
-              {"subcase": "deg2-attached-r0-x1pw", "leftover": leftover})
-    return bits
+    _require_plain(g, gdag, "G-dagger is exceptional")
+    bits = (1 << x1p) | (yield gdag)
+    return _close(g, trace, bits, CASE_224, [x1p], kill2, subcase="deg2-attached-r0-x1pw")

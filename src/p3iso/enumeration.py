@@ -10,8 +10,9 @@ the graph connected (all vertices, in the disconnected variant).
 Attachment sets are tried once per Aut(parent)-orbit, so each isomorphism
 class is constructed exactly once.
 
-Practical exhaustive range is max_n <= 11; orders 10 and 11 take minutes
-and are gated behind explicit flags by the callers.
+Practical exhaustive range is max_n <= 11; the bound sweep to order 11
+takes under twenty seconds, and the tests gate orders 10 and 11 behind the
+``extended`` marker.
 """
 
 from __future__ import annotations

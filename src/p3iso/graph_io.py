@@ -4,18 +4,22 @@ graph6: one printable line per graph; chars are 63..126, carrying 6-bit
 groups. Header is n+63 for n <= 62, or '~' + 3 chars (18-bit n), or '~~' +
 6 chars (36-bit n). The body packs the upper triangle of the adjacency
 matrix in column-major order (bit (i, j) for i < j ordered by j then i),
-zero-padded to a multiple of 6. Emission always uses the short header and
-canonical zero padding; extended headers are accepted on parse only.
+zero-padded to a multiple of 6. Emission uses the shortest header that
+holds n and canonical zero padding. Decode and encode visit only the set
+bits one by one (decode finds them with a regular-expression scan), so a
+sparse graph costs time linear in the length of its line.
 
 Edge list: a header line "n m" then m lines "u v" with 1-based labels.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
-from .graphcore import Graph
+from .graphcore import Graph, bit_indices
 
 
 class Graph6Error(ValueError):
@@ -62,10 +66,15 @@ class Graph6Record:
     order: int
 
 
+_OUTSIDE_RANGE = re.compile("[^?-~]")  # chr(63)..chr(126)
+_NONZERO = re.compile("[^?]")  # characters carrying at least one set bit
+_TO_TEXT = bytes((b + 63) & 255 for b in range(256))
+
+
 def _check_chars(line: str) -> None:
-    for ch in line:
-        if not 63 <= ord(ch) <= 126:
-            raise MalformedHeader(f"character {ch!r} outside graph6 range 63..126")
+    bad = _OUTSIDE_RANGE.search(line)
+    if bad:
+        raise MalformedHeader(f"character {bad.group()!r} outside graph6 range 63..126")
 
 
 def _decode_order(line: str) -> tuple[int, int]:
@@ -106,24 +115,26 @@ def _parse_record(rec: Graph6Record) -> tuple[Graph, list[str]]:
     n = rec.order
     _, start = _decode_order(rec.text)
     warnings: list[str] = []
-    bits = 0
-    body = rec.text[start:]
-    for ch in body:
-        bits = (bits << 6) | (ord(ch) - 63)
     nbits = n * (n - 1) // 2
-    pad = len(body) * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
-        warnings.append("non-canonical padding (padding bits not zero)")
-    bits >>= pad
     rows = [0] * n
-    # column-major upper triangle: highest-order bit first is (0, 1)
-    pos = nbits - 1
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> pos) & 1:
+    # bit p of the body (from the first character's high bit) is the pair
+    # (i, j), i < j, with p = j(j-1)/2 + i
+    for m in _NONZERO.finditer(rec.text, start):
+        x = ord(m.group()) - 63
+        p = 6 * (m.start() - start)
+        j = (1 + isqrt(1 + 8 * p)) // 2
+        i = p - j * (j - 1) // 2
+        for b in (32, 16, 8, 4, 2, 1):
+            if x & b:
+                if p >= nbits:
+                    warnings = ["non-canonical padding (padding bits not zero)"]
+                    break
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            pos -= 1
+            p += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, rows), warnings
 
 
@@ -140,21 +151,26 @@ def parse_graph6(line: str, *, strict: bool = False) -> Graph:
     return g
 
 
+def _encode_order(n: int) -> str:
+    """The graph6 order header: 1, 4 or 8 characters."""
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    if n <= 68719476735:
+        return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+    raise ValueError(f"graph6 cannot encode order {n}")
+
+
 def emit_graph6(g: Graph) -> str:
-    """Encode with the short-form header and canonical zero padding."""
-    if g.n > 62:
-        raise ValueError("emission is restricted to the short-form header (n <= 62)")
-    nbits = g.n * (g.n - 1) // 2
-    bits = 0
+    """Encode with the shortest order header and canonical zero padding."""
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
     for j in range(1, g.n):
-        for i in range(j):
-            bits = (bits << 1) | ((g.rows[i] >> j) & 1)
-    pad = (-nbits) % 6
-    bits <<= pad
-    out = [chr(g.n + 63)]
-    for k in range(((nbits + pad) // 6) - 1, -1, -1):
-        out.append(chr(((bits >> (6 * k)) & 63) + 63))
-    return "".join(out)
+        base = j * (j - 1) // 2
+        for i in bit_indices(g.rows[j] & ((1 << j) - 1)):
+            p = base + i
+            body[p // 6] |= 32 >> (p % 6)
+    return _encode_order(g.n) + body.translate(_TO_TEXT).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

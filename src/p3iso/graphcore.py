@@ -286,13 +286,13 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     The relabeling is stable (it preserves the relative order of the kept
     vertices), so certificates computed on the subgraph can be lifted back.
     """
-    kill = _coerce_mask(g, s)
-    keep = [v for v in range(g.n) if not (kill >> v) & 1]
+    keep_mask = g.full_mask() & ~_coerce_mask(g, s)
+    keep = list(bit_indices(keep_mask))
     new_of_old = {v: i for i, v in enumerate(keep)}
     rows = []
     for v in keep:
         row = 0
-        for u in bit_indices(g.rows[v] & ~kill):
+        for u in bit_indices(g.rows[v] & keep_mask):
             row |= 1 << new_of_old[u]
         rows.append(row)
     return Graph(len(keep), rows), tuple(keep)

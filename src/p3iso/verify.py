@@ -42,11 +42,20 @@ class OrderReport:
 
 @dataclass
 class VerificationReport:
+    """Per-order results; a streamed run also counts the lines it read and
+    keeps (line number, reason) for each line it could not decode."""
+
     rows: dict[int, OrderReport] = field(default_factory=dict)
+    lines_read: int = 0
+    skipped: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def graphs(self) -> int:
+        return sum(r.examined for r in self.rows.values())
 
     @property
     def passed(self) -> bool:
-        return all(not r.violations for r in self.rows.values())
+        return not self.skipped and all(not r.violations for r in self.rows.values())
 
     def row(self, order: int) -> OrderReport:
         if order not in self.rows:
@@ -56,6 +65,9 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
+            "lines_read": self.lines_read,
+            "graphs": self.graphs,
+            "skipped": len(self.skipped),
             "orders": [
                 {
                     "order": r.order,
@@ -102,10 +114,25 @@ def verify_enumerated(max_n: int, jobs: int = 1) -> VerificationReport:
 
 
 def verify_stream(lines) -> VerificationReport:
-    """Run the bound check over a graph6 stream (one graph per line)."""
+    """Run the bound check over a graph6 stream (one graph per line).
+
+    A line that does not decode is skipped and recorded in ``skipped``,
+    which fails the run; padding warnings on a decoded line are not.
+    """
     report = VerificationReport()
-    for g in iter_graph6(lines):
+    problems: dict[int, str] = {}
+
+    def counted():
+        for line in lines:
+            report.lines_read += 1
+            yield line
+
+    # iter_graph6 does not buffer: when it yields a graph, the line last
+    # read is that graph's own, and its diagnostics were only warnings
+    for g in iter_graph6(counted(), lambda no, msg: problems.setdefault(no, msg)):
+        problems.pop(report.lines_read, None)
         _check_one(g, report)
+    report.skipped = sorted(problems.items())
     return report
 
 

@@ -1,7 +1,11 @@
+import io
 import json
+import sys
 from pathlib import Path
 
+from p3iso import constructive
 from p3iso import generators as gen
+from p3iso.graphcore import Graph
 from p3iso.cli import main
 from p3iso.graph_io import emit_edge_list, emit_graph6, parse_graph6
 
@@ -90,6 +94,38 @@ def test_verify_stream(tmp_path, capsys):
                  "\n".join(emit_graph6(e.graph) for e in gen.catalog()) + "\n")
     code, out, _ = run(capsys, "verify", "--stream", path)
     assert code == 0 and "PASS" in out
+
+
+def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\njunk\nBg\n"))
+    code, out, err = run(capsys, "verify", "--stream", "-")
+    assert code == 2 and "PASS" not in out
+    assert "line 2" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\njunk\nBg\n"))
+    code, out, _ = run(capsys, "verify", "--stream", "-", "--json")
+    payload = json.loads(out)
+    assert code == 2 and not payload["passed"]
+    assert (payload["lines_read"], payload["graphs"], payload["skipped"]) == (3, 2, 1)
+
+
+def test_isolate_internal_error_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(g, mask, trace):
+        raise constructive.InternalCaseExhausted("closed form withheld")
+
+    monkeypatch.setattr(constructive, "_delta2", broken)
+    n = constructive.FALLBACK_MAX_ORDER + 1
+    path = write(tmp_path, "p.g6", emit_graph6(gen.path(n)))
+    code, out, err = run(capsys, "isolate", path)
+    assert code == 4 and out == ""
+    assert "internal error: closed form withheld" in err and "Traceback" not in err
+
+
+def test_iota_json_carries_long_graph6(tmp_path, capsys):
+    g = Graph.from_edges(70, [(i, i + 1) for i in range(69)])
+    path = write(tmp_path, "p70.g6", emit_graph6(g))
+    code, out, _ = run(capsys, "iota", path, "--json")
+    assert code == 0
+    assert parse_graph6(json.loads(out)["graph6"]) == g
 
 
 def test_check_observations(capsys):

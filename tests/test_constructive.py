@@ -1,9 +1,15 @@
+import hashlib
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from p3iso import constructive
 from p3iso import generators as gen
-from p3iso.constructive import (CASE_FALLBACK, PreconditionViolated,
+from p3iso.constructive import (CASE_FALLBACK, FALLBACK_MAX_ORDER,
+                                InternalCaseExhausted, PreconditionViolated,
                                 isolate_p3_subcubic, path_cycle_isolating_set,
                                 verify_certificate)
 from p3iso.graphcore import Graph, VertexSet, closed_mask
@@ -331,3 +337,88 @@ def test_iota_never_exceeds_constructive_size(rng):
         g = gen.random_eligible_graph(rng.randint(16, 20), rng)
         cert, _ = isolate_p3_subcubic(g)
         assert isolation_number(g).value <= len(cert.set) <= g.n // 4
+
+
+# -- failed cases ------------------------------------------------------------------
+
+
+def test_failed_case_falls_back_only_on_small_orders(monkeypatch):
+    def broken(g, mask, trace):
+        raise InternalCaseExhausted("closed form withheld")
+
+    monkeypatch.setattr(constructive, "_delta2", broken)
+
+    def spider(n):  # legs of length 1, 1 and n-3 at vertex 0: one deletion step
+        return Graph.from_edges(n, FRAME + [(3, 4)] + path_edges(4, n - 1))
+
+    g = spider(FALLBACK_MAX_ORDER)
+    cert, trace = isolate_p3_subcubic(g)
+    assert verify_certificate(g, cert) and len(cert.set) <= g.n // 4
+    assert trace.case_ids() == [CASE_FALLBACK]
+    assert trace.steps[0].detail["partial_cases"] == ["NoExceptional"]
+    with pytest.raises(InternalCaseExhausted) as exc:
+        isolate_p3_subcubic(spider(FALLBACK_MAX_ORDER + 1))
+    assert exc.value.partial_cases == ["NoExceptional"]
+    assert "closed form withheld" in str(exc.value)
+
+
+# -- golden traces and recursion depth ---------------------------------------------
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_traces.json"
+
+
+def caterpillar(n):
+    """Path spine 0..n/2-1 with leaf n/2+i hung on spine vertex i."""
+    k = n // 2
+    return Graph.from_edges(2 * k, [(i, i + 1) for i in range(k - 1)] +
+                            [(i, k + i) for i in range(k)])
+
+
+def golden_corpus():
+    """(name, graph) pairs whose traces are pinned in the golden fixture."""
+    out = [(name, g) for name, g, _, _ in targeted_graphs()]
+    rng = random.Random(0xD15C0)  # the criterion-5 random corpus
+    for i in range(1000):
+        out.append((f"random-{i}", gen.random_eligible_graph(rng.randint(16, 60), rng)))
+    out += [(f"caterpillar-{n}", caterpillar(n)) for n in (200, 600)]
+    rng = random.Random(2501)
+    out += [(f"blocktree-{n}", gen.random_eligible_graph(n, rng)) for n in (120, 250, 400)]
+    return out
+
+
+def trace_digest(g):
+    _, trace = isolate_p3_subcubic(g)
+    return hashlib.sha256(trace.to_json_lines().encode()).hexdigest()
+
+
+def test_traces_match_golden_fixture():
+    want = json.loads(GOLDEN.read_text())
+    got = {name: trace_digest(g) for name, g in golden_corpus()}
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+def test_deep_input_needs_no_recursion_depth():
+    # the order-600 caterpillar takes ~150 deletion levels; none of them may
+    # cost a Python frame
+    g = caterpillar(600)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        cert, trace = isolate_p3_subcubic(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert verify_certificate(g, cert)
+    assert CASE_FALLBACK not in trace.case_ids()
+
+
+if __name__ == "__main__":
+    # Rewrites the golden fixture from the traces of the code as it stands:
+    # run it only from a commit whose traces are known to be right.
+    GOLDEN.write_text(json.dumps({name: trace_digest(g) for name, g in golden_corpus()},
+                                 indent=0, sort_keys=True) + "\n")

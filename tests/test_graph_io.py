@@ -2,15 +2,16 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p3iso import generators as gen
 from p3iso.graph_io import (DuplicateEdge, Graph6Record, MalformedHeader,
                             NonCanonicalPadding, OutOfRange, SelfLoop,
-                            TruncatedBits, emit_edge_list, emit_graph6,
-                            graph6_record, ingest_graph6_stream,
-                            parse_edge_list, parse_graph6)
+                            TruncatedBits, _decode_order, _encode_order,
+                            emit_edge_list, emit_graph6, graph6_record,
+                            ingest_graph6_stream, parse_edge_list,
+                            parse_graph6)
 from p3iso.graphcore import Graph
 
 from oracles import encode_graph6_reference
@@ -70,9 +71,19 @@ def test_emit_length_formula():
         assert len(emit_graph6(g)) == 1 + (n * (n - 1) // 2 + 5) // 6
 
 
-def test_emit_refuses_extended_headers():
+def test_emit_extended_headers():
+    rng = random.Random(5)
+    for n in (63, 64, 100, 300):
+        g = gen.random_subcubic_connected(n, rng)
+        assert emit_graph6(g) == encode_graph6_reference(g)
+    assert emit_graph6(Graph.empty(63)).startswith("~??~")
+    # orders past 258047 need the 8-character header; too large to build
+    for n in (0, 62, 63, 258047, 258048, 2 ** 36 - 1):
+        head = _encode_order(n)
+        assert len(head) == (1 if n <= 62 else 4 if n <= 258047 else 8)
+        assert _decode_order(head) == (n, len(head))
     with pytest.raises(ValueError):
-        emit_graph6(Graph.empty(63))
+        _encode_order(2 ** 36)
 
 
 def test_parse_accepts_extended_headers():
@@ -162,3 +173,28 @@ def test_roundtrip_property(n, data):
              if data.draw(st.booleans())]
     g = Graph.from_edges(n, edges)
     assert parse_graph6(emit_graph6(g)) == g
+
+
+def random_subcubic(n, rnd):
+    """Random edges under the degree cap; not necessarily connected."""
+    deg = [0] * n
+    edges = set()
+    for _ in range(3 * n // 2):
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        if u != v and deg[u] < 3 and deg[v] < 3 and (min(u, v), max(u, v)) not in edges:
+            edges.add((min(u, v), max(u, v)))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 2000), st.randoms(use_true_random=False))
+@example(62, random.Random(0))
+@example(63, random.Random(0))
+@example(2000, random.Random(0))
+def test_roundtrip_large_subcubic_property(n, rnd):
+    g = random_subcubic(n, rnd)
+    line = emit_graph6(g)
+    assert len(line) == len(_encode_order(n)) + (n * (n - 1) // 2 + 5) // 6
+    assert parse_graph6(line, strict=True) == g
