@@ -4,14 +4,16 @@ catalog observations, and emit generator/catalog graphs.
 
 Exit codes: 0 pass, 1 verification violation, 2 input error (including
 unreadable lines in a verified stream), 3 precondition error, 4 internal
-error of the constructive algorithm. All vertex labels printed are 1-based;
---json output is stable for golden-file tests.
+error of the constructive algorithm, 141 standard output closed by its
+reader (as in ``p3iso enum ... | head``). All vertex labels printed are
+1-based; --json output is stable for golden-file tests.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import generators
@@ -262,10 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone; send what is still buffered to
+        # /dev/null so the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
-"""Isomorph-free generation of small subcubic graphs by vertex augmentation
-with canonical-deletion rejection, plus graph6 stream ingestion.
+"""Isomorph-free generation of small connected subcubic graphs by vertex
+augmentation with canonical-deletion rejection.
 
 The canonical form is the lexicographically maximal adjacency bit-string
 (upper triangle, column-major) over permutations compatible with the
 color-refinement partition. A generated graph is kept iff its newest
 vertex lies in the automorphism orbit of the canonical deletion choice:
 the vertex in the last canonical position among those whose removal keeps
-the graph connected (all vertices, in the disconnected variant).
-Attachment sets are tried once per Aut(parent)-orbit, so each isomorphism
-class is constructed exactly once.
+the graph connected. Attachment sets are tried once per Aut(parent)-orbit,
+so each isomorphism class is constructed exactly once.
 
 Practical exhaustive range is max_n <= 11; the bound sweep to order 11
 takes under twenty seconds, and the tests gate orders 10 and 11 behind the
@@ -23,33 +22,34 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .graphcore import Graph, connected_within
-from .graph_io import emit_graph6, ingest_graph6_stream, parse_graph6  # noqa: F401
+from .graph_io import emit_graph6, parse_graph6
 from .patterns import _refine_colors, has_induced_cycle
 
 MAX_DEGREE = 3
 
+# Filter ids. Every filter is closed under induced subgraphs, so a graph
+# that fails one has no passing descendant and its subtree is pruned.
 _HEREDITARY_FILTERS = {
     "no-induced-c6": lambda g: has_induced_cycle(g, 6) is None,
 }
 
+# With jobs > 1, subtrees rooted at this order are the parallel work units.
+_SPLIT_ORDER = 6
+
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate. max_degree is fixed at 3 for this module."""
+    """Connected subcubic graphs of orders 1..max_n, optionally restricted by
+    a filter id."""
 
     max_n: int
-    connected_only: bool = True
-    filter: str | Callable[[Graph], bool] | None = None
+    filter: str | None = None
 
     def __post_init__(self):
         if self.max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if isinstance(self.filter, str) and self.filter not in _HEREDITARY_FILTERS:
+        if self.filter is not None and self.filter not in _HEREDITARY_FILTERS:
             raise ValueError(f"unknown filter id {self.filter!r}")
-
-    @property
-    def max_degree(self) -> int:
-        return MAX_DEGREE
 
 
 @dataclass
@@ -59,10 +59,6 @@ class EnumSummary:
     @property
     def total(self) -> int:
         return sum(self.emitted_by_order.values())
-
-    def merge(self, other: "EnumSummary") -> None:
-        for n, c in other.emitted_by_order.items():
-            self.emitted_by_order[n] = self.emitted_by_order.get(n, 0) + c
 
 
 # -- canonical form ------------------------------------------------------------
@@ -165,30 +161,26 @@ def automorphisms(g: Graph) -> list[dict[int, int]]:
 
 
 def _noncut_vertices(g: Graph) -> list[int]:
-    if g.n <= 1:
-        return list(range(g.n))
     full = g.full_mask()
     return [v for v in range(g.n) if connected_within(g, full & ~(1 << v))]
 
 
-def _accepted(g: Graph, connected_only: bool) -> bool:
+def _accepted(g: Graph) -> bool:
     """Canonical-deletion test: is the newest vertex (n-1) the right one to remove?"""
     if g.n == 1:
         return True
     _, labelings = canonical_data(g)
-    allowed = _noncut_vertices(g) if connected_only else list(range(g.n))
     base_pos = {v: i for i, v in enumerate(labelings[0])}
-    pstar = max(base_pos[u] for u in allowed)
+    pstar = max(base_pos[u] for u in _noncut_vertices(g))
     last = g.n - 1
     return any(lab[pstar] == last for lab in labelings)
 
 
-def _children(g: Graph, connected_only: bool) -> Iterator[Graph]:
+def _children(g: Graph) -> Iterator[Graph]:
     low = [v for v in range(g.n) if g.degree(v) < MAX_DEGREE]
     auts = automorphisms(g)
     seen: set[tuple[int, ...]] = set()
-    min_size = 1 if connected_only else 0
-    for k in range(min_size, MAX_DEGREE + 1):
+    for k in range(1, MAX_DEGREE + 1):
         for sub in combinations(low, k):
             rep = min(tuple(sorted(a[s] for s in sub)) for a in auts)
             if rep in seen:
@@ -199,71 +191,43 @@ def _children(g: Graph, connected_only: bool) -> Iterator[Graph]:
                 rows[s] |= 1 << g.n
                 rows[g.n] |= 1 << s
             child = Graph(g.n + 1, rows)
-            if _accepted(child, connected_only):
+            if _accepted(child):
                 yield child
+
+
+def _walk(g: Graph, max_n: int, filter_id: str | None) -> Iterator[Graph]:
+    """g if it passes the filter, then its accepted descendants of order at
+    most max_n, depth-first. A failing graph prunes its subtree."""
+    if filter_id is not None and not _HEREDITARY_FILTERS[filter_id](g):
+        return
+    yield g
+    if g.n < max_n:
+        for child in _children(g):
+            yield from _walk(child, max_n, filter_id)
 
 
 def iter_subcubic(spec: EnumSpec) -> Iterator[Graph]:
     """All isomorphism classes of orders 1..max_n, depth-first."""
-    filt, hereditary = _resolve_filter(spec.filter)
-
-    def walk(g: Graph) -> Iterator[Graph]:
-        passes = filt(g)
-        if passes:
-            yield g
-        if hereditary and not passes:
-            return  # the filtered property is closed under induced subgraphs
-        if g.n < spec.max_n:
-            for child in _children(g, spec.connected_only):
-                yield from walk(child)
-
-    roots = [Graph.empty(1)]
-    for root in roots:
-        yield from walk(root)
+    return _walk(Graph.empty(1), spec.max_n, spec.filter)
 
 
-def _resolve_filter(f):
-    if f is None:
-        return (lambda g: True), False
-    if isinstance(f, str):
-        return _HEREDITARY_FILTERS[f], True
-    return f, False
-
-
-def _worker_descendants(args) -> tuple[dict[int, int], list[str]]:
-    seed_g6, max_n, connected_only, filter_id = args
-    seed = parse_graph6(seed_g6)
-    spec_filter, hereditary = _resolve_filter(filter_id)
-    counts: dict[int, int] = {}
-    out: list[str] = []
-
-    def walk(g: Graph):
-        passes = spec_filter(g)
-        if passes:
-            counts[g.n] = counts.get(g.n, 0) + 1
-            out.append(emit_graph6(g))
-        if hereditary and not passes:
-            return
-        if g.n < max_n:
-            for child in _children(g, connected_only):
-                walk(child)
-
-    for child in _children(seed, connected_only):
-        walk(child)
-    return counts, out
+def _worker_descendants(args: tuple[str, int, str | None]) -> list[str]:
+    """graph6 lines of the descendants of one seed, without the seed itself."""
+    seed_g6, max_n, filter_id = args
+    walk = _walk(parse_graph6(seed_g6), max_n, filter_id)
+    next(walk)  # the seed passed the filter and was delivered by the caller
+    return [emit_graph6(g) for g in walk]
 
 
 def enumerate_connected_subcubic(spec: EnumSpec,
                                  sink: Callable[[Graph], None] | None = None,
-                                 jobs: int = 1,
-                                 serialized: bool = True) -> EnumSummary:
+                                 jobs: int = 1) -> EnumSummary:
     """Drive every enumerated graph through ``sink``; return per-order counts.
 
-    With jobs > 1 the augmentation tree is split into independent subtree
-    work units (rooted at the order-6 layer); the sink always runs in the
-    calling process, in deterministic order when ``serialized`` (sorted by
-    work unit) and in completion order otherwise. Counts merge
-    associatively either way.
+    With jobs > 1 the walk up to order 6 runs here, and the subtree under
+    each order-6 graph is a work unit for a process pool. The sink always
+    runs in the calling process, in a deterministic order: the small orders
+    first, then the subtrees sorted by the graph6 line of their root.
     """
     summary = EnumSummary()
 
@@ -272,46 +236,19 @@ def enumerate_connected_subcubic(spec: EnumSpec,
         if sink:
             sink(g)
 
-    if jobs <= 1 or spec.max_n <= 6:
+    if jobs <= 1 or spec.max_n <= _SPLIT_ORDER:
         for g in iter_subcubic(spec):
             deliver(g)
         return summary
 
-    split_at = 6
-    filt, hereditary = _resolve_filter(spec.filter)
-    filter_id = spec.filter if isinstance(spec.filter, str) else None
-    post_filter = spec.filter is not None and filter_id is None
-
-    # shallow walk: deliver the small orders here and collect subtree seeds.
-    # Only a hereditary (id) filter may prune the walk; a callable filter is
-    # applied at delivery so failing seeds still get their subtrees explored.
     seeds: list[str] = []
-
-    def walk_shallow(g: Graph) -> None:
-        passes = filt(g)
-        if passes:
-            deliver(g)
-        if hereditary and not passes:
-            return
-        if g.n < split_at:
-            for child in _children(g, spec.connected_only):
-                walk_shallow(child)
-        else:
+    for g in _walk(Graph.empty(1), _SPLIT_ORDER, spec.filter):
+        deliver(g)
+        if g.n == _SPLIT_ORDER:
             seeds.append(emit_graph6(g))
-
-    walk_shallow(Graph.empty(1))
-
-    args = [(s, spec.max_n, spec.connected_only, filter_id) for s in sorted(seeds)]
+    args = [(s, spec.max_n, spec.filter) for s in sorted(seeds)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        if serialized:
-            runner = pool.map(_worker_descendants, args)
-        else:
-            from concurrent.futures import as_completed
-            futures = [pool.submit(_worker_descendants, a) for a in args]
-            runner = (f.result() for f in as_completed(futures))
-        for _, emitted in runner:
-            for line in emitted:
-                g = parse_graph6(line)
-                if not post_filter or filt(g):
-                    deliver(g)
+        for lines in pool.map(_worker_descendants, args):
+            for line in lines:
+                deliver(parse_graph6(line))
     return summary

@@ -256,31 +256,6 @@ def has_induced_cycle(g: Graph, k: int) -> IsoWitness | None:
     return None
 
 
-def count_induced_cycles(g: Graph, k: int) -> int:
-    """Number of induced k-cycles (each counted once); test/report helper."""
-    if k < 3:
-        raise ValueError("cycle length must be >= 3")
-    count = 0
-    for a in range(g.n):
-        higher = ~((1 << (a + 1)) - 1)
-
-        def extend(path, blocked):
-            nonlocal count
-            last = path[-1]
-            if len(path) == k - 2:
-                for u in bit_indices(g.rows[last] & g.rows[a] & higher & ~blocked):
-                    if u > path[0] and u not in path:
-                        count += 1
-                return
-            for u in bit_indices(g.rows[last] & higher & ~blocked & ~g.rows[a]):
-                if u not in path:
-                    extend(path + [u], blocked | g.rows[last])
-
-        for b in bit_indices(g.rows[a] & higher):
-            extend([b], 1 << a)
-    return count
-
-
 # -- isomorphism ----------------------------------------------------------------
 
 

@@ -31,14 +31,6 @@ class OrderReport:
     violations: list[str] = field(default_factory=list)
     elapsed: float = 0.0
 
-    def merge(self, other: "OrderReport") -> None:
-        self.examined += other.examined
-        self.eligible += other.eligible
-        for cid, c in other.exceptions.items():
-            self.exceptions[cid] = self.exceptions.get(cid, 0) + c
-        self.violations.extend(other.violations)
-        self.elapsed += other.elapsed
-
 
 @dataclass
 class VerificationReport:

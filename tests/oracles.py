@@ -84,14 +84,11 @@ def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
-def canon_key_brute(g: Graph) -> tuple:
-    """Minimum edge-set over all permutations; exact canonical key, tiny n only."""
-    best = None
-    for perm in permutations(range(g.n)):
-        key = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()))
-        if best is None or key < best:
-            best = key
-    return (g.n, best)
+def relabeled_edge_sets(g: Graph) -> set[frozenset]:
+    """Edge sets of all n! relabelings of g, edges as (smaller, larger)
+    pairs: the labeled members of its isomorphism class. Tiny n only."""
+    return {frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges())
+            for perm in permutations(range(g.n))}
 
 
 def all_graphs(n: int):

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from p3iso.cli import main
 from p3iso.graph_io import emit_edge_list, emit_graph6, parse_graph6
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -173,3 +176,18 @@ def test_enum_command(capsys):
     for ln in lines:
         g = parse_graph6(ln)
         assert g.max_degree() <= 3
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # unbuffered, each graph is its own write; the reader leaves after the
+    # first line while about a second of enumeration is still ahead
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=path)
+    proc = subprocess.Popen([sys.executable, "-m", "p3iso.cli", "enum", "--max-n", "9"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().strip()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err

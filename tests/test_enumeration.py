@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -5,11 +6,12 @@ import pytest
 from p3iso import generators as gen
 from p3iso.enumeration import (EnumSpec, automorphisms, canonical_form,
                                enumerate_connected_subcubic, iter_subcubic)
+from p3iso.graph_io import emit_graph6
 from p3iso.graphcore import Graph, is_connected
 from p3iso.patterns import has_induced_cycle, is_isomorphic
 
 from conftest import atlas_by_order
-from oracles import all_graphs, canon_key_brute
+from oracles import all_graphs, relabeled_edge_sets
 
 
 def test_spec_validation():
@@ -17,7 +19,8 @@ def test_spec_validation():
         EnumSpec(0)
     with pytest.raises(ValueError):
         EnumSpec(5, filter="bogus")
-    assert EnumSpec(5).max_degree == 3
+    with pytest.raises(ValueError):
+        EnumSpec(5, filter=lambda g: True)  # filters are ids, not callables
 
 
 def test_tiny_orders():
@@ -32,15 +35,19 @@ def test_all_emitted_are_connected_subcubic():
 
 
 def test_counts_match_naive_oracle_to_6():
-    # independent oracle: scan every labeled graph, keep connected subcubic,
-    # dedup by brute-force canonical key
+    # independent oracle: scan every labeled graph; a connected subcubic one
+    # not marked yet opens a new class, and all its relabelings are marked
     for n in range(1, 7):
-        classes = set()
+        classes = 0
+        marked: set[frozenset] = set()
         for g in all_graphs(n):
+            if frozenset(g.edges()) in marked:
+                continue
             if g.max_degree() <= 3 and is_connected(g):
-                classes.add(canon_key_brute(g))
+                classes += 1
+                marked |= relabeled_edge_sets(g)
         mine = sum(1 for g in iter_subcubic(EnumSpec(n)) if g.n == n)
-        assert mine == len(classes), n
+        assert mine == classes, n
 
 
 def test_counts_match_atlas_to_7():
@@ -61,16 +68,6 @@ def test_no_duplicates_up_to_7():
             assert is_isomorphic(a, b) is None, (n, a, b)
 
 
-def test_disconnected_mode_counts():
-    # all subcubic graphs (connected or not) on <= 5 vertices vs the oracle
-    for n in range(1, 6):
-        classes = {canon_key_brute(g) for g in all_graphs(n)
-                   if g.max_degree() <= 3}
-        mine = sum(1 for g in iter_subcubic(EnumSpec(n, connected_only=False))
-                   if g.n == n)
-        assert mine == len(classes), n
-
-
 def test_hereditary_filter_agrees_with_post_filtering():
     spec = EnumSpec(7, filter="no-induced-c6")
     filtered = [g for g in iter_subcubic(spec)]
@@ -84,8 +81,6 @@ def test_parallel_matches_serial():
     serial = enumerate_connected_subcubic(EnumSpec(8))
     par = enumerate_connected_subcubic(EnumSpec(8), jobs=2)
     assert serial.emitted_by_order == par.emitted_by_order
-    unordered = enumerate_connected_subcubic(EnumSpec(8), jobs=2, serialized=False)
-    assert unordered.emitted_by_order == serial.emitted_by_order
     assert serial.total == sum(serial.emitted_by_order.values())
 
 
@@ -100,12 +95,19 @@ def test_parallel_with_filters_matches_serial():
     spec = EnumSpec(7, filter="no-induced-c6")
     assert enumerate_connected_subcubic(spec, jobs=2).emitted_by_order == \
         enumerate_connected_subcubic(spec).emitted_by_order
-    # a callable filter is not assumed hereditary: graphs failing this one
-    # (max degree below 3) have passing descendants, so pruning or skipping
-    # failing subtree seeds would lose classes
-    cubicish = EnumSpec(7, filter=lambda g: g.max_degree() == 3)
-    assert enumerate_connected_subcubic(cubicish, jobs=2).emitted_by_order == \
-        enumerate_connected_subcubic(cubicish).emitted_by_order
+
+
+@pytest.mark.parametrize("filter_id", [None, "no-induced-c6"])
+def test_parallel_delivers_same_graphs(filter_id):
+    # the same labeled graphs, not just the same counts per order
+    spec = EnumSpec(8, filter=filter_id)
+    serial: Counter = Counter()
+    par: Counter = Counter()
+    enumerate_connected_subcubic(spec, sink=lambda g: serial.update([emit_graph6(g)]))
+    enumerate_connected_subcubic(spec, sink=lambda g: par.update([emit_graph6(g)]),
+                                 jobs=2)
+    assert par == serial
+    assert len(serial) == sum(serial.values())
 
 
 def test_canonical_form_is_an_isomorphism_invariant(rng):

@@ -5,8 +5,8 @@ import pytest
 from p3iso import generators as gen
 from p3iso.graphcore import Graph, delete_closed_neighborhood
 from p3iso.patterns import (ANY_CYCLE, K1, K2, K3, P3, IsolationFamily,
-                            catalog_match, contains_copy, count_induced_cycles,
-                            cycle_family, family_from_name, find_isomorphism,
+                            catalog_match, contains_copy, cycle_family,
+                            family_from_name, find_isomorphism,
                             has_induced_cycle, is_isomorphic)
 
 from conftest import connected_subcubic_upto
@@ -99,12 +99,6 @@ def test_induced_cycle_agrees_on_random_general_graphs(rng):
         for k in (4, 5, 6):
             assert (has_induced_cycle(g, k) is not None) == \
                 brute_has_induced_cycle(g, k)
-
-
-def test_induced_cycle_count_no_double_counting():
-    assert count_induced_cycles(gen.cycle(6), 6) == 1
-    assert count_induced_cycles(gen.complete(4), 3) == 4
-    assert count_induced_cycles(gen.cycle(9), 9) == 1
 
 
 def test_is_isomorphic_examples(rng):
