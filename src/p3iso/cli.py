@@ -202,8 +202,8 @@ def cmd_enum(args) -> int:
     summary = enumerate_connected_subcubic(
         spec, sink=lambda g: print(emit_graph6(g)), jobs=args.jobs)
     print(json.dumps({"counts": {str(k): v for k, v in
-                                 sorted(summary.emitted_by_order.items())}},
-                     sort_keys=True), file=sys.stderr)
+                                 sorted(summary.emitted_by_order.items())}}),
+          file=sys.stderr)
     return 0
 
 

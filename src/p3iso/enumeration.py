@@ -9,9 +9,17 @@ the vertex in the last canonical position among those whose removal keeps
 the graph connected. Attachment sets are tried once per Aut(parent)-orbit,
 so each isomorphism class is constructed exactly once.
 
+Most children are decided without a labeling. Refinement colors start as
+degrees and never rank a lower degree above a higher one, and labelings
+list the color blocks in ascending order, so the canonical deletion has
+the top degree and then the top color among non-cut vertices. A child is
+rejected when a non-cut vertex outranks the newest one, and accepted when
+no other non-cut vertex shares its color; only the rest is labeled, and
+the labelings of an accepted child also give its automorphism group.
+
 Practical exhaustive range is max_n <= 11; the bound sweep to order 11
-takes under twenty seconds, and the tests gate orders 10 and 11 behind the
-``extended`` marker.
+(``p3iso verify --max-n 11``) takes about 8 s on a 2-vCPU Xeon, and the
+tests gate orders 10 and 11 behind the ``extended`` marker.
 """
 
 from __future__ import annotations
@@ -64,17 +72,20 @@ class EnumSummary:
 # -- canonical form ------------------------------------------------------------
 
 
-def canonical_data(g: Graph) -> tuple[tuple, list[tuple[int, ...]]]:
+def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
+                   ) -> tuple[tuple, list[tuple[int, ...]]]:
     """(canonical form, all labelings achieving it).
 
     A labeling is a tuple ``vertex_at`` with vertex_at[pos] = vertex. The
     form is the maximal tuple of adjacency columns over labelings that
-    list the refinement color classes in a fixed order.
+    list the refinement color classes in ascending order. ``colors``, if
+    given, must be ``_refine_colors(g)``; it saves refining again.
     """
     n = g.n
     if n == 0:
         return (0, ()), [()]
-    colors = _refine_colors(g)
+    if colors is None:
+        colors = _refine_colors(g)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
@@ -146,39 +157,72 @@ def canonical_form(g: Graph) -> tuple:
     return canonical_data(g)[0]
 
 
-def automorphisms(g: Graph) -> list[dict[int, int]]:
-    """Aut(g) as vertex maps, recovered from the canonical labeling coset."""
-    _, labelings = canonical_data(g)
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Aut(g) as vertex maps (a[v] is the image of v), recovered from the
+    canonical labeling coset."""
+    return _automorphisms_of(canonical_data(g)[1])
+
+
+def _automorphisms_of(labelings: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     base = labelings[0]
     auts = []
     for lab in labelings:
-        pos_of = {v: i for i, v in enumerate(lab)}
-        auts.append({v: base[pos_of[v]] for v in range(g.n)})
+        image = [0] * len(base)
+        for v, u in zip(lab, base):
+            image[v] = u
+        auts.append(tuple(image))
     return auts
 
 
 # -- augmentation --------------------------------------------------------------
 
 
-def _noncut_vertices(g: Graph) -> list[int]:
+def _accepted(g: Graph) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """Canonical-deletion test: is the newest vertex (n-1) the right one to
+    remove? Returns (accepted, labelings); labelings are canonical_data's,
+    or None when the decision needed no labeling.
+
+    The canonical deletion, at the last canonical position p* of a non-cut
+    vertex, has the top degree and then the top color among non-cut
+    vertices. n-1 is never a cut vertex: g - (n-1) is the connected parent.
+    """
+    n = g.n
+    if n == 1:
+        return True, None
+    rows = g.rows
+    last = n - 1
     full = g.full_mask()
-    return [v for v in range(g.n) if connected_within(g, full & ~(1 << v))]
+    d = rows[last].bit_count()
+    # 1. a non-cut vertex of higher degree outranks n-1
+    for v in range(last):
+        if rows[v].bit_count() > d and connected_within(g, full & ~(1 << v)):
+            return False, None
+    # 2. so does a non-cut vertex of the same degree and a higher color;
+    # for d == 1 these are leaves, which are never cut vertices
+    colors = _refine_colors(g)
+    top = colors[last]
+    rivals = []
+    for v in range(last):
+        if (colors[v] >= top and rows[v].bit_count() == d
+                and (d == 1 or connected_within(g, full & ~(1 << v)))):
+            if colors[v] > top:
+                return False, None
+            rivals.append(v)
+    # 3. n-1 alone in the top class sits at p* in every labeling
+    if not rivals:
+        return True, None
+    # 4. otherwise n-1 must share an orbit with the vertex at p*
+    _, labelings = canonical_data(g, colors)
+    rivals.append(last)
+    pstar = max(labelings[0].index(v) for v in rivals)
+    if any(lab[pstar] == last for lab in labelings):
+        return True, labelings
+    return False, None
 
 
-def _accepted(g: Graph) -> bool:
-    """Canonical-deletion test: is the newest vertex (n-1) the right one to remove?"""
-    if g.n == 1:
-        return True
-    _, labelings = canonical_data(g)
-    base_pos = {v: i for i, v in enumerate(labelings[0])}
-    pstar = max(base_pos[u] for u in _noncut_vertices(g))
-    last = g.n - 1
-    return any(lab[pstar] == last for lab in labelings)
-
-
-def _children(g: Graph) -> Iterator[Graph]:
+def _augmentations(g: Graph, auts: list[tuple[int, ...]]) -> Iterator[Graph]:
+    """One child per Aut(g)-orbit of attachment sets for a new vertex."""
     low = [v for v in range(g.n) if g.degree(v) < MAX_DEGREE]
-    auts = automorphisms(g)
     seen: set[tuple[int, ...]] = set()
     for k in range(1, MAX_DEGREE + 1):
         for sub in combinations(low, k):
@@ -190,20 +234,30 @@ def _children(g: Graph) -> Iterator[Graph]:
             for s in sub:
                 rows[s] |= 1 << g.n
                 rows[g.n] |= 1 << s
-            child = Graph(g.n + 1, rows)
-            if _accepted(child):
-                yield child
+            yield Graph(g.n + 1, rows)
 
 
-def _walk(g: Graph, max_n: int, filter_id: str | None) -> Iterator[Graph]:
+def _children(g: Graph, labelings: list[tuple[int, ...]] | None
+              ) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
+    """Accepted children of g with their labelings, if _accepted made any.
+    ``labelings`` are g's own, or None to label g here."""
+    auts = automorphisms(g) if labelings is None else _automorphisms_of(labelings)
+    for child in _augmentations(g, auts):
+        accepted, child_labelings = _accepted(child)
+        if accepted:
+            yield child, child_labelings
+
+
+def _walk(g: Graph, max_n: int, filter_id: str | None,
+          labelings: list[tuple[int, ...]] | None = None) -> Iterator[Graph]:
     """g if it passes the filter, then its accepted descendants of order at
     most max_n, depth-first. A failing graph prunes its subtree."""
     if filter_id is not None and not _HEREDITARY_FILTERS[filter_id](g):
         return
     yield g
     if g.n < max_n:
-        for child in _children(g):
-            yield from _walk(child, max_n, filter_id)
+        for child, child_labelings in _children(g, labelings):
+            yield from _walk(child, max_n, filter_id, child_labelings)
 
 
 def iter_subcubic(spec: EnumSpec) -> Iterator[Graph]:
@@ -247,8 +301,14 @@ def enumerate_connected_subcubic(spec: EnumSpec,
         if g.n == _SPLIT_ORDER:
             seeds.append(emit_graph6(g))
     args = [(s, spec.max_n, spec.filter) for s in sorted(seeds)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
         for lines in pool.map(_worker_descendants, args):
             for line in lines:
                 deliver(parse_graph6(line))
+    except BaseException:
+        # a failing sink should not wait for the queued work units
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
     return summary

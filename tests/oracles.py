@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: subset scans, permutation scans,
 and a from-scratch graph6 encoder. Nothing imports the algorithms under
-test beyond the Graph value type itself.
+test beyond the Graph value type itself, except the canonical-deletion
+reference, which is defined relative to the library's canonical labeling.
 """
 
 from itertools import combinations, permutations
@@ -89,6 +90,33 @@ def relabeled_edge_sets(g: Graph) -> set[frozenset]:
     pairs: the labeled members of its isomorphism class. Tiny n only."""
     return {frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges())
             for perm in permutations(range(g.n))}
+
+
+def _connected_without(g: Graph, v: int) -> bool:
+    keep = set(range(g.n)) - {v}
+    seen = {min(keep)}
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for w in g.neighbors(u):
+            if w in keep and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == keep
+
+
+def full_labeling_accepted(g: Graph) -> bool:
+    """Canonical-deletion test with a full labeling of every graph: the
+    newest vertex n-1 is accepted iff some canonical labeling puts it at
+    the last position of a non-cut vertex."""
+    from p3iso.enumeration import canonical_data
+
+    if g.n == 1:
+        return True
+    _, labelings = canonical_data(g)
+    base_pos = {v: i for i, v in enumerate(labelings[0])}
+    pstar = max(base_pos[u] for u in range(g.n) if _connected_without(g, u))
+    return any(lab[pstar] == g.n - 1 for lab in labelings)
 
 
 def all_graphs(n: int):

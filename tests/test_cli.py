@@ -178,9 +178,17 @@ def test_enum_command(capsys):
         assert g.max_degree() <= 3
 
 
+def test_enum_summary_lists_orders_numerically(capsys):
+    code, _, err = run(capsys, "enum", "--max-n", "10")
+    assert code == 0
+    counts = json.loads(err.strip().splitlines()[-1])["counts"]
+    assert list(counts) == [str(n) for n in range(1, 11)]
+    assert counts["10"] == 1733
+
+
 def test_closed_stdout_exits_141_without_traceback():
     # unbuffered, each graph is its own write; the reader leaves after the
-    # first line while about a second of enumeration is still ahead
+    # first line while most of the enumeration is still ahead
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=path)
     proc = subprocess.Popen([sys.executable, "-m", "p3iso.cli", "enum", "--max-n", "9"],

@@ -1,17 +1,21 @@
+import hashlib
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from p3iso import generators as gen
-from p3iso.enumeration import (EnumSpec, automorphisms, canonical_form,
+from p3iso.enumeration import (EnumSpec, _accepted, _augmentations, automorphisms,
+                               canonical_data, canonical_form,
                                enumerate_connected_subcubic, iter_subcubic)
 from p3iso.graph_io import emit_graph6
 from p3iso.graphcore import Graph, is_connected
 from p3iso.patterns import has_induced_cycle, is_isomorphic
 
 from conftest import atlas_by_order
-from oracles import all_graphs, relabeled_edge_sets
+from oracles import all_graphs, full_labeling_accepted, relabeled_edge_sets
+
+COUNTS = [1, 1, 2, 6, 10, 29, 64, 194, 531, 1733, 5524]  # orders 1..11
 
 
 def test_spec_validation():
@@ -59,6 +63,42 @@ def test_counts_match_atlas_to_7():
         assert mine == ref, n
 
 
+def test_counts_to_9():
+    counts = enumerate_connected_subcubic(EnumSpec(9)).emitted_by_order
+    assert [counts[n] for n in range(1, 10)] == COUNTS[:9]
+
+
+@pytest.mark.parametrize("filter_id, digest", [
+    (None, "98f90ab44985f100e0185c714929f9fc18ac1a02755e1ed49fca034f67ab077a"),
+    ("no-induced-c6", "ebd77ef49a5667da6c6047a268c63af5f1ba7f645056075eea6aca291496b33f"),
+])
+def test_emitted_sequence_is_pinned(filter_id, digest):
+    # the same labeled graphs in the same order as the full-labeling walk
+    text = "\n".join(emit_graph6(g) for g in iter_subcubic(EnumSpec(9, filter=filter_id)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_counts_to_11_extended(jobs):
+    counts = enumerate_connected_subcubic(EnumSpec(11), jobs=jobs).emitted_by_order
+    assert [counts[n] for n in range(1, 12)] == COUNTS
+
+
+def test_accepted_matches_full_labeling_oracle():
+    # every candidate child of every graph of order <= 7, accepted or not
+    tried = 0
+    for g in iter_subcubic(EnumSpec(7)):
+        for child in _augmentations(g, automorphisms(g)):
+            tried += 1
+            accepted, labelings = _accepted(child)
+            assert accepted == full_labeling_accepted(child), child
+            if labelings is not None:
+                assert accepted
+                assert labelings == canonical_data(child)[1]
+    assert tried == 1062
+
+
 def test_no_duplicates_up_to_7():
     by_order: dict[int, list[Graph]] = {}
     for g in iter_subcubic(EnumSpec(7)):
@@ -89,6 +129,21 @@ def test_parallel_sink_delivery():
     enumerate_connected_subcubic(EnumSpec(7), sink=got.append, jobs=2)
     assert len(got) == enumerate_connected_subcubic(EnumSpec(7)).total
     assert all(is_connected(g) and g.max_degree() <= 3 for g in got)
+
+
+def test_parallel_sink_error_propagates():
+    class Stop(Exception):
+        pass
+
+    stop = Stop()
+
+    def sink(g):
+        if g.n == 7:
+            raise stop
+
+    with pytest.raises(Stop) as info:
+        enumerate_connected_subcubic(EnumSpec(9), sink=sink, jobs=2)
+    assert info.value is stop
 
 
 def test_parallel_with_filters_matches_serial():
