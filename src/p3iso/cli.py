@@ -170,23 +170,16 @@ def _emit(graphs: list[tuple[str, Graph]], fmt: str) -> None:
                              sort_keys=True))
 
 
+_GENERATORS = {"path": generators.path, "cycle": generators.cycle,
+               "complete": generators.complete, "bnp3": generators.construction_B_p3}
+
+
 def cmd_gen(args) -> int:
-    kind = args.kind
-    n = args.n
     try:
-        if kind == "path":
-            g = generators.path(n)
-        elif kind == "cycle":
-            g = generators.cycle(n)
-        elif kind == "complete":
-            g = generators.complete(n)
-        elif kind == "bnp3":
-            g = generators.construction_B_p3(n)
-        else:
-            raise InputError(f"unknown generator {kind!r}")
+        g = _GENERATORS[args.kind](args.n)
     except generators.BadOrder as exc:
         raise InputError(str(exc)) from None
-    _emit([(f"{kind}-{n}", g)], args.format)
+    _emit([(f"{args.kind}-{args.n}", g)], args.format)
     return 0
 
 
@@ -242,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_observations)
 
     p = sub.add_parser("gen", help="emit a generated graph")
-    p.add_argument("kind", choices=["path", "cycle", "complete", "bnp3"])
+    p.add_argument("kind", choices=list(_GENERATORS))
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=["graph6", "edges", "json"], default="graph6")
     p.set_defaults(fn=cmd_gen)

@@ -17,11 +17,12 @@ generator that yields the mask of a smaller piece and is sent back that
 piece's set; one loop over an explicit stack drives them, so the depth of
 the deletion never becomes depth of the Python stack.
 
-Every case re-checks the structural facts it relies on (connectivity,
-non-exceptionality, component shapes) and raises InternalCaseExhausted on
-any mismatch; the top level then falls back to the budgeted exact solver
-on graphs of order at most FALLBACK_MAX_ORDER, which preserves the output
-contract while surfacing the bug in the trace, and re-raises above it.
+_piece checks every yielded piece on entry (connected, not a catalog copy);
+the cases check only the component shapes they rely on. Any mismatch raises
+InternalCaseExhausted; the top level then falls back to the budgeted exact
+solver on graphs of order at most FALLBACK_MAX_ORDER, which preserves the
+output contract while surfacing the bug in the trace, and re-raises above
+it.
 """
 
 from __future__ import annotations
@@ -272,8 +273,26 @@ def _require_plain(g: Graph, mask: int, msg: str) -> None:
     _require(_catalog_id(g, mask) is None, msg)
 
 
-def _component_with(parts: list[int], v: int) -> int:
-    return next(p for p in parts if (p >> v) & 1)
+def _split(g: Graph, mask: int, kill: int, v: int) -> tuple[int, list[int]]:
+    """The component of the piece minus ``kill`` holding v, and the others."""
+    parts = component_masks(g, within=mask & ~kill)
+    gv_mask = next(p for p in parts if (p >> v) & 1)
+    return gv_mask, [p for p in parts if p != gv_mask]
+
+
+def _kill(g: Graph, mask: int, y: int, others, msg: str) -> int:
+    """N[y] inside the piece, which must be exactly y and ``others``."""
+    kill = closed_mask(g, 1 << y) & mask
+    _require(kill == sum(1 << u for u in {y, *others}), msg)
+    return kill
+
+
+def _each(masks):
+    """Solve the pieces in the given order; the union of their sets."""
+    bits = 0
+    for p in masks:
+        bits |= yield p
+    return bits
 
 
 def _one_beside(g: Graph, mask: int, kill: int, piece: int,
@@ -333,8 +352,8 @@ def _piece(g: Graph, mask: int, trace: CaseTrace):
     Like every case below, a generator run by _solve: it yields the masks of
     smaller pieces and returns the set bits, in g's labels.
     Eligible: connected, subcubic, no induced 6-cycle, not exceptional.
-    Connectivity/exceptionality are implied by construction at call sites
-    and re-checked cheaply here.
+    This entry check is the only place a yielded piece is checked for
+    connectivity and exceptionality (every catalog order is <= 15).
     """
     _require(connected_within(g, mask), "recursed into a disconnected graph")
     if mask.bit_count() <= 15:
@@ -387,10 +406,7 @@ def _lemma_gv(g: Graph, cmask: int, y: int):
     _require(_degree(g, cmask, y) <= 2, "attachment vertex has full degree")
     if cmask.bit_count() == 3:
         return 0, cmask
-    rest = cmask & ~(1 << y)
-    _require(connected_within(g, rest), "exceptional minus attachment is disconnected")
-    _require_plain(g, rest, "exceptional minus attachment is still exceptional")
-    return (yield rest), 1 << y
+    return (yield cmask & ~(1 << y)), 1 << y
 
 
 def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
@@ -411,10 +427,7 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
 
     if not exceptional:
         trace.add(CASE_NO_EXC, [v], bit_indices(nv), {"components": len(comps)})
-        bits = 1 << v
-        for c in regular:
-            bits |= yield c.mask
-        return bits
+        return (1 << v) | (yield from _each(c.mask for c in regular))
 
     for x in nbrs:
         if sum(1 for c in exceptional if x in c.linked) >= 2:
@@ -468,9 +481,7 @@ def _case1(g, v, x, nv, exceptional, regular, trace):
             leftover.extend(_leftover(g, c.mask, bits))
     trace.add(CASE_1, bit_indices(chosen_bits), bit_indices(removed),
               {"leftover": leftover, "exceptional": [c.cid for c in exceptional]})
-    for c in regular:
-        bits |= yield c.mask
-    return bits
+    return bits | (yield from _each(c.mask for c in regular))
 
 
 def _case21(g, mask, v, ch, trace):
@@ -481,14 +492,9 @@ def _case21(g, mask, v, ch, trace):
     sub_bits, removed = yield from _lemma_gv(g, ch.mask, y)
     bits |= sub_bits
     removed |= 1 << xh
-    parts = component_masks(g, within=mask & ~((1 << xh) | ch.mask))
-    gv_mask = _component_with(parts, v)
+    gv_mask, others = _split(g, mask, (1 << xh) | ch.mask, v)
     detail: dict = {"exceptional": ch.cid, "leftover": []}
-    for p in parts:
-        if p == gv_mask:
-            continue
-        _require_plain(g, p, "side component in Case 2.1 is exceptional")
-        bits |= yield p
+    bits |= yield from _each(others)
     gv_cid = _catalog_id(g, gv_mask)
     if gv_cid is None:
         bits |= yield gv_mask
@@ -524,23 +530,14 @@ def _delete_inner(g, mask, h_mask, y, trace, case, note, **detail):
     """Delete N[y] for an inner vertex y of a catalog copy and recurse once."""
     _require(g.rows[y] & mask & ~h_mask == 0, f"inner {note} vertex has outside edges")
     kill = closed_mask(g, 1 << y) & mask
-    star = mask & ~kill
-    _require(connected_within(g, star), f"{note} case remainder is disconnected")
-    _require_plain(g, star, f"{note} case remainder is exceptional")
     trace.add(case, [y], bit_indices(kill), detail)
-    return (1 << y) | (yield star)
+    return (1 << y) | (yield mask & ~kill)
 
 
 def _case221(g, mask, h1, x1, x1p, trace):
     """The doubly linked component is a copy of the order-15 graph."""
-    psi = None
-    for xa in (x1, x1p):
-        for t in _attachments(g, xa, h1.mask):
-            psi = _normalize(g, h1.mask, "G15", pin=t)
-            if psi:
-                break
-        if psi:
-            break
+    pins = (t for xa in (x1, x1p) for t in _attachments(g, xa, h1.mask))
+    psi = next(filter(None, (_normalize(g, h1.mask, "G15", pin=t) for t in pins)), None)
     _require(psi is not None, "no attachment of the G15 copy is triangle-type")
     return (yield from _delete_inner(
         g, mask, h1.mask, psi[12], trace, CASE_221, "G15",
@@ -597,22 +594,13 @@ def _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w, trace, k: int):
     psi = _normalize(g, h1.mask, f"C{k}", pin=a1)
     _require(psi is not None, "catalog said cycle but no isomorphism found")
     y1 = psi[0]
-    kill = closed_mask(g, 1 << y1) & mask
-    _require(kill == (1 << y1) | (1 << x1) | (1 << psi[1]) | (1 << psi[k - 1]),
-             "cycle attachment vertex has unexpected neighbors")
+    kill = _kill(g, mask, y1, (x1, psi[1], psi[k - 1]),
+                 "cycle attachment vertex has unexpected neighbors")
     case = CASE_222 if k == 11 else CASE_223
 
     if connected_within(g, y_mask & ~kill):
-        parts = component_masks(g, within=mask & ~kill)
-        gv_mask = _component_with(parts, v)
-        _require_plain(g, gv_mask, "component of G-N[y1] holding v is "
-                       "exceptional in the connected subcase")
-        bits = (1 << y1) | (yield gv_mask)
-        for p in parts:
-            if p == gv_mask:
-                continue
-            _require_plain(g, p, "side component in the cycle case is exceptional")
-            bits |= yield p
+        gv_mask, others = _split(g, mask, kill, v)
+        bits = (1 << y1) | (yield from _each([gv_mask, *others]))
         trace.add(case, [y1], bit_indices(kill),
                   {"subcase": f"C{k}-connected",
                    "normalization": {i + 1: psi[i] for i in range(k)}})
@@ -632,16 +620,10 @@ def _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace):
     else:
         d_prime = [psi[0], psi[5], psi[10]]
     kill = y_mask & ~((1 << v) | (1 << w))
-    parts = component_masks(g, within=mask & ~kill)
-    gv_mask = _component_with(parts, v)
+    gv_mask, others = _split(g, mask, kill, v)
     _require((gv_mask >> w) & 1, "v and w should share a component")
     bits = sum(1 << p for p in d_prime)
-    for p in parts:
-        if p == gv_mask:
-            continue
-        _require_plain(g, p, "side component in the C11 disconnected subcase "
-                       "is exceptional")
-        bits |= yield p
+    bits |= yield from _each(others)
     bits |= yield from _plain_or_small(g, gv_mask, trace, "C11-disconnected remainder")
     return _close(g, trace, bits, CASE_222, d_prime, kill, subcase="C11-disconnected",
                   normalization={i + 1: psi[i] for i in range(11)})
@@ -654,10 +636,9 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
     _require(psi[6] in att_x1p, "x1' attachment not adjacent to y1 on the cycle")
     y1 = psi[0]
     j_mask = sum(1 << psi[i] for i in range(2, 6))
-    parts = component_masks(g, within=mask & ~kill)
-    _require(j_mask in parts, "the 4-path remnant of the 7-cycle is not a component")
-    gv_mask = _component_with(parts, v)
-    side_parts = [p for p in parts if p not in (gv_mask, j_mask)]
+    gv_mask, others = _split(g, mask, kill, v)
+    _require(j_mask in others, "the 4-path remnant of the 7-cycle is not a component")
+    side_parts = [p for p in others if p != j_mask]
     for p in side_parts:
         _require_plain(g, p, "side component in the C7 disconnected subcase "
                        "is exceptional")
@@ -665,9 +646,7 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
 
     if cm is None:
         bits = (1 << y1) | (1 << psi[4])
-        bits |= yield gv_mask
-        for p in side_parts:
-            bits |= yield p
+        bits |= yield from _each([gv_mask, *side_parts])
         return _close(g, trace, bits, CASE_223, [y1, psi[4]], kill | j_mask,
                       subcase="C7-disconnected",
                       normalization={i + 1: psi[i] for i in range(7)})
@@ -693,7 +672,6 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
     hdag_mask = _one_beside(g, mask, kill2, 1 << u2,
                             "u2 should be isolated after the double deletion",
                             "double deletion should leave one big component")
-    _require_plain(g, hdag_mask, "H-dagger is exceptional")
     bits = (1 << x1p) | (1 << u4)
     bits |= yield hdag_mask
     return _close(g, trace, bits, CASE_223, [x1p, u4], kill2 | (1 << u2),
@@ -745,9 +723,7 @@ def _case224(g, mask, v, h1, trace):
         x1, x1p, y1, y1p = x1p, x1, y1p, y1
     _require(not g.has_edge(w, y1p),
              "w adjacent to the far end forces an induced 6-cycle")
-    kill = closed_mask(g, 1 << x1) & mask
-    _require(kill == (1 << x1) | (1 << v) | (1 << x1p) | (1 << y1),
-             "x1 should be saturated by v, x1', y1")
+    kill = _kill(g, mask, x1, (v, x1p, y1), "x1 should be saturated by v, x1', y1")
     k2_mask = (1 << y1p) | (1 << ystar)
     gw_mask = _one_beside(g, mask, kill, k2_mask,
                           "the far end plus middle should come off as a K2",
@@ -761,24 +737,15 @@ def _case224(g, mask, v, h1, trace):
 
 def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace):
     """A path end y1 of the 3-vertex component is adjacent to two of N(v)."""
-    kill = closed_mask(g, 1 << y1) & mask
-    _require(kill == (1 << y1) | (1 << x1) | (1 << x1p) | (1 << y_mid),
-             "doubly attached end should be saturated")
-    parts = component_masks(g, within=mask & ~kill)
-    gv_mask = _component_with(parts, v)
-    far_single = (1 << y_far) in parts
-    side_parts = [p for p in parts if p != gv_mask and p != (1 << y_far)]
-    for p in side_parts:
-        _require_plain(g, p, "side component in the double-attachment subcase "
-                       "is exceptional")
+    kill = _kill(g, mask, y1, (x1, x1p, y_mid), "doubly attached end should be saturated")
+    gv_mask, others = _split(g, mask, kill, v)
+    far_single = (1 << y_far) in others
+    side_parts = [p for p in others if p != (1 << y_far)]
     cm = _catalog_id(g, gv_mask)
     removed = kill | ((1 << y_far) if far_single else 0)
 
     if cm is None:
-        bits = 1 << y1
-        bits |= yield gv_mask
-        for p in side_parts:
-            bits |= yield p
+        bits = (1 << y1) | (yield from _each([gv_mask, *side_parts]))
         return _close(g, trace, bits, CASE_224, [y1], removed,
                       subcase="double-attachment")
 
@@ -794,9 +761,7 @@ def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace):
         chosen = [w, y1]
     else:
         raise InternalCaseExhausted(f"leaf remainder matched {cm}, expected P3 or G71")
-    bits = sum(1 << u for u in chosen)
-    for p in side_parts:
-        bits |= yield p
+    bits = sum(1 << u for u in chosen) | (yield from _each(side_parts))
     return _close(g, trace, bits, CASE_224, chosen, removed | gv_mask,
                   subcase=f"double-attachment-{cm}")
 
@@ -813,12 +778,9 @@ def _case224_deg2_attached(g, mask, v, h1, pairs, trace):
     y1p = _attachments(g, x1p, h_mask)[0]
     _require(y1p != y1, "saturated y1 cannot host a second attachment")
     ystar = next(t for t in bit_indices(h_mask) if t not in (y1, y1p))
-    kill = closed_mask(g, 1 << y1) & mask
-    _require(kill == (1 << x1) | h_mask, "N[y1] should be x1 plus the component")
-
-    parts = component_masks(g, within=mask & ~kill)
-    gv_mask = _component_with(parts, v)
-    others = [p for p in parts if p != gv_mask]
+    kill = _kill(g, mask, y1, (x1, *bit_indices(h_mask)),
+                 "N[y1] should be x1 plus the component")
+    gv_mask, others = _split(g, mask, kill, v)
     _require(len(others) <= 1, "x1 has one open slot, so at most one side component")
     hstar_mask = others[0] if others else 0
     if hstar_mask:
@@ -847,13 +809,10 @@ def _case224_deg2_attached(g, mask, v, h1, pairs, trace):
 
     # |V(H*)| = 4k: the prescribed second deletions
     if g.has_edge(x1p, ystar):
-        kill2 = closed_mask(g, 1 << x1p) & mask
-        _require(kill2 == (1 << x1p) | (1 << v) | (1 << y1p) | (1 << ystar),
-                 "x1' should be saturated by v, y1', y*")
+        kill2 = _kill(g, mask, x1p, (v, y1p, ystar), "x1' should be saturated by v, y1', y*")
         hdag = _one_beside(g, mask, kill2, 1 << w,
                            "w should be isolated by the second deletion",
                            "second deletion should leave one big component")
-        _require_plain(g, hdag, "H-dagger is exceptional")
         bits = (1 << x1p) | (yield hdag)
         return _close(g, trace, bits, CASE_224, [x1p], kill2 | (1 << w),
                       subcase="deg2-attached-x1p-ystar")
@@ -872,31 +831,21 @@ def _case224_deg2_attached(g, mask, v, h1, pairs, trace):
             _require((1 << ystar) in parts2, "y* should split off as a singleton")
         big = [p for p in parts2 if p != 1 << ystar]
         _require(len(big) == 1, "one component should remain beside y*")
-        g1_mask = big[0]
-        _require_plain(g, g1_mask, "G1' is exceptional")
-        bits = (1 << y1p) | (yield g1_mask)
+        bits = (1 << y1p) | (yield big[0])
         removed = kill2 | ((1 << ystar) if (1 << ystar) in parts2 else 0)
         return _close(g, trace, bits, CASE_224, [y1p], removed,
                       subcase="deg2-attached-r0-y1p")
 
     # path shape, w adjacent to y*: one of two closing edges must exist
     if g.has_edge(w, y1p):
-        kill2 = closed_mask(g, 1 << y1p) & mask
-        _require(kill2 == (1 << y1p) | (1 << x1p) | (1 << w) | (1 << y1),
-                 "y1' should be saturated by x1', w, y1")
+        kill2 = _kill(g, mask, y1p, (x1p, w, y1), "y1' should be saturated by x1', w, y1")
         a_mask = _one_beside(g, mask, kill2, 1 << ystar, "y* should be isolated here",
                              "one big component expected")
-        _require_plain(g, a_mask, "remainder is exceptional")
         bits = (1 << y1p) | (yield a_mask)
         return _close(g, trace, bits, CASE_224, [y1p], kill2 | (1 << ystar),
                       subcase="deg2-attached-r0-wy1p")
     _require(g.has_edge(x1p, w),
              "both closing edges absent would leave an induced 6-cycle")
-    kill2 = closed_mask(g, 1 << x1p) & mask
-    _require(kill2 == (1 << x1p) | (1 << v) | (1 << w) | (1 << y1p),
-             "x1' should be saturated by v, w, y1'")
-    gdag = mask & ~kill2
-    _require(connected_within(g, gdag), "G-dagger should be connected")
-    _require_plain(g, gdag, "G-dagger is exceptional")
-    bits = (1 << x1p) | (yield gdag)
+    kill2 = _kill(g, mask, x1p, (v, w, y1p), "x1' should be saturated by v, w, y1'")
+    bits = (1 << x1p) | (yield mask & ~kill2)
     return _close(g, trace, bits, CASE_224, [x1p], kill2, subcase="deg2-attached-r0-x1pw")

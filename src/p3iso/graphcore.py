@@ -77,9 +77,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bit_indices(self.rows[v]))
 
@@ -114,12 +111,6 @@ class Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         return Graph(self.n, rows)
-
-    def with_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        g = self
-        for u, v in pairs:
-            g = g.with_edge(u, v)
-        return g
 
     # -- value semantics ---------------------------------------------------
 
@@ -225,6 +216,18 @@ def closed_mask(g: Graph, mask: int) -> int:
     return out
 
 
+def _reach(g: Graph, seed: int, within: int) -> int:
+    """The vertices of ``within`` reachable from ``seed`` inside ``within``."""
+    comp = frontier = seed
+    while frontier:
+        grow = 0
+        for v in bit_indices(frontier):
+            grow |= g.rows[v]
+        frontier = grow & within & ~comp
+        comp |= frontier
+    return comp
+
+
 def component_masks(g: Graph, within: int | None = None) -> list[int]:
     """Connected-component bitmasks of the subgraph induced on ``within``.
 
@@ -233,35 +236,14 @@ def component_masks(g: Graph, within: int | None = None) -> list[int]:
     remaining = g.full_mask() if within is None else within
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in bit_indices(frontier):
-                grow |= g.rows[v]
-            grow &= remaining & ~comp
-            comp |= grow
-            frontier = grow
+        comp = _reach(g, remaining & -remaining, remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps
 
 
 def connected_within(g: Graph, within: int) -> bool:
-    if within == 0:
-        return True
-    seed = within & -within
-    comp = seed
-    frontier = seed
-    while frontier:
-        grow = 0
-        for v in bit_indices(frontier):
-            grow |= g.rows[v]
-        grow &= within & ~comp
-        comp |= grow
-        frontier = grow
-    return comp == within
+    return within == 0 or _reach(g, within & -within, within) == within
 
 
 # -- spec-level operations ---------------------------------------------------

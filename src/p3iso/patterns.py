@@ -77,9 +77,6 @@ class IsoWitness:
     mapping: tuple[int, ...]
     induced: bool
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mapping))
-
 
 # -- family copies -----------------------------------------------------------
 

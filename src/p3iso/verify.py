@@ -76,23 +76,22 @@ class VerificationReport:
 
 def _check_one(g: Graph, report: VerificationReport) -> None:
     row = report.row(g.n)
-    t0 = time.time()
+    t0 = time.perf_counter()
     row.examined += 1
-    if g.max_degree() > 3 or not is_connected(g):
-        row.elapsed += time.time() - t0
-        return
-    if patterns.has_induced_cycle(g, 6) is not None:
-        row.elapsed += time.time() - t0
-        return
-    row.eligible += 1
-    cert = solver.isolation_number(g, P3, budget=g.n // 4, canonical=False)
-    if not cert.exact:
-        cid = patterns.catalog_match(g)
-        if cid is None:
-            row.violations.append(emit_graph6(g))
-        else:
-            row.exceptions[cid] = row.exceptions.get(cid, 0) + 1
-    row.elapsed += time.time() - t0
+    try:
+        if (g.max_degree() > 3 or not is_connected(g)
+                or patterns.has_induced_cycle(g, 6) is not None):
+            return
+        row.eligible += 1
+        cert = solver.isolation_number(g, P3, budget=g.n // 4, canonical=False)
+        if not cert.exact:
+            cid = patterns.catalog_match(g)
+            if cid is None:
+                row.violations.append(emit_graph6(g))
+            else:
+                row.exceptions[cid] = row.exceptions.get(cid, 0) + 1
+    finally:
+        row.elapsed += time.perf_counter() - t0
 
 
 def verify_enumerated(max_n: int, jobs: int = 1) -> VerificationReport:

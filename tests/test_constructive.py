@@ -362,6 +362,18 @@ def test_failed_case_falls_back_only_on_small_orders(monkeypatch):
     assert "closed form withheld" in str(exc.value)
 
 
+def test_piece_entry_is_the_one_check_site():
+    # the cases yield pieces unchecked; _piece refuses ineligible ones on entry
+    trace = constructive.CaseTrace()
+    g = gen.path(8)
+    with pytest.raises(InternalCaseExhausted, match="disconnected"):
+        constructive._solve(g, 0b11110111, trace)
+    g = Graph.from_edges(9, cat_edges("C7", 0) + [(6, 7), (7, 8)])
+    with pytest.raises(InternalCaseExhausted, match="exceptional"):
+        constructive._solve(g, 0b1111111, trace)
+    assert trace.steps == []
+
+
 # -- golden traces and recursion depth ---------------------------------------------
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_traces.json"
