@@ -20,7 +20,7 @@ from .generators import (BadOrder, CatalogEntry, CatalogSelfCheckFailed,
                          ConstructionParams, catalog, catalog_entry, complete,
                          construction_B, construction_B_p3, cycle, path,
                          random_eligible_graph, random_subcubic_connected)
-from .graph_io import (emit_edge_list, emit_graph6, ingest_graph6_stream,
+from .graph_io import (emit_edge_list, emit_graph6, iter_graph6,
                        parse_edge_list, parse_graph6)
 from .constructive import (CaseTrace, PreconditionViolated,
                            isolate_p3_subcubic, path_cycle_isolating_set,

@@ -2,8 +2,8 @@
 algorithm, verify the bound over enumerated or streamed corpora, check the
 catalog observations, and emit generator/catalog graphs.
 
-Exit codes: 0 pass, 1 verification violation, 2 input error (including
-unreadable lines in a verified stream), 3 precondition error, 4 internal
+Exit codes: 0 pass, 1 verification violation, 2 input error (a bad
+argument, or a line that does not decode), 3 precondition error, 4 internal
 error of the constructive algorithm, 141 standard output closed by its
 reader (as in ``p3iso enum ... | head``). All vertex labels printed are
 1-based; --json output is stable for golden-file tests.
@@ -12,6 +12,8 @@ reader (as in ``p3iso enum ... | head``). All vertex labels printed are
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -20,7 +22,7 @@ from . import generators
 from .constructive import (InternalCaseExhausted, PreconditionViolated,
                            isolate_p3_subcubic)
 from .graph_io import (EdgeListError, Graph6Error, emit_edge_list, emit_graph6,
-                       parse_edge_list, parse_graph6)
+                       iter_graph6, parse_edge_list)
 from .graphcore import Graph
 from .patterns import family_from_name
 from .solver import isolation_number
@@ -31,30 +33,42 @@ class InputError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+@contextlib.contextmanager
+def _open(path: str):
+    """The file at ``path``, or stdin for "-", read as ASCII. A byte outside
+    ASCII reads as U+FFFD, so it fails its own line's character check
+    instead of the whole read. Failing to open or read is an input error."""
+    if path == "-" and isinstance(sys.stdin, io.TextIOWrapper):  # not a StringIO
+        sys.stdin.reconfigure(encoding="ascii", errors="replace")
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        with (sys.stdin if path == "-" else
+              open(path, encoding="ascii", errors="replace")) as fh:
+            yield fh
     except OSError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(str(exc)) from None
 
 
-def _parse_graphs(text: str, fmt: str | None) -> list[Graph]:
+def _read_graphs(path: str, fmt: str | None) -> list[Graph]:
     """Autodetect edge list ("n m" header) vs graph6 lines unless forced."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty input")
+    with _open(path) as fh:
+        text = fh.read()
+    lines = text.split("\n")  # numbered as the file object numbers them
     if fmt is None:
-        head = lines[0].split()
+        head = next((ln.split() for ln in lines if ln.strip()), [])
         fmt = "edges" if len(head) == 2 and all(t.isdigit() for t in head) else "graph6"
-    try:
-        if fmt == "edges":
+    if fmt == "edges":
+        try:
             return [parse_edge_list(text)]
-        return [parse_graph6(ln) for ln in lines if not ln.startswith(">>")]
-    except (Graph6Error, EdgeListError) as exc:
-        raise InputError(str(exc)) from exc
+        except EdgeListError as exc:
+            raise InputError(str(exc)) from None
+    graphs = []
+    for lineno, item in iter_graph6(lines):
+        if isinstance(item, Graph6Error):
+            raise InputError(f"line {lineno}: {item}")
+        graphs.append(item)
+    if not graphs:
+        raise InputError("no graph in input")
+    return graphs
 
 
 def _one_based(vs) -> list[int]:
@@ -62,15 +76,14 @@ def _one_based(vs) -> list[int]:
 
 
 def cmd_iota(args) -> int:
-    fam = family_from_name(args.family)
-    graphs = _parse_graphs(_read_text(args.input), args.format)
+    graphs = _read_graphs(args.input, args.format)
     out = []
     for g in graphs:
-        cert = isolation_number(g, fam, budget=args.budget)
+        cert = isolation_number(g, args.family, budget=args.budget)
         rec = {
             "n": g.n,
             "m": g.edge_count,
-            "family": str(fam),
+            "family": str(args.family),
             "iota": cert.value,
             "exact": cert.exact,
             "set": _one_based(cert.set),
@@ -86,7 +99,7 @@ def cmd_iota(args) -> int:
 
 
 def cmd_isolate(args) -> int:
-    graphs = _parse_graphs(_read_text(args.input), args.format)
+    graphs = _read_graphs(args.input, args.format)
     out = []
     for g in graphs:
         try:
@@ -116,11 +129,8 @@ def cmd_isolate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.stream:
-        try:
-            with (sys.stdin if args.stream == "-" else open(args.stream, "r")) as fh:
-                report = verify_stream(fh)
-        except OSError as exc:
-            raise InputError(str(exc)) from None
+        with _open(args.stream) as fh:
+            report = verify_stream(fh)
     else:
         report = verify_enumerated(args.max_n, jobs=args.jobs)
     payload = report.to_dict()
@@ -200,16 +210,26 @@ def cmd_enum(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="p3iso", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("iota", help="exact isolation number of input graphs")
     p.add_argument("input", help="file of graph6 lines or an edge list; - for stdin")
-    p.add_argument("--family", default="p3",
+    p.add_argument("--family", type=family_from_name, default="p3",
                    help="k1 | k2 | k3 | p3 | anycycle | cycle:k (default p3)")
     p.add_argument("--format", choices=["graph6", "edges"], default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_iota)
 
@@ -222,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_isolate)
 
     p = sub.add_parser("verify", help="check the floor(n/4) bound over a corpus")
-    p.add_argument("--max-n", type=int, default=9)
+    p.add_argument("--max-n", type=_at_least(1), default=9)
     p.add_argument("--stream", default=None,
                    help="graph6 file to verify instead of enumerating; - for stdin")
     p.add_argument("--jobs", type=int, default=1)
@@ -245,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("enum", help="emit connected subcubic graphs as graph6")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_at_least(1), required=True)
     p.add_argument("--no-induced-c6", action="store_true",
                    help="restrict to graphs without induced 6-cycles")
     p.add_argument("--jobs", type=int, default=1)

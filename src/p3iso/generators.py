@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .graphcore import Graph, is_connected
 from . import patterns
@@ -44,12 +43,6 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise BadOrder(f"complete graph needs n >= 1, got {n}")
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def from_edges_1based(n: int, edges: Sequence[tuple[int, int]],
-                      *, collapse_duplicates: bool = False) -> Graph:
-    return Graph.from_edges(n, [(u - 1, v - 1) for u, v in edges],
-                            collapse_duplicates=collapse_duplicates)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -172,7 +165,7 @@ class CatalogEntry:
 def catalog_graphs_raw() -> dict[str, Graph]:
     """The 12 exceptional graphs keyed by id, without the load self-check."""
     return {
-        cid: from_edges_1based(n, edges, collapse_duplicates=True)
+        cid: Graph.from_edges(n, [(u - 1, v - 1) for u, v in edges])
         for cid, (n, edges) in _CATALOG_EDGES.items()
     }
 

@@ -7,7 +7,10 @@ matrix in column-major order (bit (i, j) for i < j ordered by j then i),
 zero-padded to a multiple of 6. Emission uses the shortest header that
 holds n and canonical zero padding. Decode and encode visit only the set
 bits one by one (decode finds them with a regular-expression scan), so a
-sparse graph costs time linear in the length of its line.
+sparse graph costs time linear in the length of its line. ``iter_graph6``
+is the one reader of graph6 streams: it pairs each nonblank line's number
+with its graph or its decoding error, and accepts the optional
+'>>graph6<<' header.
 
 Edge list: a header line "n m" then m lines "u v" with 1-based labels.
 """
@@ -15,9 +18,8 @@ Edge list: a header line "n m" then m lines "u v" with 1-based labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .graphcore import Graph, bit_indices
 
@@ -35,7 +37,7 @@ class TruncatedBits(Graph6Error):
 
 
 class NonCanonicalPadding(Graph6Error):
-    """Padding bits were not zero; reported, fatal only in strict mode."""
+    """Padding bits were not zero; tolerated, fatal only in strict mode."""
 
 
 class EdgeListError(ValueError):
@@ -54,27 +56,9 @@ class OutOfRange(EdgeListError):
     pass
 
 
-class IoFailure(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class Graph6Record:
-    """A validated graph6 line: its text and the decoded order."""
-
-    text: str
-    order: int
-
-
 _OUTSIDE_RANGE = re.compile("[^?-~]")  # chr(63)..chr(126)
 _NONZERO = re.compile("[^?]")  # characters carrying at least one set bit
 _TO_TEXT = bytes((b + 63) & 255 for b in range(256))
-
-
-def _check_chars(line: str) -> None:
-    bad = _OUTSIDE_RANGE.search(line)
-    if bad:
-        raise MalformedHeader(f"character {bad.group()!r} outside graph6 range 63..126")
 
 
 def _decode_order(line: str) -> tuple[int, int]:
@@ -97,47 +81,6 @@ def _decode_order(line: str) -> tuple[int, int]:
     return n, start
 
 
-def graph6_record(line: str) -> Graph6Record:
-    line = line.rstrip("\n")
-    if not line:
-        raise MalformedHeader("empty line")
-    _check_chars(line)
-    n, start = _decode_order(line)
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(line) - start != need:
-        raise TruncatedBits(
-            f"order {n} needs {need} body characters, got {len(line) - start}")
-    return Graph6Record(line, n)
-
-
-def _parse_record(rec: Graph6Record) -> tuple[Graph, list[str]]:
-    n = rec.order
-    _, start = _decode_order(rec.text)
-    warnings: list[str] = []
-    nbits = n * (n - 1) // 2
-    rows = [0] * n
-    # bit p of the body (from the first character's high bit) is the pair
-    # (i, j), i < j, with p = j(j-1)/2 + i
-    for m in _NONZERO.finditer(rec.text, start):
-        x = ord(m.group()) - 63
-        p = 6 * (m.start() - start)
-        j = (1 + isqrt(1 + 8 * p)) // 2
-        i = p - j * (j - 1) // 2
-        for b in (32, 16, 8, 4, 2, 1):
-            if x & b:
-                if p >= nbits:
-                    warnings = ["non-canonical padding (padding bits not zero)"]
-                    break
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            p += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph(n, rows), warnings
-
-
 def parse_graph6(line: str, *, strict: bool = False) -> Graph:
     """Decode one graph6 line.
 
@@ -145,10 +88,38 @@ def parse_graph6(line: str, *, strict: bool = False) -> Graph:
     padding bits are tolerated (the payload is still unambiguous) unless
     ``strict``, in which case NonCanonicalPadding is raised.
     """
-    g, warnings = _parse_record(graph6_record(line))
-    if strict and warnings:
-        raise NonCanonicalPadding("; ".join(warnings))
-    return g
+    line = line.rstrip("\n")
+    bad = _OUTSIDE_RANGE.search(line)
+    if bad:
+        raise MalformedHeader(f"character {bad.group()!r} outside graph6 range 63..126")
+    n, start = _decode_order(line)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(line) - start != need:
+        raise TruncatedBits(
+            f"order {n} needs {need} body characters, got {len(line) - start}")
+    rows = [0] * n
+    # bit p of the body (from the first character's high bit) is the pair
+    # (i, j), i < j, with p = j(j-1)/2 + i
+    for m in _NONZERO.finditer(line, start):
+        x = ord(m.group()) - 63
+        p = 6 * (m.start() - start)
+        j = (1 + isqrt(1 + 8 * p)) // 2
+        i = p - j * (j - 1) // 2
+        for b in (32, 16, 8, 4, 2, 1):
+            if x & b:
+                if p >= nbits:
+                    if strict:
+                        raise NonCanonicalPadding(
+                            "non-canonical padding (padding bits not zero)")
+                    break
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            p += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph(n, rows)
 
 
 def _encode_order(n: int) -> str:
@@ -210,51 +181,17 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def iter_graph6(lines: Iterable[str],
-                on_diagnostic: Callable[[int, str], None] | None = None
-                ) -> Iterator[Graph]:
-    """Yield one graph per line, never buffering the stream.
-
-    Malformed lines are reported through ``on_diagnostic`` (1-based line
-    number, message) and skipped; the optional leading '>>graph6<<' marker
-    is tolerated.
+def iter_graph6(lines: Iterable[str]) -> Iterator[tuple[int, Graph | Graph6Error]]:
+    """Yield (1-based line number, graph or the error that line raised) for
+    each nonblank line. Nothing is buffered: each item is yielded before the
+    next line is read. A leading '>>graph6<<' header on a line is stripped.
     """
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line.startswith(">>graph6<<"):
-            line = line[len(">>graph6<<"):]
+        line = raw.strip().removeprefix(">>graph6<<")
         if not line:
             continue
         try:
-            g, warnings = _parse_record(graph6_record(line))
+            item = parse_graph6(line)
         except Graph6Error as exc:
-            if on_diagnostic:
-                on_diagnostic(lineno, str(exc))
-            continue
-        if warnings and on_diagnostic:
-            for w in warnings:
-                on_diagnostic(lineno, w)
-        yield g
-
-
-@dataclass
-class StreamSummary:
-    count: int
-    diagnostics: list[tuple[int, str]]
-
-
-def ingest_graph6_stream(reader, sink: Callable[[Graph], None]) -> StreamSummary:
-    """Forward every parseable graph to ``sink`` with a running count.
-
-    ``reader`` is any iterable of lines (file object, list, generator).
-    I/O errors surface as IoFailure; parse problems become diagnostics.
-    """
-    diagnostics: list[tuple[int, str]] = []
-    count = 0
-    try:
-        for g in iter_graph6(reader, on_diagnostic=lambda no, msg: diagnostics.append((no, msg))):
-            sink(g)
-            count += 1
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return StreamSummary(count, diagnostics)
+            item = exc
+        yield lineno, item

@@ -53,8 +53,7 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   *, collapse_duplicates: bool = False) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from 0-based vertex pairs."""
         rows = [0] * n
         for u, v in edges:
@@ -62,7 +61,7 @@ class Graph:
                 raise ValueError(f"edge {u},{v} out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if (rows[u] >> v) & 1 and not collapse_duplicates:
+            if (rows[u] >> v) & 1:
                 raise ValueError(f"duplicate edge {u},{v}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
@@ -73,9 +72,6 @@ class Graph:
         return cls(n, [0] * n)
 
     # -- basic queries ----------------------------------------------------
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bit_indices(self.rows[v]))

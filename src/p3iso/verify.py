@@ -107,23 +107,21 @@ def verify_enumerated(max_n: int, jobs: int = 1) -> VerificationReport:
 def verify_stream(lines) -> VerificationReport:
     """Run the bound check over a graph6 stream (one graph per line).
 
-    A line that does not decode is skipped and recorded in ``skipped``,
-    which fails the run; padding warnings on a decoded line are not.
+    Every line read, blank ones included, counts in ``lines_read``. A line
+    that does not decode is recorded in ``skipped`` and fails the run.
     """
     report = VerificationReport()
-    problems: dict[int, str] = {}
 
     def counted():
         for line in lines:
             report.lines_read += 1
             yield line
 
-    # iter_graph6 does not buffer: when it yields a graph, the line last
-    # read is that graph's own, and its diagnostics were only warnings
-    for g in iter_graph6(counted(), lambda no, msg: problems.setdefault(no, msg)):
-        problems.pop(report.lines_read, None)
-        _check_one(g, report)
-    report.skipped = sorted(problems.items())
+    for lineno, item in iter_graph6(counted()):
+        if isinstance(item, Graph):
+            _check_one(item, report)
+        else:
+            report.skipped.append((lineno, str(item)))
     return report
 
 

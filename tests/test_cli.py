@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from p3iso import constructive
 from p3iso import generators as gen
 from p3iso.graphcore import Graph
@@ -109,6 +111,43 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     payload = json.loads(out)
     assert code == 2 and not payload["passed"]
     assert (payload["lines_read"], payload["graphs"], payload["skipped"]) == (3, 2, 1)
+
+
+@pytest.mark.parametrize("data, argv, code, out, err", [
+    # the optional '>>graph6<<' header shares its line with the first graph
+    (b">>graph6<<Bw\nBg\n", ["iota", "FILE"], 0,
+     "n=3 m=3 iota=1 set=[1]\nn=3 m=2 iota=1 set=[1]\n", ""),
+    (b">>graph6<<Bw\nBg\n", ["iota", "-"], 0,
+     "n=3 m=3 iota=1 set=[1]\nn=3 m=2 iota=1 set=[1]\n", ""),
+    (b">>graph6<<\n", ["iota", "FILE", "--json"], 2, "", "no graph"),
+    (b">>graph6<<\n", ["isolate", "FILE", "--json"], 2, "", "no graph"),
+    # a byte outside ASCII fails its own line, on every command
+    (b"Bw\n\xe9\n", ["iota", "FILE"], 2, "", "line 2"),
+    (b"Bw\n\xe9\n", ["iota", "-"], 2, "", "line 2"),
+    (b"Bw\n\xe9\n", ["isolate", "FILE"], 2, "", "line 2"),
+    (b"Bw\n\xe9\n", ["verify", "--stream", "FILE"], 2,
+     "FAIL: 1 unreadable line(s) skipped", "line 2"),
+    (b"Bw\n\xe9\n", ["verify", "--stream", "-"], 2,
+     "FAIL: 1 unreadable line(s) skipped", "line 2"),
+    # bad arguments are usage errors
+    (b"Bw\n", ["iota", "FILE", "--family", "foo"], 2, "", "--family"),
+    (b"Bw\n", ["iota", "FILE", "--family", "cycle:2"], 2, "", "--family"),
+    (b"Bw\n", ["iota", "FILE", "--budget", "-1"], 2, "", "--budget"),
+    (b"", ["verify", "--max-n", "0"], 2, "", "--max-n"),
+    (b"", ["enum", "--max-n", "0"], 2, "", "--max-n"),
+])
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, data, argv, code, out, err):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    try:
+        got = main([str(path) if a == "FILE" else a for a in argv])
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert out in captured.out and err in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_isolate_internal_error_exits_4(tmp_path, monkeypatch, capsys):

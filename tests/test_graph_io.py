@@ -6,12 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p3iso import generators as gen
-from p3iso.graph_io import (DuplicateEdge, Graph6Record, MalformedHeader,
+from p3iso.graph_io import (DuplicateEdge, MalformedHeader,
                             NonCanonicalPadding, OutOfRange, SelfLoop,
                             TruncatedBits, _decode_order, _encode_order,
-                            emit_edge_list, emit_graph6, graph6_record,
-                            ingest_graph6_stream, parse_edge_list,
-                            parse_graph6)
+                            emit_edge_list, emit_graph6, iter_graph6,
+                            parse_edge_list, parse_graph6)
 from p3iso.graphcore import Graph
 
 from oracles import encode_graph6_reference
@@ -113,11 +112,6 @@ def test_noncanonical_padding_reported_not_fatal():
         parse_graph6(line, strict=True)
 
 
-def test_graph6_record():
-    rec = graph6_record("Bw")
-    assert rec == Graph6Record("Bw", 3)
-
-
 def test_edge_list_roundtrip_and_examples():
     g = parse_edge_list("3 2\n1 2\n2 3\n")
     assert g == gen.path(3)
@@ -138,24 +132,27 @@ def test_edge_list_g11_fixture_degree_sequence():
 
 
 def test_stream_counts_and_diagnostics():
-    lines = ["Bw", "Bg", "?"]
-    got = []
-    summary = ingest_graph6_stream(lines, got.append)
-    assert summary.count == 3 and not summary.diagnostics
+    assert list(iter_graph6(["Bw", "Bg", "?"])) == [
+        (1, gen.complete(3)), (2, gen.path(3)), (3, Graph.empty(0))]
 
-    lines = ["Bw", "B", "Bg"]
-    got = []
-    summary = ingest_graph6_stream(lines, got.append)
-    assert summary.count == 2
-    assert len(summary.diagnostics) == 1 and summary.diagnostics[0][0] == 2
+    items = list(iter_graph6(["Bw", "", "B", "Bg"]))
+    assert [no for no, _ in items] == [1, 3, 4]
+    assert isinstance(items[1][1], TruncatedBits)
+    assert items[2][1] == gen.path(3)
+
+    # the header shares its line with the first graph, or stands alone
+    items = list(iter_graph6([">>graph6<<Bw\n", "Bg\n", ">>graph6<<\n"]))
+    assert items == [(1, gen.complete(3)), (2, gen.path(3))]
+
+    # nonzero padding is tolerated here as in parse_graph6
+    assert list(iter_graph6(["B" + chr(ord("w") + 1)])) == [(1, gen.complete(3))]
 
 
 def test_stream_reads_catalog_fixture():
     with open(FIXTURES / "catalog.g6") as fh:
-        got = []
-        summary = ingest_graph6_stream(fh, got.append)
-    assert summary.count == 12
+        got = [g for _, g in iter_graph6(fh)]
     assert [g.n for g in got] == [e.order for e in gen.catalog()]
+    assert got == [e.graph for e in gen.catalog()]
 
 
 def test_catalog_golden_files_match_live_export():

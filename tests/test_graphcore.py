@@ -27,8 +27,6 @@ def test_construction_validation():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
-    g = Graph.from_edges(3, [(0, 1), (1, 0)], collapse_duplicates=True)
-    assert g.edge_count == 1
 
 
 def test_closed_neighborhood_cycle():

@@ -41,6 +41,12 @@ def test_verify_stream_counts_ineligible():
     assert by_order[5]["eligible"] == 1
 
 
+def test_verify_stream_counts_every_line():
+    report = verify_stream(["Bw\n", "\n", "junk\n", ">>graph6<<Bg\n", "\n"])
+    assert (report.lines_read, report.graphs) == (5, 2)
+    assert [no for no, _ in report.skipped] == [3] and not report.passed
+
+
 def test_violation_detection(monkeypatch):
     # the theorem says violations cannot exist, so force one: hide the
     # catalog match and stream an exceptional graph
