@@ -99,17 +99,20 @@ def cmd_iota(args) -> int:
 
 
 def cmd_isolate(args) -> int:
+    """Stops at the first failing graph (exit 3 or 4), after printing the
+    results of the graphs before it, --json or not."""
     graphs = _read_graphs(args.input, args.format)
     out = []
+    code, error = 0, None
     for g in graphs:
         try:
             cert, trace = isolate_p3_subcubic(g)
         except PreconditionViolated as exc:
-            print(f"precondition violated: {exc.reason}", file=sys.stderr)
-            return 3
+            code, error = 3, f"precondition violated: {exc.reason}"
+            break
         except InternalCaseExhausted as exc:
-            print(f"internal error: {exc}", file=sys.stderr)
-            return 4
+            code, error = 4, f"internal error: {exc}"
+            break
         rec = {
             "n": g.n,
             "size": len(cert.set),
@@ -122,9 +125,11 @@ def cmd_isolate(args) -> int:
             print(f"n={g.n} |D|={rec['size']} <= {rec['bound']} set={rec['set']}")
         if args.trace:
             print(trace.to_json_lines())
-    if args.json:
+    if args.json and out:
         print(json.dumps(out if len(out) > 1 else out[0], sort_keys=True))
-    return 0
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(1), default=9)
     p.add_argument("--stream", default=None,
                    help="graph6 file to verify instead of enumerating; - for stdin")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(1), required=True)
     p.add_argument("--no-induced-c6", action="store_true",
                    help="restrict to graphs without induced 6-cycles")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_enum)
 
     return ap

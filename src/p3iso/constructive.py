@@ -517,12 +517,12 @@ def _case21(g, mask, v, ch, trace):
 
 def _normalize(g: Graph, h_mask: int, cid: str, pin: int | None = None):
     """psi[i] = the vertex of the catalog copy h_mask playing catalog vertex
-    i (0-based), with catalog vertex 0 pinned to ``pin`` if given; None if
-    no such isomorphism exists."""
+    i (0-based), with catalog vertex 0 pinned to ``pin`` if given: the
+    lexicographically smallest such psi, or None if there is none."""
     sub, old = _extract(g, h_mask)
     fixed = None if pin is None else {0: old.index(pin)}
-    wit = patterns.find_isomorphism(sub, generators.catalog_graphs_raw()[cid],
-                                    fixed=fixed)
+    wit = patterns.is_isomorphic(sub, generators.catalog_graphs_raw()[cid],
+                                 fixed=fixed)
     return [old[i] for i in wit.mapping] if wit else None
 
 

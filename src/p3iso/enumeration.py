@@ -1,12 +1,15 @@
 """Isomorph-free generation of small connected subcubic graphs by vertex
 augmentation with canonical-deletion rejection.
 
-The canonical form is the lexicographically maximal adjacency bit-string
-(upper triangle, column-major) over permutations compatible with the
-color-refinement partition. A generated graph is kept iff its newest
-vertex lies in the automorphism orbit of the canonical deletion choice:
-the vertex in the last canonical position among those whose removal keeps
-the graph connected. Attachment sets are tried once per Aut(parent)-orbit,
+The canonical labeling is ``patterns.canonical_data``, the one labeling
+that decides every isomorphism in the package: the form is the
+lexicographically maximal adjacency bit-string (upper triangle,
+column-major) over permutations compatible with the color-refinement
+partition. ``_accepted`` and ``automorphisms`` look it up as a global of
+this module at call time. A generated graph is kept iff its newest vertex
+lies in the automorphism orbit of the canonical deletion choice: the
+vertex in the last canonical position among those whose removal keeps the
+graph connected. Attachment sets are tried once per Aut(parent)-orbit,
 so each isomorphism class is constructed exactly once.
 
 Most children are decided without a labeling. Refinement colors start as
@@ -31,7 +34,7 @@ from typing import Callable, Iterator
 
 from .graphcore import Graph, connected_within
 from .graph_io import emit_graph6, parse_graph6
-from .patterns import _refine_colors, has_induced_cycle
+from .patterns import _refine_colors, canonical_data, has_induced_cycle
 
 MAX_DEGREE = 3
 
@@ -69,92 +72,7 @@ class EnumSummary:
         return sum(self.emitted_by_order.values())
 
 
-# -- canonical form ------------------------------------------------------------
-
-
-def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
-                   ) -> tuple[tuple, list[tuple[int, ...]]]:
-    """(canonical form, all labelings achieving it).
-
-    A labeling is a tuple ``vertex_at`` with vertex_at[pos] = vertex. The
-    form is the maximal tuple of adjacency columns over labelings that
-    list the refinement color classes in ascending order. ``colors``, if
-    given, must be ``_refine_colors(g)``; it saves refining again.
-    """
-    n = g.n
-    if n == 0:
-        return (0, ()), [()]
-    if colors is None:
-        colors = _refine_colors(g)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    block_color = []
-    for c in sorted(by_color):
-        block_color.extend([c] * len(by_color[c]))
-
-    def column(v: int, vertex_at: list[int]) -> int:
-        col = 0
-        row = g.rows[v]
-        for u in vertex_at:
-            col = (col << 1) | ((row >> u) & 1)
-        return col
-
-    # phase 1: the maximal column sequence. Only maximal-column candidates
-    # can extend toward the maximum at each node; mutual false/true twins
-    # yield identical subtrees, so one representative suffices here.
-    def find_max(pos: int, used: int, vertex_at: list[int]) -> list[int]:
-        if pos == n:
-            return []
-        scored = []
-        for v in by_color[block_color[pos]]:
-            if not (used >> v) & 1:
-                scored.append((column(v, vertex_at), v))
-        maxcol = max(col for col, _ in scored)
-        best = None
-        seen_rows = set()
-        for col, v in scored:
-            if col != maxcol:
-                continue
-            open_key = ("o", g.rows[v])
-            closed_key = ("c", g.rows[v] | (1 << v))
-            if open_key in seen_rows or closed_key in seen_rows:
-                continue
-            seen_rows.add(open_key)
-            seen_rows.add(closed_key)
-            vertex_at.append(v)
-            suffix = find_max(pos + 1, used | (1 << v), vertex_at)
-            vertex_at.pop()
-            if best is None or suffix > best:
-                best = suffix
-        return [maxcol] + best
-
-    best_cols = find_max(0, 0, [])
-
-    # phase 2: every labeling matching the maximal sequence (no twin
-    # pruning: completeness feeds the automorphism group).
-    labelings: list[tuple[int, ...]] = []
-
-    def collect(pos: int, used: int, vertex_at: list[int]):
-        if pos == n:
-            labelings.append(tuple(vertex_at))
-            return
-        for v in by_color[block_color[pos]]:
-            if (used >> v) & 1:
-                continue
-            if column(v, vertex_at) != best_cols[pos]:
-                continue
-            vertex_at.append(v)
-            collect(pos + 1, used | (1 << v), vertex_at)
-            vertex_at.pop()
-
-    collect(0, 0, [])
-    form = (n, tuple(best_cols))
-    return form, labelings
-
-
-def canonical_form(g: Graph) -> tuple:
-    return canonical_data(g)[0]
+# -- automorphisms --------------------------------------------------------------
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

@@ -1,8 +1,13 @@
 """Pattern detection: family copies, induced k-cycles, small-graph isomorphism.
 
 "Contains a copy" always means subgraph copy (extra edges among the image
-vertices are fine); induced matching is used for induced cycles and full
-isomorphism. All operations are pure.
+vertices are fine); induced matching is used for induced cycles. The
+canonical labeling (``canonical_data``, an exhaustive search over the
+color-refinement partition in the spirit of McKay and Piperno's
+"Practical graph isomorphism II", 2014) lives here and decides every
+isomorphism question: ``catalog_match``, ``is_isomorphic`` (also with
+pinned vertices) and the canonical augmentation in ``enumeration``. All
+operations are pure.
 """
 
 from __future__ import annotations
@@ -174,6 +179,57 @@ def _find_any_cycle(g: Graph, alive: int) -> tuple[int, ...] | None:
     return None
 
 
+def _find_mapping(pattern: Graph, host: Graph, host_alive: int) -> tuple[int, ...] | None:
+    """Backtracking subgraph embedding of pattern into host[host_alive]
+    (extra host edges are fine). Intended for tiny patterns only."""
+    pn = pattern.n
+    if pn > host_alive.bit_count():
+        return None
+    # order pattern vertices to keep the partial map connected where possible
+    order: list[int] = []
+    placed = set()
+    while len(order) < pn:
+        best = None
+        best_key = (-1, -1)
+        for v in range(pn):
+            if v in placed:
+                continue
+            anchored = sum(1 for u in pattern.neighbors(v) if u in placed)
+            key = (anchored, pattern.degree(v))
+            if key > best_key:
+                best, best_key = v, key
+        order.append(best)
+        placed.add(best)
+
+    mapping: dict[int, int] = {}
+    used = 0
+
+    def place(i: int) -> bool:
+        nonlocal used
+        if i == pn:
+            return True
+        pv = order[i]
+        cand = host_alive & ~used
+        for u in pattern.neighbors(pv):
+            if u in mapping:
+                cand &= host.rows[mapping[u]]
+        pdeg = pattern.degree(pv)
+        for hv in bit_indices(cand):
+            if host.degree(hv) < pdeg:
+                continue
+            mapping[pv] = hv
+            used |= 1 << hv
+            if place(i + 1):
+                return True
+            used &= ~(1 << hv)
+            del mapping[pv]
+        return False
+
+    if not place(0):
+        return None
+    return tuple(mapping[v] for v in range(pn))
+
+
 def contains_copy(g: Graph, fam: IsolationFamily,
                   within: VertexSet | None = None) -> IsoWitness | None:
     """A subgraph copy of some family member inside g (or a subset of g)."""
@@ -203,7 +259,7 @@ def contains_copy(g: Graph, fam: IsolationFamily,
         found = _find_any_cycle(g, alive)
         return IsoWitness(found, induced=False) if found else None
     for h in fam.members:
-        mapping = _find_mapping(h, g, induced=False, host_alive=alive)
+        mapping = _find_mapping(h, g, alive)
         if mapping:
             return IsoWitness(mapping, induced=False)
     return None
@@ -271,155 +327,133 @@ def _refine_colors(g: Graph, init: tuple[int, ...] | None = None) -> tuple[int, 
         colors = new
 
 
-def triangle_counts(g: Graph) -> tuple[int, ...]:
-    """Number of triangles through each vertex."""
-    counts = [0] * g.n
-    for v in range(g.n):
-        row = g.rows[v]
-        for u in bit_indices(row):
-            counts[v] += (row & g.rows[u]).bit_count()
-    return tuple(c // 2 for c in counts)
+def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
+                   ) -> tuple[tuple, list[tuple[int, ...]]]:
+    """(canonical form, all labelings achieving it).
 
-
-def _find_mapping(pattern: Graph, host: Graph, *, induced: bool,
-                  fixed: dict[int, int] | None = None,
-                  host_alive: int | None = None) -> tuple[int, ...] | None:
-    """Backtracking embedding of pattern into host.
-
-    ``fixed`` pins pattern vertices to host vertices up front. In induced
-    mode non-edges must map to non-edges (with equal orders this is full
-    isomorphism). Intended for tiny patterns only.
+    A labeling is a tuple ``vertex_at`` with vertex_at[pos] = vertex. The
+    form is the maximal tuple of adjacency columns over labelings that
+    list the refinement color classes in ascending order. ``colors``, if
+    given, must be ``_refine_colors(g)``; it saves refining again.
     """
-    alive = host.full_mask() if host_alive is None else host_alive
-    pn = pattern.n
-    if pn > alive.bit_count():
-        return None
-    # order pattern vertices to keep the partial map connected where possible
-    order: list[int] = []
-    placed = set()
-    if fixed:
-        order.extend(sorted(fixed))
-        placed.update(fixed)
-    while len(order) < pn:
+    n = g.n
+    if n == 0:
+        return (0, ()), [()]
+    if colors is None:
+        colors = _refine_colors(g)
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    block_color = []
+    for c in sorted(by_color):
+        block_color.extend([c] * len(by_color[c]))
+
+    def column(v: int, vertex_at: list[int]) -> int:
+        col = 0
+        row = g.rows[v]
+        for u in vertex_at:
+            col = (col << 1) | ((row >> u) & 1)
+        return col
+
+    # phase 1: the maximal column sequence. Only maximal-column candidates
+    # can extend toward the maximum at each node; mutual false/true twins
+    # yield identical subtrees, so one representative suffices here.
+    def find_max(pos: int, used: int, vertex_at: list[int]) -> list[int]:
+        if pos == n:
+            return []
+        scored = []
+        for v in by_color[block_color[pos]]:
+            if not (used >> v) & 1:
+                scored.append((column(v, vertex_at), v))
+        maxcol = max(col for col, _ in scored)
         best = None
-        best_key = (-1, -1)
-        for v in range(pn):
-            if v in placed:
+        seen_rows = set()
+        for col, v in scored:
+            if col != maxcol:
                 continue
-            anchored = sum(1 for u in pattern.neighbors(v) if u in placed)
-            key = (anchored, pattern.degree(v))
-            if key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed.add(best)
-
-    mapping: dict[int, int] = dict(fixed) if fixed else {}
-    used = 0
-    for hv in mapping.values():
-        if not (alive >> hv) & 1:
-            return None
-        used |= 1 << hv
-    # validate the fixed part
-    for pv, hv in mapping.items():
-        for pu, hu in mapping.items():
-            if pu <= pv:
+            open_key = ("o", g.rows[v])
+            closed_key = ("c", g.rows[v] | (1 << v))
+            if open_key in seen_rows or closed_key in seen_rows:
                 continue
-            pe = pattern.has_edge(pv, pu)
-            he = host.has_edge(hv, hu)
-            if pe and not he:
-                return None
-            if induced and not pe and he:
-                return None
+            seen_rows.add(open_key)
+            seen_rows.add(closed_key)
+            vertex_at.append(v)
+            suffix = find_max(pos + 1, used | (1 << v), vertex_at)
+            vertex_at.pop()
+            if best is None or suffix > best:
+                best = suffix
+        return [maxcol] + best
 
-    start = len(mapping)
-    exact_degrees = induced and host.n == pn and host_alive is None
+    best_cols = find_max(0, 0, [])
 
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == pn:
-            return True
-        pv = order[i]
-        cand = alive & ~used
-        for u in pattern.neighbors(pv):
-            if u in mapping:
-                cand &= host.rows[mapping[u]]
-        pdeg = pattern.degree(pv)
-        for hv in bit_indices(cand):
-            hdeg = host.degree(hv)
-            if hdeg < pdeg or (exact_degrees and hdeg != pdeg):
+    # phase 2: every labeling matching the maximal sequence (no twin
+    # pruning: completeness feeds the automorphism group).
+    labelings: list[tuple[int, ...]] = []
+
+    def collect(pos: int, used: int, vertex_at: list[int]):
+        if pos == n:
+            labelings.append(tuple(vertex_at))
+            return
+        for v in by_color[block_color[pos]]:
+            if (used >> v) & 1:
                 continue
-            if induced:
-                hrow = host.rows[hv]
-                if any(not pattern.has_edge(pv, pu) and (hrow >> hu) & 1
-                       for pu, hu in mapping.items()):
-                    continue
-            mapping[pv] = hv
-            used |= 1 << hv
-            if place(i + 1):
-                return True
-            used &= ~(1 << hv)
-            del mapping[pv]
-        return False
+            if column(v, vertex_at) != best_cols[pos]:
+                continue
+            vertex_at.append(v)
+            collect(pos + 1, used | (1 << v), vertex_at)
+            vertex_at.pop()
 
-    if not place(start):
-        return None
-    return tuple(mapping[v] for v in range(pn))
+    collect(0, 0, [])
+    form = (n, tuple(best_cols))
+    return form, labelings
 
 
-def find_isomorphism(g: Graph, h: Graph,
-                     fixed: dict[int, int] | None = None) -> IsoWitness | None:
+def canonical_form(g: Graph) -> tuple:
+    return canonical_data(g)[0]
+
+
+def is_isomorphic(g: Graph, h: Graph,
+                  fixed: dict[int, int] | None = None) -> IsoWitness | None:
     """An isomorphism h -> g (mapping[i] = image of h-vertex i), or None.
 
-    ``fixed`` pins h-vertices to g-vertices; used to normalize catalog
-    copies to a prescribed labeling.
+    One canonical labeling of h paired with each labeling of g gives every
+    isomorphism once; the result is the lexicographically smallest that
+    sends each h-vertex in ``fixed`` to its given g-vertex (used to pin
+    catalog copies to their catalog labels).
     """
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
-    mapping = _find_mapping(h, g, induced=True, fixed=fixed)
-    return IsoWitness(mapping, induced=True) if mapping else None
-
-
-def is_isomorphic(g: Graph, h: Graph) -> IsoWitness | None:
-    """Isomorphism test with invariant screening then refinement-guided search."""
-    if g.n != h.n or g.edge_count != h.edge_count:
+    form_g, labelings = canonical_data(g)
+    form_h, h_labelings = canonical_data(h)
+    if form_g != form_h:
         return None
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return None
-    if sorted(triangle_counts(g)) != sorted(triangle_counts(h)):
-        return None
-    cg = sorted(_refine_colors(g))
-    ch = sorted(_refine_colors(h))
-    if cg != ch:
-        return None
-    return find_isomorphism(g, h)
+    base = h_labelings[0]
+    at = sorted(range(h.n), key=base.__getitem__)  # at[u]: u's position in base
+    pins = (fixed or {}).items()
+    isos = (tuple(lab[p] for p in at) for lab in labelings)
+    best = min((m for m in isos if all(m[i] == t for i, t in pins)), default=None)
+    return None if best is None else IsoWitness(best, induced=True)
 
 
 # -- catalog lookup --------------------------------------------------------------
 
 
-def catalog_fingerprint(g: Graph) -> tuple:
-    return (g.n, g.edge_count, tuple(sorted(g.degrees())),
-            tuple(sorted(triangle_counts(g))))
-
-
 @lru_cache(maxsize=1)
-def _catalog_fingerprints() -> tuple[tuple[str, tuple, Graph], ...]:
+def _catalog_forms() -> dict[tuple[int, int], dict[tuple, str]]:
+    """(order, size) -> {canonical form: catalog id}."""
     from .generators import catalog_graphs_raw
 
-    return tuple((cid, catalog_fingerprint(h), h)
-                 for cid, h in catalog_graphs_raw().items())
+    table: dict[tuple[int, int], dict[tuple, str]] = {}
+    for cid, h in catalog_graphs_raw().items():
+        table.setdefault((h.n, h.edge_count), {})[canonical_form(h)] = cid
+    return table
 
 
 def catalog_match(g: Graph) -> str | None:
     """Which of the 12 exceptional graphs g is a copy of, if any.
 
-    Short-circuits on order not in {3, 7, 11, 15}, then screens against the
-    precomputed catalog fingerprints before running the isomorphism search.
+    Only a graph whose order and size some catalog graph shares is labeled;
+    its canonical form then decides.
     """
-    if g.n not in (3, 7, 11, 15):
-        return None
-    fp = catalog_fingerprint(g)
-    for cid, hfp, h in _catalog_fingerprints():
-        if h.n == g.n and hfp == fp and is_isomorphic(g, h):
-            return cid
-    return None
+    forms = _catalog_forms().get((g.n, g.edge_count))
+    return None if forms is None else forms.get(canonical_form(g))

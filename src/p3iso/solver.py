@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import (Graph, VertexSet, bit_indices, closed_mask,
-                        component_masks, delete_vertices)
+from .graphcore import (Graph, VertexSet, _coerce_mask, bit_indices,
+                        closed_mask, component_masks, delete_vertices)
 from .patterns import P3, IsolationFamily, contains_copy
 
 
@@ -39,13 +39,7 @@ class Certificate:
 
 def is_isolating(g: Graph, fam: IsolationFamily, d) -> bool:
     """True iff G - N[D] contains no copy of a family member."""
-    if isinstance(d, VertexSet):
-        if d.graph_order != g.n:
-            raise ValueError("vertex set does not belong to this graph")
-        mask = d.bits
-    else:
-        mask = VertexSet.of(g.n, d).bits
-    alive = g.full_mask() & ~closed_mask(g, mask)
+    alive = g.full_mask() & ~closed_mask(g, _coerce_mask(g, d))
     return contains_copy(g, fam, within=VertexSet(alive, g.n)) is None
 
 

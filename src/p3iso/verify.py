@@ -18,7 +18,8 @@ from . import patterns
 from . import solver
 from .enumeration import EnumSpec, enumerate_connected_subcubic
 from .graph_io import emit_graph6, iter_graph6
-from .graphcore import Graph, bit_indices, delete_vertices, distance, is_connected
+from .graphcore import (Graph, delete_closed_neighborhood, delete_vertices, distance,
+                        is_connected)
 from .patterns import P3
 
 
@@ -185,7 +186,7 @@ def check_observations() -> list[ObservationResult]:
             for vp in range(g.n):
                 if (nv >> vp) & 1 or g.degree(vp) != 3:
                     continue
-                sub, _ = delete_vertices(g, sorted(bit_indices(g.rows[vp] | (1 << vp))))
+                sub, _ = delete_closed_neighborhood(g, [vp])
                 if is_connected(sub):
                     ok = True
                     break
@@ -212,7 +213,7 @@ def check_observations() -> list[ObservationResult]:
         for v in range(g.n):
             if g.degree(v) > 2:
                 continue
-            sub, _ = delete_vertices(g, sorted(bit_indices(g.rows[v] | (1 << v))))
+            sub, _ = delete_closed_neighborhood(g, [v])
             if not is_connected(sub):
                 fails.append(f"{cid}: vertex {v + 1}")
     add("order11-15-neighborhood-deletion", fails)
@@ -241,14 +242,10 @@ def check_observations() -> list[ObservationResult]:
             for vp in range(g.n):
                 if (nv >> vp) & 1 or g.degree(vp) != 3:
                     continue
-                keep = g.full_mask() & ~(g.rows[vp] | (1 << vp))
-                verts = sorted(bit_indices(keep))
-                if len(verts) != 3:
+                sub, verts = delete_closed_neighborhood(g, [vp])
+                if sub.n != 3 or not is_connected(sub):
                     continue
-                sub, old = delete_vertices(g, sorted(bit_indices(~keep & g.full_mask())))
-                if not is_connected(sub):
-                    continue
-                rem_deg = {old[i]: sub.degree(i) for i in range(3)}
+                rem_deg = {verts[i]: sub.degree(i) for i in range(3)}
                 if sub.edge_count == 2:  # path remnant
                     if any(g.degree(y) == 2 and rem_deg[y] == 1 for y in verts) and \
                        any(g.degree(y) == 3 and rem_deg[y] == 2 for y in verts):

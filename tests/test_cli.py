@@ -73,6 +73,18 @@ def test_isolate_exit_codes(tmp_path, capsys):
     assert code == 3 and "InducedC6" in err
 
 
+def test_isolate_json_keeps_results_before_a_failure(tmp_path, capsys):
+    # C12 is solved, then C6 (an induced 6-cycle) stops the run with exit 3
+    path = write(tmp_path, "c12-c6.g6",
+                 emit_graph6(gen.cycle(12)) + "\n" + emit_graph6(gen.cycle(6)) + "\n")
+    code, out, err = run(capsys, "isolate", path)
+    assert code == 3 and out.startswith("n=12 |D|=3") and "InducedC6" in err
+    code, out, err = run(capsys, "isolate", path, "--json")
+    assert code == 3 and "InducedC6" in err
+    rec = json.loads(out)
+    assert (rec["n"], rec["size"], rec["bound"]) == (12, 3, 3)
+
+
 def test_isolate_with_trace(tmp_path, capsys):
     path = write(tmp_path, "c12.g6", emit_graph6(gen.cycle(12)))
     code, out, _ = run(capsys, "isolate", path, "--trace")
@@ -135,6 +147,10 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     (b"Bw\n", ["iota", "FILE", "--budget", "-1"], 2, "", "--budget"),
     (b"", ["verify", "--max-n", "0"], 2, "", "--max-n"),
     (b"", ["enum", "--max-n", "0"], 2, "", "--max-n"),
+    (b"", ["verify", "--jobs", "0"], 2, "", "--jobs"),
+    (b"", ["verify", "--jobs", "-3"], 2, "", "--jobs"),
+    (b"", ["enum", "--max-n", "3", "--jobs", "0"], 2, "", "--jobs"),
+    (b"", ["enum", "--max-n", "3", "--jobs", "-3"], 2, "", "--jobs"),
 ])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, data, argv, code, out, err):
     path = tmp_path / "input"

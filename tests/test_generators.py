@@ -108,8 +108,8 @@ def test_catalog_self_check_catches_transcription_errors():
         g._CATALOG_EDGES = original
         g.catalog_graphs_raw.cache_clear()
         g.catalog.cache_clear()
-        from p3iso.patterns import _catalog_fingerprints
-        _catalog_fingerprints.cache_clear()
+        from p3iso.patterns import _catalog_forms
+        _catalog_forms.cache_clear()
 
 
 def test_disjoint_union_and_pendant():

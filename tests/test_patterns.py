@@ -1,13 +1,14 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from p3iso import generators as gen
-from p3iso.graphcore import Graph, delete_closed_neighborhood
+from p3iso.graphcore import Graph, delete_closed_neighborhood, is_connected
 from p3iso.patterns import (ANY_CYCLE, K1, K2, K3, P3, IsolationFamily,
                             catalog_match, contains_copy, cycle_family,
-                            family_from_name, find_isomorphism,
-                            has_induced_cycle, is_isomorphic)
+                            family_from_name, has_induced_cycle,
+                            is_isomorphic)
 
 from conftest import connected_subcubic_upto
 from oracles import brute_has_induced_cycle, brute_is_isomorphic
@@ -121,6 +122,26 @@ def test_is_isomorphic_matches_brute_on_small_pairs(rng):
         g = rng.choice(graphs)
         h = rng.choice(graphs)
         assert (is_isomorphic(g, h) is not None) == brute_is_isomorphic(g, h)
+    # general graphs, no degree bound; p = 0 gives edgeless graphs and low p
+    # mostly disconnected ones. h is a shuffled g or an independent draw of
+    # the same order and size, so both answers are common.
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        g = gen.random_general_graph(n, rng.choice([0.0, 0.2, 0.4, 0.6, 0.9]), rng)
+        h = shuffled_copy(g, rng)
+        if rng.random() < 0.5:
+            draws = (gen.random_general_graph(n, rng.random(), rng) for _ in range(50))
+            h = next((d for d in draws if d.edge_count == g.edge_count), h)
+        expected = brute_is_isomorphic(g, h)
+        wit = is_isomorphic(g, h)
+        assert (wit is not None) == expected, (g, h)
+        if wit is not None:
+            assert {tuple(sorted((wit.mapping[u], wit.mapping[v])))
+                    for u, v in h.edges()} == set(g.edges())
+        kinds.add((expected, g.edge_count == 0, is_connected(g)))
+    assert {(True, True, False), (True, False, False), (False, False, False),
+            (True, False, True), (False, False, True)} <= kinds
 
 
 def test_is_isomorphic_is_an_equivalence(rng):
@@ -148,10 +169,32 @@ def test_is_isomorphic_is_an_equivalence(rng):
 def test_find_isomorphism_with_pin():
     g15 = gen.catalog_entry("G15").graph
     # the two triangle degree-2 vertices (labels 1 and 9) are swappable
-    wit = find_isomorphism(g15, g15, fixed={0: 8})
+    wit = is_isomorphic(g15, g15, fixed={0: 8})
     assert wit is not None and wit.mapping[0] == 8
     # but label 5 is not in their orbit
-    assert find_isomorphism(g15, g15, fixed={0: 4}) is None
+    assert is_isomorphic(g15, g15, fixed={0: 4}) is None
+
+
+def test_pinned_isomorphism_matches_brute_on_order_7_catalog(rng):
+    # every pin of every order-7 catalog graph onto a shuffled copy: a
+    # witness exists iff some permutation is an isomorphism honoring the
+    # pin, and it is the lexicographically smallest such permutation
+    for e in gen.catalog():
+        if e.graph.n != 7:
+            continue
+        h = e.graph
+        g = shuffled_copy(h, rng)
+        g_edges = set(g.edges())
+        isos = [perm for perm in permutations(range(7))
+                if {tuple(sorted((perm[u], perm[v]))) for u, v in h.edges()} == g_edges]
+        for i in range(7):
+            for t in range(7):
+                honoring = [perm for perm in isos if perm[i] == t]
+                wit = is_isomorphic(g, h, fixed={i: t})
+                if honoring:
+                    assert wit is not None and wit.mapping == min(honoring), (e.id, i, t)
+                else:
+                    assert wit is None, (e.id, i, t)
 
 
 def test_catalog_match_examples():
