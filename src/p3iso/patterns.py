@@ -1,7 +1,10 @@
 """Pattern detection: family copies, induced k-cycles, small-graph isomorphism.
 
-"Contains a copy" always means subgraph copy (extra edges among the image
-vertices are fine); induced matching is used for induced cycles. The
+This is the one module that knows the isolation families (K1, K2, K3,
+P3, the k-cycle and any cycle): ``_FINDERS`` holds one copy finder per
+family kind, and ``contains_copy`` looks the kind up there. "Contains a
+copy" always means subgraph copy (extra edges among the image vertices
+are fine); induced matching is used for induced cycles. The
 canonical labeling (``canonical_data``, an exhaustive search over the
 color-refinement partition in the spirit of McKay and Piperno's
 "Practical graph isomorphism II", 2014) lives here and decides every
@@ -18,72 +21,15 @@ from functools import lru_cache
 from .graphcore import Graph, VertexSet, bit_indices
 
 
-@dataclass(frozen=True)
-class IsolationFamily:
-    """A family of forbidden connected graphs for isolation.
-
-    kind is one of "k1", "k2", "k3", "p3", "cycle" (with k), "anycycle",
-    or "list" (with explicit member graphs).
-    """
-
-    kind: str
-    k: int | None = None
-    members: tuple[Graph, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in {"k1", "k2", "k3", "p3", "cycle", "anycycle", "list"}:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "cycle":
-            if self.k is None or self.k < 3:
-                raise ValueError("cycle family needs k >= 3")
-        if self.kind == "list":
-            if not self.members:
-                raise ValueError("list family needs at least one graph")
-            from .graphcore import is_connected
-            for h in self.members:
-                if not is_connected(h) or h.n == 0:
-                    raise ValueError("list family members must be connected and nonempty")
-
-    def __str__(self) -> str:
-        return f"cycle:{self.k}" if self.kind == "cycle" else self.kind
-
-
-K1 = IsolationFamily("k1")
-K2 = IsolationFamily("k2")
-K3 = IsolationFamily("k3")
-P3 = IsolationFamily("p3")
-ANY_CYCLE = IsolationFamily("anycycle")
-
-
-def cycle_family(k: int) -> IsolationFamily:
-    return IsolationFamily("cycle", k=k)
-
-
-def family_from_name(name: str) -> IsolationFamily:
-    """Parse "k1" | "k2" | "k3" | "p3" | "anycycle" | "cycle:k"."""
-    name = name.strip().lower()
-    if name.startswith("cycle:"):
-        return cycle_family(int(name.split(":", 1)[1]))
-    simple = {"k1": K1, "k2": K2, "k3": K3, "p3": P3, "anycycle": ANY_CYCLE}
-    if name not in simple:
-        raise ValueError(f"unknown family {name!r}")
-    return simple[name]
-
-
-@dataclass(frozen=True)
-class IsoWitness:
-    """An embedding of a pattern graph H into a host graph G.
-
-    mapping[i] is the G-vertex that H-vertex i maps to. The mapping is
-    injective and preserves adjacency; when ``induced`` it also preserves
-    non-adjacency.
-    """
-
-    mapping: tuple[int, ...]
-    induced: bool
-
-
 # -- family copies -----------------------------------------------------------
+
+
+def _find_k2(g: Graph, alive: int) -> tuple[int, int] | None:
+    """The edge v-u inside ``alive`` with the smallest v, then smallest u."""
+    for v in bit_indices(alive):
+        for u in bit_indices(g.rows[v] & alive & ~((1 << (v + 1)) - 1)):
+            return (v, u)
+    return None
 
 
 def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
@@ -106,37 +52,32 @@ def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
     return (a, best, b)
 
 
-def _find_triangle(g: Graph, alive: int) -> tuple[int, int, int] | None:
-    for v in bit_indices(alive):
-        nbrs = g.rows[v] & alive
-        for u in bit_indices(nbrs >> (v + 1)):
-            u += v + 1
-            common = nbrs & g.rows[u] & alive
-            common &= ~((1 << (u + 1)) - 1)
-            for w in bit_indices(common):
-                return (v, u, w)
-    return None
-
-
 def _find_cycle_subgraph(g: Graph, k: int, alive: int) -> tuple[int, ...] | None:
-    """Vertices of a k-cycle subgraph (chords permitted), in cycle order."""
-    verts = [v for v in bit_indices(alive)]
-    for a in verts:
-        higher = alive & ~((1 << a) - 1)
+    """Vertices of a k-cycle subgraph (chords permitted), in cycle order.
 
-        def extend(path: list[int], used: int):
-            last = path[-1]
-            if len(path) == k:
-                return tuple(path) if (g.rows[last] >> a) & 1 else None
-            for u in bit_indices(g.rows[last] & higher & ~used):
-                got = extend(path + [u], used | (1 << u))
-                if got:
-                    return got
-            return None
-
-        got = extend([a], 1 << a)
-        if got:
-            return got
+    Depth-first over paths that start at their smallest vertex a, in
+    ascending neighbor order; the stack holds one neighbor iterator per
+    path vertex, so a long cycle needs no Python recursion.
+    """
+    if k > alive.bit_count():
+        return None
+    for a in bit_indices(alive):
+        higher = alive & ~((1 << (a + 1)) - 1)
+        path = [a]
+        used = 1 << a
+        stack = [bit_indices(g.rows[a] & higher)]
+        while stack:
+            u = next(stack[-1], None)
+            if u is None:
+                stack.pop()
+                used ^= 1 << path.pop()
+            elif len(path) == k - 1:
+                if (g.rows[u] >> a) & 1:
+                    return tuple(path) + (u,)
+            else:
+                path.append(u)
+                used |= 1 << u
+                stack.append(bit_indices(g.rows[u] & higher & ~used))
     return None
 
 
@@ -179,55 +120,73 @@ def _find_any_cycle(g: Graph, alive: int) -> tuple[int, ...] | None:
     return None
 
 
-def _find_mapping(pattern: Graph, host: Graph, host_alive: int) -> tuple[int, ...] | None:
-    """Backtracking subgraph embedding of pattern into host[host_alive]
-    (extra host edges are fine). Intended for tiny patterns only."""
-    pn = pattern.n
-    if pn > host_alive.bit_count():
-        return None
-    # order pattern vertices to keep the partial map connected where possible
-    order: list[int] = []
-    placed = set()
-    while len(order) < pn:
-        best = None
-        best_key = (-1, -1)
-        for v in range(pn):
-            if v in placed:
-                continue
-            anchored = sum(1 for u in pattern.neighbors(v) if u in placed)
-            key = (anchored, pattern.degree(v))
-            if key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed.add(best)
 
-    mapping: dict[int, int] = {}
-    used = 0
+# One finder per family kind: (g, alive mask, k) -> a copy in path or
+# cycle order, or None. The keys are the valid kinds.
+_FINDERS = {
+    "k1": lambda g, alive, k: ((alive & -alive).bit_length() - 1,) if alive else None,
+    "k2": lambda g, alive, k: _find_k2(g, alive),
+    "k3": lambda g, alive, k: _find_cycle_subgraph(g, 3, alive),
+    "p3": lambda g, alive, k: _find_p3(g, alive),
+    "cycle": lambda g, alive, k: _find_cycle_subgraph(g, k, alive),
+    "anycycle": lambda g, alive, k: _find_any_cycle(g, alive),
+}
 
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == pn:
-            return True
-        pv = order[i]
-        cand = host_alive & ~used
-        for u in pattern.neighbors(pv):
-            if u in mapping:
-                cand &= host.rows[mapping[u]]
-        pdeg = pattern.degree(pv)
-        for hv in bit_indices(cand):
-            if host.degree(hv) < pdeg:
-                continue
-            mapping[pv] = hv
-            used |= 1 << hv
-            if place(i + 1):
-                return True
-            used &= ~(1 << hv)
-            del mapping[pv]
-        return False
 
-    if not place(0):
-        return None
-    return tuple(mapping[v] for v in range(pn))
+@dataclass(frozen=True)
+class IsolationFamily:
+    """A family of forbidden connected graphs for isolation.
+
+    kind is one of "k1", "k2", "k3", "p3", "cycle" (the k-cycle, k >= 3)
+    or "anycycle" (every cycle): the keys of ``_FINDERS``.
+    """
+
+    kind: str
+    k: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in _FINDERS:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.kind == "cycle" and (self.k is None or self.k < 3):
+            raise ValueError("cycle family needs k >= 3")
+
+    def __str__(self) -> str:
+        return f"cycle:{self.k}" if self.kind == "cycle" else self.kind
+
+
+K1 = IsolationFamily("k1")
+K2 = IsolationFamily("k2")
+K3 = IsolationFamily("k3")
+P3 = IsolationFamily("p3")
+ANY_CYCLE = IsolationFamily("anycycle")
+
+
+def cycle_family(k: int) -> IsolationFamily:
+    return IsolationFamily("cycle", k=k)
+
+
+def family_from_name(name: str) -> IsolationFamily:
+    """Parse "k1" | "k2" | "k3" | "p3" | "anycycle" | "cycle:k"."""
+    name = name.strip().lower()
+    if name.startswith("cycle:"):
+        return cycle_family(int(name.split(":", 1)[1]))
+    simple = {"k1": K1, "k2": K2, "k3": K3, "p3": P3, "anycycle": ANY_CYCLE}
+    if name not in simple:
+        raise ValueError(f"unknown family {name!r}")
+    return simple[name]
+
+
+@dataclass(frozen=True)
+class IsoWitness:
+    """An embedding of a pattern graph H into a host graph G.
+
+    mapping[i] is the G-vertex that H-vertex i maps to; the mapping is
+    injective and preserves adjacency. Family copies list their path or
+    cycle in order; induced cycles and isomorphisms also preserve
+    non-adjacency.
+    """
+
+    mapping: tuple[int, ...]
 
 
 def contains_copy(g: Graph, fam: IsolationFamily,
@@ -236,33 +195,8 @@ def contains_copy(g: Graph, fam: IsolationFamily,
     alive = g.full_mask() if within is None else within.bits
     if within is not None and within.graph_order != g.n:
         raise ValueError("vertex set does not belong to this graph")
-    if fam.kind == "k1":
-        for v in bit_indices(alive):
-            return IsoWitness((v,), induced=False)
-        return None
-    if fam.kind == "k2":
-        for v in bit_indices(alive):
-            row = g.rows[v] & alive
-            for u in bit_indices(row >> (v + 1)):
-                return IsoWitness((v, v + 1 + u), induced=False)
-        return None
-    if fam.kind == "p3":
-        found = _find_p3(g, alive)
-        return IsoWitness(found, induced=False) if found else None
-    if fam.kind == "k3":
-        found = _find_triangle(g, alive)
-        return IsoWitness(found, induced=False) if found else None
-    if fam.kind == "cycle":
-        found = _find_cycle_subgraph(g, fam.k, alive)
-        return IsoWitness(found, induced=False) if found else None
-    if fam.kind == "anycycle":
-        found = _find_any_cycle(g, alive)
-        return IsoWitness(found, induced=False) if found else None
-    for h in fam.members:
-        mapping = _find_mapping(h, g, alive)
-        if mapping:
-            return IsoWitness(mapping, induced=False)
-    return None
+    found = _FINDERS[fam.kind](g, alive, fam.k)
+    return IsoWitness(found) if found else None
 
 
 # -- induced cycles ------------------------------------------------------------
@@ -305,7 +239,7 @@ def has_induced_cycle(g: Graph, k: int) -> IsoWitness | None:
         for b in bit_indices(starts):
             got = extend([b], 1 << a)
             if got:
-                return IsoWitness(got, induced=True)
+                return IsoWitness(got)
     return None
 
 
@@ -432,7 +366,7 @@ def is_isomorphic(g: Graph, h: Graph,
     pins = (fixed or {}).items()
     isos = (tuple(lab[p] for p in at) for lab in labelings)
     best = min((m for m in isos if all(m[i] == t for i, t in pins)), default=None)
-    return None if best is None else IsoWitness(best, induced=True)
+    return None if best is None else IsoWitness(best)
 
 
 # -- catalog lookup --------------------------------------------------------------

@@ -43,19 +43,14 @@ def is_isolating(g: Graph, fam: IsolationFamily, d) -> bool:
     return contains_copy(g, fam, within=VertexSet(alive, g.n)) is None
 
 
-def _surviving_copy(g: Graph, fam: IsolationFamily, alive: int) -> tuple[int, ...] | None:
-    got = contains_copy(g, fam, within=VertexSet(alive, g.n))
-    return got.mapping if got else None
-
-
-def _packing_lower_bound(g: Graph, fam: IsolationFamily, alive: int) -> int:
-    """Greedy count of copies with pairwise disjoint closed neighborhoods.
+def _packing_lower_bound(g: Graph, alive: int) -> int:
+    """Greedy count of 3-paths with pairwise disjoint closed neighborhoods.
 
     Copies whose closed neighborhoods are disjoint need distinct hitters,
-    so this is a valid lower bound on the remaining budget.
+    so this is a valid lower bound on the remaining budget. Only the P3
+    search uses it: for any other family the copy just found bounds the
+    budget by 1, and the remaining budget is at least 1 by then.
     """
-    if fam.kind != "p3":
-        return 1 if _surviving_copy(g, fam, alive) else 0
     count = 0
     used = 0
     for c in bit_indices(alive):
@@ -79,20 +74,21 @@ def _packing_lower_bound(g: Graph, fam: IsolationFamily, alive: int) -> int:
 def _search(g: Graph, fam: IsolationFamily, k: int, prefix_mask: int = 0) -> int | None:
     """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None."""
     full = g.full_mask()
+    packing = fam == P3
     seen: set[int] = set()
 
     def dfs(d_mask: int, depth: int) -> int | None:
         alive = full & ~closed_mask(g, d_mask)
-        copy = _surviving_copy(g, fam, alive)
+        copy = contains_copy(g, fam, within=VertexSet(alive, g.n))
         if copy is None:
             return d_mask
         remaining = k - depth
         if remaining == 0:
             return None
-        if remaining < _packing_lower_bound(g, fam, alive):
+        if packing and remaining < _packing_lower_bound(g, alive):
             return None
         copy_mask = 0
-        for v in copy:
+        for v in copy.mapping:
             copy_mask |= 1 << v
         for u in bit_indices(closed_mask(g, copy_mask) & ~d_mask):
             nd = d_mask | (1 << u)

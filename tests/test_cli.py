@@ -206,6 +206,19 @@ def test_gen_cycle_11(capsys):
     assert parse_graph6(out.strip()) == gen.cycle(11)
 
 
+def test_long_cycle_family_pipeline_exits_0():
+    # a 1100-vertex path search needs more depth than the Python stack has
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cli = [sys.executable, "-m", "p3iso.cli"]
+    g6 = subprocess.run(cli + ["gen", "cycle", "1100"], capture_output=True,
+                        text=True, env=env, check=True).stdout
+    proc = subprocess.run(cli + ["iota", "-", "--family", "cycle:1100"], input=g6,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0 and "iota=1" in proc.stdout
+
+
 def test_gen_bad_order_exits_2(capsys):
     code, _, err = run(capsys, "gen", "cycle", "2")
     assert code == 2 and "input error" in err

@@ -1,3 +1,5 @@
+import random
+
 from p3iso import generators as gen
 from p3iso.graphcore import Graph, VertexSet, delete_vertices
 from p3iso.patterns import ANY_CYCLE, K1, K2, K3, P3, cycle_family
@@ -127,13 +129,22 @@ def test_families_match_independent_oracles(rng):
                          residual_has_k2, residual_has_k3)
 
     checks = [(K1, residual_has_k1), (K2, residual_has_k2),
-              (K3, residual_has_k3), (cycle_family(5), residual_has_cycle_k(5)),
+              (K3, residual_has_k3), (cycle_family(3), residual_has_cycle_k(3)),
+              (cycle_family(4), residual_has_cycle_k(4)),
+              (cycle_family(5), residual_has_cycle_k(5)),
               (ANY_CYCLE, residual_has_any_cycle)]
     for _ in range(60):
         g = gen.random_general_graph(rng.randint(1, 8), rng.uniform(0.2, 0.7), rng)
         for fam, chk in checks:
             assert isolation_number(g, fam, canonical=False).value == \
                 brute_iota_family(g, chk), (fam, list(g.edges()))
+
+
+def test_cycle_longer_than_graph_is_answered_at_once():
+    # a cubic-ish order-48 graph holds many long paths; a 49-cycle cannot fit
+    g = gen.random_subcubic_connected(48, random.Random(0), extra_edges=30)
+    cert = isolation_number(g, cycle_family(49))
+    assert cert.value == 0 and cert.exact
 
 
 def test_exact_certificates_verify(rng):
