@@ -152,7 +152,7 @@ def _augmentations(g: Graph, auts: list[tuple[int, ...]]) -> Iterator[Graph]:
             for s in sub:
                 rows[s] |= 1 << g.n
                 rows[g.n] |= 1 << s
-            yield Graph(g.n + 1, rows)
+            yield Graph._trusted(g.n + 1, rows)
 
 
 def _children(g: Graph, labelings: list[tuple[int, ...]] | None

@@ -119,7 +119,7 @@ def parse_graph6(line: str, *, strict: bool = False) -> Graph:
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return Graph(n, rows)
+    return Graph._trusted(n, rows)
 
 
 def _encode_order(n: int) -> str:
@@ -172,7 +172,7 @@ def parse_edge_list(text: str) -> Graph:
             raise DuplicateEdge(f"duplicate edge {u + 1} {v + 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Graph._trusted(n, rows)
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -34,20 +34,33 @@ class Graph:
         if n < 0 or len(rows) != n:
             raise ValueError(f"need exactly {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
-        degsum = 0
         for v, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {v} has neighbors outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            degsum += row.bit_count()
         for v, row in enumerate(rows):
             for u in bit_indices(row):
                 if not (rows[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at {v},{u}")
+        self._fill(n, rows)
+
+    def _fill(self, n: int, rows: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "edge_count", degsum // 2)
+        object.__setattr__(self, "edge_count", sum(r.bit_count() for r in rows) // 2)
+
+    @classmethod
+    def _trusted(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """A graph from n rows already known to be symmetric, loop-free and
+        inside 0..n-1, built without the checks of ``Graph(...)``.
+
+        Only for rows derived from a valid graph or from a decoder that
+        has already rejected every invalid pair.
+        """
+        g = object.__new__(cls)
+        g._fill(n, tuple(rows))
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -106,7 +119,7 @@ class Graph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows)
 
     # -- value semantics ---------------------------------------------------
 
@@ -273,7 +286,7 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
         for u in bit_indices(g.rows[v] & keep_mask):
             row |= 1 << new_of_old[u]
         rows.append(row)
-    return Graph(len(keep), rows), tuple(keep)
+    return Graph._trusted(len(keep), rows), tuple(keep)
 
 
 def delete_closed_neighborhood(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:

@@ -2,12 +2,23 @@
 
 The search is sound because any isolating set must intersect N[V(H)] for
 every surviving family copy H: a vertex outside every such closed
-neighborhood leaves H untouched. Iterative deepening keeps memory at O(k)
-and proves minimality for free: the first depth that admits a solution is
-the isolation number. For the 3-path family the depth never exceeds
-ceil(n/3) in practice (an edge-isolating set is also path-isolating and
-those stay near n/3); that is a heuristic remark only, the loop is capped
-by n and by the caller's budget.
+neighborhood leaves H untouched. The first depth that admits a solution
+is the isolation number, and for P3 the deepening starts at a packing
+lower bound. For the 3-path family the depth never exceeds ceil(n/3) in
+practice (an edge-isolating set is also path-isolating and those stay
+near n/3); that is a heuristic remark only, the loop is capped by n and
+by the caller's budget.
+
+One failure memo per ``isolation_number`` call maps an alive mask to the
+largest remaining budget proven too small for it, and every deepening
+level and lex-min probe shares it, so memory grows with the nodes
+visited. The memo does not depend on the prefix D that led to a node: a
+surviving copy lies in alive = V - N[D], so its closed neighborhood never
+meets D, and what is left after adding S is alive - N[S] whatever D was.
+"alive cannot be isolated with r more vertices" is thus a fact about
+(alive, r) alone. A prune only skips a subtree proven to fail, and the
+branch order is fixed, so the first set found is the one an unpruned
+depth-first search would find.
 """
 
 from __future__ import annotations
@@ -43,104 +54,157 @@ def is_isolating(g: Graph, fam: IsolationFamily, d) -> bool:
     return contains_copy(g, fam, within=VertexSet(alive, g.n)) is None
 
 
-def _packing_lower_bound(g: Graph, alive: int) -> int:
-    """Greedy count of 3-paths with pairwise disjoint closed neighborhoods.
+# per center, its 3-paths as (|N[copy]|, mask of the two ends, N[copy])
+_Offers = tuple[tuple[tuple[int, int, int], ...], ...]
 
-    Copies whose closed neighborhoods are disjoint need distinct hitters,
-    so this is a valid lower bound on the remaining budget. Only the P3
-    search uses it: for any other family the copy just found bounds the
-    budget by 1, and the remaining budget is at least 1 by then.
+
+def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
+    """Per center c, its 3-paths a-c-b as (|N[copy]|, mask of a and b,
+    N[copy]), in ascending order: smallest closed neighborhood first.
+
+    ``closed[v]`` is N[v]. A center of degree above 3 offers only the
+    copies among the three neighbors that add the fewest vertices to N[c],
+    so the offers stay linear in n on dense graphs; in a subcubic graph
+    every copy is offered.
     """
+    out = []
+    for c, row in enumerate(g.rows):
+        if row.bit_count() > 3:
+            ends = sorted(bit_indices(row),
+                          key=lambda a: (closed[a] & ~closed[c]).bit_count())
+            row = sum(1 << a for a in ends[:3])
+        copies = []
+        while row:
+            a = row & -row
+            row ^= a
+            hood_a = closed[c] | closed[a.bit_length() - 1]
+            rest = row
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                hood = hood_a | closed[b.bit_length() - 1]
+                copies.append((hood.bit_count(), a | b, hood))
+        copies.sort()
+        out.append(tuple(copies))
+    return tuple(out)
+
+
+def _packing_lower_bound(alive: int, offers: _Offers) -> int:
+    """Greedy count of alive 3-paths with pairwise disjoint closed neighborhoods.
+
+    Each copy needs its own hitter in N[copy], so copies whose closed
+    neighborhoods (in all of g) are disjoint bound the remaining budget
+    from below. Every alive center offers its alive copy with the smallest
+    N[copy] (``offers`` from ``_p3_offers``), and the offers are packed in
+    ascending |N[copy]|, smaller center first on ties: a small
+    neighborhood blocks few others. Only the P3 search uses it: for any
+    other family the copy just found bounds the budget by 1, and the
+    remaining budget is at least 1 by then.
+    """
+    taken = []
+    for c in bit_indices(alive):
+        for size, ends, hood in offers[c]:
+            if not ends & ~alive:
+                taken.append((size, c, hood))
+                break
+    taken.sort()
     count = 0
     used = 0
-    for c in bit_indices(alive):
-        if (1 << c) & used:
-            continue
-        nbrs = g.rows[c] & alive
-        if nbrs.bit_count() < 2:
-            continue
-        it = bit_indices(nbrs)
-        a = next(it)
-        b = next(it)
-        copy_mask = (1 << a) | (1 << b) | (1 << c)
-        hood = closed_mask(g, copy_mask)
-        if hood & used:
-            continue
-        count += 1
-        used |= hood
+    for _, _, hood in taken:
+        if not hood & used:
+            count += 1
+            used |= hood
     return count
 
 
-def _search(g: Graph, fam: IsolationFamily, k: int, prefix_mask: int = 0) -> int | None:
-    """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None."""
-    full = g.full_mask()
-    packing = fam == P3
-    seen: set[int] = set()
+class _Search:
+    """The search state of one ``isolation_number`` call.
 
-    def dfs(d_mask: int, depth: int) -> int | None:
-        alive = full & ~closed_mask(g, d_mask)
-        copy = contains_copy(g, fam, within=VertexSet(alive, g.n))
-        if copy is None:
-            return d_mask
-        remaining = k - depth
-        if remaining == 0:
-            return None
-        if packing and remaining < _packing_lower_bound(g, alive):
-            return None
-        copy_mask = 0
-        for v in copy.mapping:
-            copy_mask |= 1 << v
-        for u in bit_indices(closed_mask(g, copy_mask) & ~d_mask):
-            nd = d_mask | (1 << u)
-            if nd in seen:
-                continue
-            seen.add(nd)
-            got = dfs(nd, depth + 1)
-            if got is not None:
-                return got
-        return None
-
-    return dfs(prefix_mask, prefix_mask.bit_count())
-
-
-def _lex_min_solution(g: Graph, fam: IsolationFamily, k: int) -> int:
-    """Lexicographically smallest isolating set of size k = iota(g, fam).
-
-    Greedy prefix fixing: a vertex is adopted, in ascending order, whenever
-    some isolating completion within the size budget still contains it.
+    ``failed`` maps an alive mask to the largest remaining budget proven
+    too small for it. Every depth and every lex-min probe reads it to skip
+    subtrees and records each failure in it.
     """
-    prefix = 0
-    size = 0
-    start = 0
-    while size < k:
-        for v in range(start, g.n):
-            if _search(g, fam, k, prefix_mask=prefix | (1 << v)) is not None:
-                prefix |= 1 << v
-                size += 1
-                start = v + 1
-                break
-        else:
-            raise AssertionError("lex-min completion must exist at the optimum")
-    return prefix
+
+    def __init__(self, g: Graph, fam: IsolationFamily):
+        self.g = g
+        self.fam = fam
+        self.closed = tuple(row | (1 << v) for v, row in enumerate(g.rows))
+        self.offers = _p3_offers(g, self.closed) if fam == P3 else None
+        self.failed: dict[int, int] = {}
+
+    def lower_bound(self) -> int:
+        """The packing bound of the whole graph for P3, else 0."""
+        return 0 if self.offers is None else _packing_lower_bound(
+            self.g.full_mask(), self.offers)
+
+    def find(self, k: int, prefix_mask: int = 0) -> int | None:
+        """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None."""
+        g, fam, closed, offers, failed = (self.g, self.fam, self.closed,
+                                          self.offers, self.failed)
+
+        def dfs(alive: int, d_mask: int, remaining: int) -> int | None:
+            if failed.get(alive, -1) >= remaining:
+                return None
+            copy = contains_copy(g, fam, within=VertexSet(alive, g.n))
+            if copy is None:
+                return d_mask
+            if remaining == 0 or (offers is not None and
+                                  remaining < _packing_lower_bound(alive, offers)):
+                failed[alive] = remaining
+                return None
+            hood = 0
+            for v in copy.mapping:
+                hood |= closed[v]
+            for u in bit_indices(hood):
+                got = dfs(alive & ~closed[u], d_mask | (1 << u), remaining - 1)
+                if got is not None:
+                    return got
+            failed[alive] = remaining
+            return None
+
+        alive = g.full_mask() & ~closed_mask(g, prefix_mask)
+        return dfs(alive, prefix_mask, k - prefix_mask.bit_count())
+
+    def lex_min(self, k: int) -> int:
+        """Lexicographically smallest isolating set of size k = iota(g, fam).
+
+        Greedy prefix fixing: a vertex is adopted, in ascending order,
+        whenever some isolating completion within the size budget still
+        contains it.
+        """
+        prefix = 0
+        size = 0
+        start = 0
+        while size < k:
+            for v in range(start, self.g.n):
+                if self.find(k, prefix | (1 << v)) is not None:
+                    prefix |= 1 << v
+                    size += 1
+                    start = v + 1
+                    break
+            else:
+                raise AssertionError("lex-min completion must exist at the optimum")
+        return prefix
 
 
 def isolation_number(g: Graph, fam: IsolationFamily = P3,
                      budget: int | None = None, canonical: bool = True) -> Certificate:
     """The exact isolation number with a minimum certificate set.
 
-    Iterative deepening over k = 0, 1, ...; with ``budget`` given, the
-    search stops at k = budget and a failure is reported as a first-class
-    "exceeds budget" certificate (exact=False, value=budget+1) rather than
-    an error. With ``canonical`` the returned minimum set is the
-    lexicographically smallest one.
+    Iterative deepening over k from a lower bound (the packing bound for
+    P3, else 0); with ``budget`` given, the search stops at k = budget and
+    a failure is reported as a first-class "exceeds budget" certificate
+    (exact=False, value=budget+1) rather than an error. With ``canonical``
+    the returned minimum set is the lexicographically smallest one.
     """
     cap = g.n if budget is None else min(budget, g.n)
-    for k in range(cap + 1):
-        got = _search(g, fam, k)
+    search = _Search(g, fam)
+    for k in range(search.lower_bound(), cap + 1):
+        got = search.find(k)
         if got is not None:
             assert got.bit_count() == k, "first feasible depth is the optimum"
             if canonical and k > 0:
-                got = _lex_min_solution(g, fam, k)
+                got = search.lex_min(k)
             return Certificate(VertexSet(got, g.n), k, True, fam)
     assert budget is not None, "unbudgeted search must terminate by k = n"
     return Certificate(VertexSet.full(g.n), budget + 1, False, fam)

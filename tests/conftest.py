@@ -37,3 +37,18 @@ def connected_subcubic_upto(max_n: int):
     from p3iso.enumeration import EnumSpec, iter_subcubic
 
     return list(iter_subcubic(EnumSpec(max_n)))
+
+
+def spine_tree(k: int) -> Graph:
+    """The subcubic tree of order 4k with iota = k: a spine path d_1..d_k,
+    each d_i with a neighbor b_i carrying two leaves a_i, c_i.
+
+    Vertex 4i is d_i, 4i+1 is b_i, and 4i+2, 4i+3 are its leaves.
+    """
+    edges = []
+    for i in range(k):
+        d = 4 * i
+        edges += [(d, d + 1), (d + 1, d + 2), (d + 1, d + 3)]
+        if i:
+            edges.append((d - 4, d))
+    return Graph.from_edges(4 * k, edges)

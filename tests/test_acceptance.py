@@ -21,10 +21,11 @@ from p3iso.enumeration import EnumSpec, iter_subcubic
 from p3iso.graph_io import emit_graph6, parse_graph6
 from p3iso.graphcore import Graph, delete_vertices, is_connected
 from p3iso.patterns import P3, catalog_match, has_induced_cycle
-from p3iso.solver import is_isolating, isolation_number, isolation_number_additive
+from p3iso.solver import (_Search, is_isolating, isolation_number,
+                          isolation_number_additive)
 from p3iso.verify import check_observations, verify_enumerated, verify_stream
 
-from conftest import atlas_by_order
+from conftest import atlas_by_order, spine_tree
 from oracles import closed_nbhd_set, encode_graph6_reference
 
 
@@ -59,12 +60,21 @@ def test_criterion_1_catalog():
     assert elapsed < 5.0, f"catalog checks took {elapsed:.1f}s"
 
 
-@criterion(2, "sharpness family: iota(B_n) = floor(n/4) for 4 <= n <= 20")
+@criterion(2, "sharpness families: iota(B_n) = floor(n/4) for 4 <= n <= 20, "
+              "and eligible spine trees of order 4k with iota = k for 2 <= k <= 8")
 def test_criterion_2_sharpness():
     t0 = time.monotonic()
     for n in range(4, 21):
         cert = isolation_number(gen.construction_B_p3(n))
         assert cert.exact and cert.value == n // 4, n
+    # B_n is not subcubic from order 8 on; the spine trees are in the class
+    for k in range(2, 9):
+        g = spine_tree(k)
+        assert g.max_degree() <= 3 and is_connected(g), k
+        assert has_induced_cycle(g, 6) is None and catalog_match(g) is None, k
+        cert = isolation_number(g)
+        assert cert.exact and cert.value == k == g.n // 4, k
+        assert _Search(g, P3).lower_bound() == k, k  # the packing bound
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"sharpness sweep took {elapsed:.1f}s"
 

@@ -29,6 +29,31 @@ def test_construction_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
 
 
+def test_trusted_sites_build_valid_graphs(rng):
+    # children, deletions, added edges and decodes skip the constructor's
+    # checks; each must still pass them and count its edges right
+    from p3iso.enumeration import _augmentations, automorphisms
+    from p3iso.graph_io import (emit_edge_list, emit_graph6, parse_edge_list,
+                                parse_graph6)
+
+    def checked(g):
+        assert Graph(g.n, g.rows) == g
+        assert g.edge_count == sum(1 for _ in g.edges())
+
+    for g in connected_subcubic_upto(6):
+        for child in _augmentations(g, automorphisms(g)):
+            checked(child)
+    for _ in range(100):
+        g = gen.random_general_graph(rng.randint(1, 12), rng.random(), rng)
+        checked(parse_graph6(emit_graph6(g)))
+        checked(parse_edge_list(emit_edge_list(g)))
+        checked(delete_vertices(g, [v for v in range(g.n) if rng.random() < 0.4])[0])
+        missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                   if not g.has_edge(u, v)]
+        if missing:
+            checked(g.with_edge(*rng.choice(missing)))
+
+
 def test_closed_neighborhood_cycle():
     c5 = gen.cycle(5)
     assert sorted(closed_neighborhood(c5, [0])) == [0, 1, 4]

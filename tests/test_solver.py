@@ -1,12 +1,13 @@
 import random
 
 from p3iso import generators as gen
+from p3iso import solver
 from p3iso.graphcore import Graph, VertexSet, delete_vertices
 from p3iso.patterns import ANY_CYCLE, K1, K2, K3, P3, cycle_family
 from p3iso.solver import (Certificate, is_isolating, isolation_number,
                           isolation_number_additive)
 
-from conftest import connected_subcubic_upto
+from conftest import connected_subcubic_upto, spine_tree
 from oracles import brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set
 
 
@@ -58,6 +59,43 @@ def test_minimality_recheck_against_subset_scan(rng):
         assert cert.value == brute_iota_p3(g)
         if cert.value > 0:
             assert not brute_min_isolating_sets(g, cert.value - 1)
+
+
+def test_differential_against_brute_force(rng):
+    # general graphs: disconnected, dense and of any degree
+    for _ in range(300):
+        g = gen.random_general_graph(rng.randint(1, 9), rng.uniform(0.1, 0.8), rng)
+        value = brute_iota_p3(g)
+        cert = isolation_number(g)
+        assert cert.exact and cert.value == value, list(g.edges())
+        assert cert.set.to_tuple() == min(brute_min_isolating_sets(g, value))
+        for budget in range(value):
+            low = isolation_number(g, P3, budget=budget)
+            assert not low.exact and low.value == budget + 1
+        plain = isolation_number(g, canonical=False)
+        assert plain.exact and plain.value == len(plain.set) == value
+        assert is_isolating(g, P3, plain.set)
+
+
+def _search_nodes(monkeypatch, g) -> int:
+    # the solver calls contains_copy once per search node
+    calls = 0
+    real = solver.contains_copy
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "contains_copy", counted)
+    isolation_number(g)
+    monkeypatch.undo()
+    return calls
+
+
+def test_search_node_regression_guard(monkeypatch):
+    assert _search_nodes(monkeypatch, gen.construction_B_p3(26)) <= 300
+    assert _search_nodes(monkeypatch, spine_tree(8)) <= 500
 
 
 def test_additivity_examples():
