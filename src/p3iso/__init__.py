@@ -7,13 +7,12 @@ enumeration of small subcubic graphs, and a verification harness tying
 them together (CLI: ``p3iso``).
 """
 
-from .graphcore import (ComponentPartition, Graph, VertexSet,
-                        closed_neighborhood, components,
+from .graphcore import (Graph, VertexSet, closed_neighborhood,
                         delete_closed_neighborhood, delete_vertices, distance,
                         is_connected)
-from .patterns import (ANY_CYCLE, K1, K2, K3, P3, IsolationFamily, IsoWitness,
-                       catalog_match, contains_copy, cycle_family,
-                       family_from_name, has_induced_cycle, is_isomorphic)
+from .patterns import (ANY_CYCLE, K1, K2, K3, P3, IsolationFamily, catalog_match,
+                       contains_copy, cycle_family, family_from_name,
+                       has_induced_cycle, is_isomorphic)
 from .solver import (Certificate, is_isolating, isolation_number,
                      isolation_number_additive)
 from .generators import (BadOrder, CatalogEntry, CatalogSelfCheckFailed,

@@ -207,10 +207,9 @@ def cmd_enum(args) -> int:
     from .enumeration import EnumSpec, enumerate_connected_subcubic
 
     spec = EnumSpec(args.max_n, filter=("no-induced-c6" if args.no_induced_c6 else None))
-    summary = enumerate_connected_subcubic(
+    counts = enumerate_connected_subcubic(
         spec, sink=lambda g: print(emit_graph6(g)), jobs=args.jobs)
-    print(json.dumps({"counts": {str(k): v for k, v in
-                                 sorted(summary.emitted_by_order.items())}}),
+    print(json.dumps({"counts": {str(k): v for k, v in sorted(counts.items())}}),
           file=sys.stderr)
     return 0
 

@@ -521,9 +521,9 @@ def _normalize(g: Graph, h_mask: int, cid: str, pin: int | None = None):
     lexicographically smallest such psi, or None if there is none."""
     sub, old = _extract(g, h_mask)
     fixed = None if pin is None else {0: old.index(pin)}
-    wit = patterns.is_isomorphic(sub, generators.catalog_graphs_raw()[cid],
+    wit = patterns.is_isomorphic(sub, generators.catalog_entry(cid).graph,
                                  fixed=fixed)
-    return [old[i] for i in wit.mapping] if wit else None
+    return [old[i] for i in wit] if wit else None
 
 
 def _delete_inner(g, mask, h_mask, y, trace, case, note, **detail):

@@ -28,7 +28,7 @@ tests gate orders 10 and 11 behind the ``extended`` marker.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
@@ -61,15 +61,6 @@ class EnumSpec:
             raise ValueError("max_n must be >= 1")
         if self.filter is not None and self.filter not in _HEREDITARY_FILTERS:
             raise ValueError(f"unknown filter id {self.filter!r}")
-
-
-@dataclass
-class EnumSummary:
-    emitted_by_order: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.emitted_by_order.values())
 
 
 # -- automorphisms --------------------------------------------------------------
@@ -193,25 +184,25 @@ def _worker_descendants(args: tuple[str, int, str | None]) -> list[str]:
 
 def enumerate_connected_subcubic(spec: EnumSpec,
                                  sink: Callable[[Graph], None] | None = None,
-                                 jobs: int = 1) -> EnumSummary:
-    """Drive every enumerated graph through ``sink``; return per-order counts.
+                                 jobs: int = 1) -> dict[int, int]:
+    """Drive every enumerated graph through ``sink``; return {order: count}.
 
     With jobs > 1 the walk up to order 6 runs here, and the subtree under
     each order-6 graph is a work unit for a process pool. The sink always
     runs in the calling process, in a deterministic order: the small orders
     first, then the subtrees sorted by the graph6 line of their root.
     """
-    summary = EnumSummary()
+    counts: dict[int, int] = {}
 
     def deliver(g: Graph) -> None:
-        summary.emitted_by_order[g.n] = summary.emitted_by_order.get(g.n, 0) + 1
+        counts[g.n] = counts.get(g.n, 0) + 1
         if sink:
             sink(g)
 
     if jobs <= 1 or spec.max_n <= _SPLIT_ORDER:
         for g in iter_subcubic(spec):
             deliver(g)
-        return summary
+        return counts
 
     seeds: list[str] = []
     for g in _walk(Graph.empty(1), _SPLIT_ORDER, spec.filter):
@@ -229,4 +220,4 @@ def enumerate_connected_subcubic(spec: EnumSpec,
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown()
-    return summary
+    return counts

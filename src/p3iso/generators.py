@@ -4,7 +4,7 @@ and random graph builders used by the verification harness.
 Catalog edge lists are literal data transcribed from the source drawings
 using the printed vertex labels (the drawings' internal node names permute
 them in two subfigures); every documented property is re-verified when the
-catalog is first built, so a transcription error cannot load silently.
+package is imported, so a transcription error cannot load silently.
 """
 
 from __future__ import annotations
@@ -158,29 +158,20 @@ class CatalogEntry:
     order: int
     iota: int
     max_degree: int
-    induced_c6_free: bool
-
-
-@lru_cache(maxsize=1)
-def catalog_graphs_raw() -> dict[str, Graph]:
-    """The 12 exceptional graphs keyed by id, without the load self-check."""
-    return {
-        cid: Graph.from_edges(n, [(u - 1, v - 1) for u, v in edges])
-        for cid, (n, edges) in _CATALOG_EDGES.items()
-    }
 
 
 @lru_cache(maxsize=1)
 def catalog() -> tuple[CatalogEntry, ...]:
     """All 12 exceptional graphs; every documented property is re-verified.
+    The one accessor of the catalog, so every reader gets checked graphs.
 
     Raises CatalogSelfCheckFailed listing every violated property, which
     signals a transcription error in the embedded edge lists.
     """
     entries = []
     failures = []
-    for cid, g in catalog_graphs_raw().items():
-        order = g.n
+    for cid, (order, edges) in _CATALOG_EDGES.items():
+        g = Graph.from_edges(order, [(u - 1, v - 1) for u, v in edges])
         expected_iota = (order + 1) // 4
         if (order + 1) % 4:
             failures.append(f"{cid}: order {order} is not 3 mod 4")
@@ -196,7 +187,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
         if cert.value != expected_iota:
             failures.append(f"{cid}: iota {cert.value} != {expected_iota}")
         entries.append(CatalogEntry(cid, g, order, expected_iota,
-                                    _DOCUMENTED_MAX_DEGREE[cid], True))
+                                    _DOCUMENTED_MAX_DEGREE[cid]))
     if failures:
         raise CatalogSelfCheckFailed("; ".join(failures))
     return tuple(entries)
@@ -282,7 +273,7 @@ def _random_block(max_order: int, rng: random.Random) -> Graph:
     if fitting:
         choices.append(cycle(rng.choice(fitting)))
     if max_order >= 7 and rng.random() < 0.25:
-        fits = [g for g in catalog_graphs_raw().values() if g.n <= max_order]
+        fits = [e.graph for e in catalog() if e.order <= max_order]
         choices.append(rng.choice(fits))
     return rng.choice(choices)
 
@@ -302,3 +293,7 @@ def random_general_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+# The self-check runs on import, so no later catalog reader pays for it.
+catalog()

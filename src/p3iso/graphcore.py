@@ -7,7 +7,7 @@ edge. Python ints are a single machine word for n <= 64 and grow
 transparently beyond, so small instances get the fast path for free.
 
 Graphs and vertex sets are immutable after construction and safe to share
-across workers.
+across workers. Components are bitmasks, from ``component_masks``.
 """
 
 from __future__ import annotations
@@ -202,18 +202,6 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self))}}}, order={self.graph_order})"
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """The components of a graph, with the ones containing a 3-path flagged.
-
-    A component contains a 3-path exactly when some vertex has degree >= 2
-    inside it; ``p3_components`` holds the indices of those components.
-    """
-
-    components: tuple[VertexSet, ...]
-    p3_components: tuple[int, ...]
-
-
 # -- mask-level helpers (shared by the solver and the constructive module) --
 
 
@@ -292,15 +280,6 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
 def delete_closed_neighborhood(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     """G - N[S] with the same relabeling contract as delete_vertices."""
     return delete_vertices(g, VertexSet(closed_mask(g, _coerce_mask(g, s)), g.n))
-
-
-def components(g: Graph) -> ComponentPartition:
-    comps = tuple(VertexSet(m, g.n) for m in component_masks(g))
-    flagged = tuple(
-        i for i, c in enumerate(comps)
-        if any((g.rows[v] & c.bits).bit_count() >= 2 for v in c)
-    )
-    return ComponentPartition(comps, flagged)
 
 
 def distance(g: Graph, u: int, v: int) -> int | float:

@@ -9,8 +9,9 @@ canonical labeling (``canonical_data``, an exhaustive search over the
 color-refinement partition in the spirit of McKay and Piperno's
 "Practical graph isomorphism II", 2014) lives here and decides every
 isomorphism question: ``catalog_match``, ``is_isomorphic`` (also with
-pinned vertices) and the canonical augmentation in ``enumeration``. All
-operations are pure.
+pinned vertices) and the canonical augmentation in ``enumeration``. Every
+witness (copy, induced cycle, isomorphism) is a plain vertex tuple, and
+all operations are pure.
 """
 
 from __future__ import annotations
@@ -176,79 +177,65 @@ def family_from_name(name: str) -> IsolationFamily:
     return simple[name]
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    """An embedding of a pattern graph H into a host graph G.
-
-    mapping[i] is the G-vertex that H-vertex i maps to; the mapping is
-    injective and preserves adjacency. Family copies list their path or
-    cycle in order; induced cycles and isomorphisms also preserve
-    non-adjacency.
-    """
-
-    mapping: tuple[int, ...]
-
-
 def contains_copy(g: Graph, fam: IsolationFamily,
-                  within: VertexSet | None = None) -> IsoWitness | None:
-    """A subgraph copy of some family member inside g (or a subset of g)."""
+                  within: VertexSet | None = None) -> tuple[int, ...] | None:
+    """A subgraph copy of some family member inside g (or a subset of g):
+    a tuple whose entry i is the g-vertex that member vertex i maps to,
+    injective and adjacency-preserving, listing the path or cycle in order.
+    """
     alive = g.full_mask() if within is None else within.bits
     if within is not None and within.graph_order != g.n:
         raise ValueError("vertex set does not belong to this graph")
-    found = _FINDERS[fam.kind](g, alive, fam.k)
-    return IsoWitness(found) if found else None
+    return _FINDERS[fam.kind](g, alive, fam.k)
 
 
 # -- induced cycles ------------------------------------------------------------
 
 
-def has_induced_cycle(g: Graph, k: int) -> IsoWitness | None:
-    """An induced k-cycle, found by DFS over induced paths.
+def has_induced_cycle(g: Graph, k: int) -> tuple[int, ...] | None:
+    """An induced k-cycle as a vertex tuple in cycle order, or None.
 
-    Paths are anchored at the minimum-labeled cycle vertex, and the
-    traversal direction is tie-broken toward the smaller second vertex so
-    each cycle is seen once.
+    Depth-first over induced paths from the minimum-labeled cycle vertex a,
+    on an explicit stack (no recursion at any k), in ascending neighbor
+    order; the closing vertex must exceed the second one, so each cycle is
+    seen in one direction only.
     """
     if k < 3:
         raise ValueError("cycle length must be >= 3")
     if g.n < k:
         return None
+    rows = g.rows
     for a in range(g.n):
         higher = ~((1 << (a + 1)) - 1)
-        starts = g.rows[a] & higher
-
-        def extend(path: list[int], blocked: int):
-            # blocked: vertices adjacent to an interior path vertex (chord ban)
-            last = path[-1]
-            if len(path) == k - 2:
-                for u in bit_indices(g.rows[last] & g.rows[a] & higher & ~blocked):
-                    if u <= path[0]:
-                        continue  # direction tie-break
-                    if u not in path:
-                        return tuple([a] + path + [u])
-                return None
-            cand = g.rows[last] & higher & ~blocked & ~g.rows[a]
-            for u in bit_indices(cand):
-                if u in path:
+        ends = rows[a] & higher  # where the path may start and close
+        inner = higher & ~rows[a]  # where it may run in between
+        for b in bit_indices(ends):
+            # per path vertex: [untried successors, chord ban (neighbors of
+            # the earlier path vertices), vertex]; ban and N(a) cover the path
+            stack = [[rows[b] & (ends if k == 3 else inner), 0, b]]
+            while stack:
+                top = stack[-1]
+                low = top[0] & -top[0]
+                if not low:
+                    stack.pop()
                     continue
-                got = extend(path + [u], blocked | g.rows[last])
-                if got:
-                    return got
-            return None
-
-        for b in bit_indices(starts):
-            got = extend([b], 1 << a)
-            if got:
-                return IsoWitness(got)
+                top[0] ^= low
+                u = low.bit_length() - 1
+                if len(stack) < k - 2:
+                    ban = top[1] | rows[top[2]]
+                    nxt = ends if len(stack) == k - 3 else inner
+                    stack.append([rows[u] & nxt & ~ban, ban, u])
+                elif u > b:
+                    return (a, *(entry[2] for entry in stack), u)
     return None
 
 
 # -- isomorphism ----------------------------------------------------------------
 
 
-def _refine_colors(g: Graph, init: tuple[int, ...] | None = None) -> tuple[int, ...]:
+def _refine_colors(g: Graph) -> tuple[int, ...]:
     """1-dimensional color refinement; colors are small dense ints."""
-    colors = list(init) if init is not None else [g.degree(v) for v in range(g.n)]
+    colors = [g.degree(v) for v in range(g.n)]
     while True:
         sigs = []
         for v in range(g.n):
@@ -347,8 +334,8 @@ def canonical_form(g: Graph) -> tuple:
 
 
 def is_isomorphic(g: Graph, h: Graph,
-                  fixed: dict[int, int] | None = None) -> IsoWitness | None:
-    """An isomorphism h -> g (mapping[i] = image of h-vertex i), or None.
+                  fixed: dict[int, int] | None = None) -> tuple[int, ...] | None:
+    """An isomorphism h -> g as a tuple (entry i: image of h-vertex i), or None.
 
     One canonical labeling of h paired with each labeling of g gives every
     isomorphism once; the result is the lexicographically smallest that
@@ -365,8 +352,7 @@ def is_isomorphic(g: Graph, h: Graph,
     at = sorted(range(h.n), key=base.__getitem__)  # at[u]: u's position in base
     pins = (fixed or {}).items()
     isos = (tuple(lab[p] for p in at) for lab in labelings)
-    best = min((m for m in isos if all(m[i] == t for i, t in pins)), default=None)
-    return None if best is None else IsoWitness(best)
+    return min((m for m in isos if all(m[i] == t for i, t in pins)), default=None)
 
 
 # -- catalog lookup --------------------------------------------------------------
@@ -374,12 +360,13 @@ def is_isomorphic(g: Graph, h: Graph,
 
 @lru_cache(maxsize=1)
 def _catalog_forms() -> dict[tuple[int, int], dict[tuple, str]]:
-    """(order, size) -> {canonical form: catalog id}."""
-    from .generators import catalog_graphs_raw
+    """(order, size) -> {canonical form: catalog id}, over ``catalog()``."""
+    from .generators import catalog
 
     table: dict[tuple[int, int], dict[tuple, str]] = {}
-    for cid, h in catalog_graphs_raw().items():
-        table.setdefault((h.n, h.edge_count), {})[canonical_form(h)] = cid
+    for e in catalog():
+        h = e.graph
+        table.setdefault((h.n, h.edge_count), {})[canonical_form(h)] = e.id
     return table
 
 

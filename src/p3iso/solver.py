@@ -153,7 +153,7 @@ class _Search:
                 failed[alive] = remaining
                 return None
             hood = 0
-            for v in copy.mapping:
+            for v in copy:
                 hood |= closed[v]
             for u in bit_indices(hood):
                 got = dfs(alive & ~closed[u], d_mask | (1 << u), remaining - 1)
@@ -195,8 +195,11 @@ def isolation_number(g: Graph, fam: IsolationFamily = P3,
     P3, else 0); with ``budget`` given, the search stops at k = budget and
     a failure is reported as a first-class "exceeds budget" certificate
     (exact=False, value=budget+1) rather than an error. With ``canonical``
-    the returned minimum set is the lexicographically smallest one.
+    the returned minimum set is the lexicographically smallest one. A
+    negative budget raises ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     cap = g.n if budget is None else min(budget, g.n)
     search = _Search(g, fam)
     for k in range(search.lower_bound(), cap + 1):

@@ -25,7 +25,7 @@ def path_edges(a, b):
 
 
 def cat_edges(cid, base):
-    return [(u + base, v + base) for u, v in gen.catalog_graphs_raw()[cid].edges()]
+    return [(u + base, v + base) for u, v in gen.catalog_entry(cid).graph.edges()]
 
 
 def check(g, want_case=None, want_sub=None):
@@ -221,7 +221,7 @@ def targeted_graphs():
     g11map = {1: 11, 2: 12, 3: 13, 4: 14, 5: 2, 6: 0, 7: 3, 8: 15, 9: 16,
               10: 17, 11: 18}
     g11e = [(g11map[u + 1], g11map[v + 1])
-            for u, v in gen.catalog_graphs_raw()["G11"].edges()]
+            for u, v in gen.catalog_entry("G11").graph.edges()]
     out.append(("case223-c7-then-g11-reentry", Graph.from_edges(20,
         [(0, 1)] + g11e + c7 + [(1, 4), (2, 5), (1, 19)]), "Case2.2.2",
         "C7-disconnected-reenter"))
@@ -256,7 +256,7 @@ def targeted_graphs():
         "Case2.2.4", "double-attachment-P3"))
     g71m = {1: 0, 7: 3, 2: 7, 6: 8, 3: 9, 4: 10, 5: 11}
     g71e = [(g71m[u + 1], g71m[v + 1])
-            for u, v in gen.catalog_graphs_raw()["G71"].edges()]
+            for u, v in gen.catalog_entry("G71").graph.edges()]
     out.append(("case224-double-gv-g71", Graph.from_edges(17,
         [(0, 1), (0, 2)] + h1end + [(1, 12)] + g71e + path_edges(12, 16)),
         "Case2.2.4", "double-attachment-G71"))
@@ -288,7 +288,7 @@ def test_g73_component_cannot_be_doubly_linked():
     # instances, and the handler's generality over G71/G72/G75 covers it
     from itertools import combinations
 
-    g73 = gen.catalog_graphs_raw()["G73"]
+    g73 = gen.catalog_entry("G73").graph
     ports = [t for t in range(7) if g73.degree(t) == 2]
     for p, q in combinations(ports, 2):
         for chord in (False, True):

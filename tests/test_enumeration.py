@@ -64,7 +64,7 @@ def test_counts_match_atlas_to_7():
 
 
 def test_counts_to_9():
-    counts = enumerate_connected_subcubic(EnumSpec(9)).emitted_by_order
+    counts = enumerate_connected_subcubic(EnumSpec(9))
     assert [counts[n] for n in range(1, 10)] == COUNTS[:9]
 
 
@@ -81,7 +81,7 @@ def test_emitted_sequence_is_pinned(filter_id, digest):
 @pytest.mark.extended
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_counts_to_11_extended(jobs):
-    counts = enumerate_connected_subcubic(EnumSpec(11), jobs=jobs).emitted_by_order
+    counts = enumerate_connected_subcubic(EnumSpec(11), jobs=jobs)
     assert [counts[n] for n in range(1, 12)] == COUNTS
 
 
@@ -126,14 +126,14 @@ def test_hereditary_filter_agrees_with_post_filtering():
 def test_parallel_matches_serial():
     serial = enumerate_connected_subcubic(EnumSpec(8))
     par = enumerate_connected_subcubic(EnumSpec(8), jobs=2)
-    assert serial.emitted_by_order == par.emitted_by_order
-    assert serial.total == sum(serial.emitted_by_order.values())
+    assert serial == par
+    assert sum(serial.values()) == sum(1 for _ in iter_subcubic(EnumSpec(8)))
 
 
 def test_parallel_sink_delivery():
     got = []
     enumerate_connected_subcubic(EnumSpec(7), sink=got.append, jobs=2)
-    assert len(got) == enumerate_connected_subcubic(EnumSpec(7)).total
+    assert len(got) == sum(enumerate_connected_subcubic(EnumSpec(7)).values())
     assert all(is_connected(g) and g.max_degree() <= 3 for g in got)
 
 
@@ -154,8 +154,8 @@ def test_parallel_sink_error_propagates():
 
 def test_parallel_with_filters_matches_serial():
     spec = EnumSpec(7, filter="no-induced-c6")
-    assert enumerate_connected_subcubic(spec, jobs=2).emitted_by_order == \
-        enumerate_connected_subcubic(spec).emitted_by_order
+    assert enumerate_connected_subcubic(spec, jobs=2) == \
+        enumerate_connected_subcubic(spec)
 
 
 @pytest.mark.parametrize("filter_id", [None, "no-induced-c6"])

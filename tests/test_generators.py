@@ -85,31 +85,38 @@ def test_catalog_entries():
 
 def test_catalog_documented_flags():
     for e in gen.catalog():
-        assert e.induced_c6_free
         assert has_induced_cycle(e.graph, 6) is None
         assert e.max_degree == e.graph.max_degree() <= 3
         assert is_connected(e.graph)
 
 
-def test_catalog_self_check_catches_transcription_errors():
-    # a tampered copy of the catalog loader must refuse to load
-    import p3iso.generators as g
+@pytest.fixture
+def tampered_catalog(monkeypatch):
+    """The catalog with C7 transcribed as a path; every catalog cache is
+    cleared before and after."""
+    from p3iso.patterns import _catalog_forms
 
-    bad = dict(g._CATALOG_EDGES)
+    bad = dict(gen._CATALOG_EDGES)
     bad["C7"] = (7, tuple((i, i + 1) for i in range(1, 7)))  # path, not cycle
-    original = g._CATALOG_EDGES
-    g._CATALOG_EDGES = bad
-    g.catalog_graphs_raw.cache_clear()
-    g.catalog.cache_clear()
-    try:
-        with pytest.raises(CatalogSelfCheckFailed):
-            g.catalog()
-    finally:
-        g._CATALOG_EDGES = original
-        g.catalog_graphs_raw.cache_clear()
-        g.catalog.cache_clear()
-        from p3iso.patterns import _catalog_forms
-        _catalog_forms.cache_clear()
+    monkeypatch.setattr(gen, "_CATALOG_EDGES", bad)
+    gen.catalog.cache_clear()
+    _catalog_forms.cache_clear()
+    yield
+    gen.catalog.cache_clear()
+    _catalog_forms.cache_clear()
+
+
+def test_catalog_self_check_catches_transcription_errors(tampered_catalog):
+    # a tampered copy of the catalog loader must refuse to load
+    with pytest.raises(CatalogSelfCheckFailed):
+        gen.catalog()
+
+
+def test_catalog_match_reads_the_self_checked_catalog(tampered_catalog):
+    # catalog matching builds its table from catalog(), so the same
+    # transcription error stops it instead of matching a wrong graph
+    with pytest.raises(CatalogSelfCheckFailed):
+        catalog_match(gen.cycle(7))
 
 
 def test_disjoint_union_and_pendant():

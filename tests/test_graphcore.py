@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p3iso import generators as gen
-from p3iso.graphcore import (ComponentPartition, Graph, VertexSet,
-                             closed_neighborhood, components,
-                             delete_closed_neighborhood, delete_vertices,
-                             distance, is_connected)
-from p3iso.patterns import is_isomorphic
+from p3iso.graphcore import (Graph, VertexSet, closed_neighborhood,
+                             component_masks, delete_closed_neighborhood,
+                             delete_vertices, distance, is_connected)
+from p3iso.patterns import P3, contains_copy, is_isomorphic
 
 from conftest import connected_subcubic_upto
 
@@ -89,30 +88,38 @@ def test_delete_nothing_is_identity():
     assert sub == g and old == tuple(range(g.n))
 
 
+def _p3_flags(g: Graph) -> list[bool]:
+    # per component, in order: does it hold a 3-path?
+    return [contains_copy(g, P3, within=VertexSet(m, g.n)) is not None
+            for m in component_masks(g)]
+
+
 def test_components_examples():
-    part = components(gen.cycle(7))
-    assert len(part.components) == 1 and part.p3_components == (0,)
+    assert component_masks(gen.cycle(7)) == [0b1111111]
+    assert _p3_flags(gen.cycle(7)) == [True]
 
     isolated = Graph.empty(3)
-    part = components(isolated)
-    assert len(part.components) == 3 and part.p3_components == ()
+    assert component_masks(isolated) == [0b001, 0b010, 0b100]
+    assert _p3_flags(isolated) == [False, False, False]
 
     c11 = gen.cycle(11)
     sub, _ = delete_closed_neighborhood(c11, [0])
-    part = components(sub)
-    assert len(part.components) == 1 and part.p3_components == (0,)
+    assert len(component_masks(sub)) == 1 and _p3_flags(sub) == [True]
     assert is_isomorphic(sub, gen.path(8))
+
+    two = Graph.from_edges(5, [(0, 3), (1, 2), (2, 4)])
+    assert component_masks(two) == [0b01001, 0b10110]
+    assert _p3_flags(two) == [False, True]
+    assert component_masks(two, within=0b00111) == [0b00001, 0b00110]
 
 
 def test_components_partition_everything():
     for g in connected_subcubic_upto(6):
-        part = components(g)
         bits = 0
-        for comp in part.components:
-            assert bits & comp.bits == 0
-            bits |= comp.bits
+        for comp in component_masks(g):
+            assert bits & comp == 0
+            bits |= comp
         assert bits == g.full_mask()
-        assert isinstance(part, ComponentPartition)
 
 
 def test_distance_examples():

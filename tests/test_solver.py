@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from p3iso import generators as gen
 from p3iso import solver
 from p3iso.graphcore import Graph, VertexSet, delete_vertices
@@ -42,6 +44,14 @@ def test_budget_exceeded_is_a_result():
     assert is_isolating(c7, P3, cert.set)  # the trivial full set still isolates
     cert = isolation_number(c7, P3, budget=2)
     assert cert.exact and cert.value == 2
+
+
+def test_negative_budget_is_refused():
+    # no certificate could state "exceeds a budget of -1" and still verify
+    with pytest.raises(ValueError):
+        isolation_number(gen.cycle(7), P3, budget=-1)
+    cert = isolation_number(gen.cycle(7), P3, budget=0)
+    assert not cert.exact and cert.value == 1
 
 
 def test_certificate_is_lexicographically_smallest():
