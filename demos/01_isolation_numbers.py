@@ -1,13 +1,12 @@
 """Exact isolation numbers with re-checkable certificates.
 
-A set D is F-isolating when G - N[D] contains no copy of a graph in F.
-For F = {P3} the residual edges form a matching; the solver finds a
-minimum D by iterative-deepening hitting-set search and returns it as a
-certificate that can be re-validated independently.
+A set D is P3-isolating when G - N[D] contains no 3-vertex path, so the
+residual edges form a matching; the solver finds a minimum D by
+iterative-deepening hitting-set search and returns it as a certificate
+that can be re-validated independently.
 """
 
-from p3iso import (K1, K2, P3, cycle_family, is_isolating, isolation_number,
-                   isolation_number_additive)
+from p3iso import P3, is_isolating, isolation_number, isolation_number_additive
 from p3iso import generators as gen
 
 c6 = gen.cycle(6)
@@ -22,12 +21,6 @@ c7 = gen.cycle(7)
 budgeted = isolation_number(c7, P3, budget=1)
 print(f"C7 within budget 1? exact={budgeted.exact}, reported value ="
       f" {budgeted.value} (meaning iota > 1)")
-
-# Other families: K1-isolation is domination, K2-isolation kills all edges.
-star = gen.complete(2)
-print("domination number of K2:", isolation_number(star, K1).value)
-print("K2-isolation number of C5:", isolation_number(gen.cycle(5), K2).value)
-print("C6-isolation number of C6:", isolation_number(c6, cycle_family(6)).value)
 
 # The isolation number is additive over components.
 two_cycles = gen.disjoint_union(gen.cycle(7), gen.cycle(7))

@@ -1,6 +1,6 @@
 """3-path isolation for graphs.
 
-An exact F-isolation-number solver with re-checkable certificates, the
+An exact P3-isolation-number solver with re-checkable certificates, the
 12-graph exceptional catalog, the floor(n/4) isolating-set construction
 for connected subcubic graphs without induced 6-cycles, isomorph-free
 enumeration of small subcubic graphs, and a verification harness tying
@@ -10,9 +10,8 @@ them together (CLI: ``p3iso``).
 from .graphcore import (Graph, VertexSet, closed_neighborhood,
                         delete_closed_neighborhood, delete_vertices, distance,
                         is_connected)
-from .patterns import (ANY_CYCLE, K1, K2, K3, P3, IsolationFamily, catalog_match,
-                       contains_copy, cycle_family, family_from_name,
-                       has_induced_cycle, is_isomorphic)
+from .patterns import (P3, catalog_match, contains_copy, has_induced_cycle,
+                       is_isomorphic)
 from .solver import (Certificate, is_isolating, isolation_number,
                      isolation_number_additive)
 from .generators import (BadOrder, CatalogEntry, CatalogSelfCheckFailed,

@@ -24,7 +24,6 @@ from .constructive import (InternalCaseExhausted, PreconditionViolated,
 from .graph_io import (EdgeListError, Graph6Error, emit_edge_list, emit_graph6,
                        iter_graph6, parse_edge_list)
 from .graphcore import Graph
-from .patterns import family_from_name
 from .solver import isolation_number
 from .verify import check_observations, verify_enumerated, verify_stream
 
@@ -79,11 +78,10 @@ def cmd_iota(args) -> int:
     graphs = _read_graphs(args.input, args.format)
     out = []
     for g in graphs:
-        cert = isolation_number(g, args.family, budget=args.budget)
+        cert = isolation_number(g, budget=args.budget)
         rec = {
             "n": g.n,
             "m": g.edge_count,
-            "family": str(args.family),
             "iota": cert.value,
             "exact": cert.exact,
             "set": _one_based(cert.set),
@@ -228,10 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="p3iso", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("iota", help="exact isolation number of input graphs")
+    p = sub.add_parser("iota", help="exact P3-isolation number of input graphs")
     p.add_argument("input", help="file of graph6 lines or an edge list; - for stdin")
-    p.add_argument("--family", type=family_from_name, default="p3",
-                   help="k1 | k2 | k3 | p3 | anycycle | cycle:k (default p3)")
     p.add_argument("--format", choices=["graph6", "edges"], default=None)
     p.add_argument("--budget", type=_at_least(0), default=None)
     p.add_argument("--json", action="store_true")

@@ -146,7 +146,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """
     if cert.set.graph_order != g.n:
         return False
-    return is_isolating(g, cert.family, cert.set) and len(cert.set) <= cert.value
+    return is_isolating(g, P3, cert.set) and len(cert.set) <= cert.value
 
 
 def _closed_form_positions(n: int, kind: str) -> range:
@@ -179,7 +179,7 @@ def path_cycle_isolating_set(n: int, kind: str) -> Certificate:
     dset = VertexSet.of(n, _closed_form_positions(n, kind))
     if not is_isolating(g, P3, dset):
         return solver.isolation_number(g, P3)
-    return Certificate(dset, len(dset), False, P3)
+    return Certificate(dset, len(dset), False)
 
 
 def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
@@ -221,7 +221,7 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
         trace.add(CASE_FALLBACK, cert.set, range(g.n),
                   {"error": str(exc), "partial_cases": partial})
         dset = cert.set
-    return Certificate(dset, len(dset), False, P3), trace
+    return Certificate(dset, len(dset), False), trace
 
 
 # -- the explicit stack and mask helpers ---------------------------------------

@@ -1,10 +1,8 @@
-"""Pattern detection: family copies, induced k-cycles, small-graph isomorphism.
+"""Pattern detection: 3-path copies, induced k-cycles, small-graph isomorphism.
 
-This is the one module that knows the isolation families (K1, K2, K3,
-P3, the k-cycle and any cycle): ``_FINDERS`` holds one copy finder per
-family kind, and ``contains_copy`` looks the kind up there. "Contains a
-copy" always means subgraph copy (extra edges among the image vertices
-are fine); induced matching is used for induced cycles. The
+The 3-vertex path P3 is the one isolation family, and ``contains_copy``
+finds a subgraph copy of it (extra edges among the three vertices are
+fine); induced matching is used for induced cycles. The
 canonical labeling (``canonical_data``, an exhaustive search over the
 color-refinement partition in the spirit of McKay and Piperno's
 "Practical graph isomorphism II", 2014) lives here and decides every
@@ -16,21 +14,21 @@ all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphcore import Graph, VertexSet, bit_indices
 
 
-# -- family copies -----------------------------------------------------------
+# -- 3-path copies -------------------------------------------------------------
+
+# The one isolation family: the 3-vertex path. Every function that takes a
+# family accepts this value only.
+P3 = "p3"
 
 
-def _find_k2(g: Graph, alive: int) -> tuple[int, int] | None:
-    """The edge v-u inside ``alive`` with the smallest v, then smallest u."""
-    for v in bit_indices(alive):
-        for u in bit_indices(g.rows[v] & alive & ~((1 << (v + 1)) - 1)):
-            return (v, u)
-    return None
+def _require_p3(fam) -> None:
+    if fam != P3:
+        raise ValueError(f"unknown family {fam!r}: P3 is the only isolation family")
 
 
 def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
@@ -53,140 +51,16 @@ def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
     return (a, best, b)
 
 
-def _find_cycle_subgraph(g: Graph, k: int, alive: int) -> tuple[int, ...] | None:
-    """Vertices of a k-cycle subgraph (chords permitted), in cycle order.
-
-    Depth-first over paths that start at their smallest vertex a, in
-    ascending neighbor order; the stack holds one neighbor iterator per
-    path vertex, so a long cycle needs no Python recursion.
+def contains_copy(g: Graph, fam: str,
+                  within: VertexSet | None = None) -> tuple[int, int, int] | None:
+    """A 3-path a-c-b inside g (or a subset of g) as the tuple (a, c, b),
+    or None. Extra edges among the three vertices are fine.
     """
-    if k > alive.bit_count():
-        return None
-    for a in bit_indices(alive):
-        higher = alive & ~((1 << (a + 1)) - 1)
-        path = [a]
-        used = 1 << a
-        stack = [bit_indices(g.rows[a] & higher)]
-        while stack:
-            u = next(stack[-1], None)
-            if u is None:
-                stack.pop()
-                used ^= 1 << path.pop()
-            elif len(path) == k - 1:
-                if (g.rows[u] >> a) & 1:
-                    return tuple(path) + (u,)
-            else:
-                path.append(u)
-                used |= 1 << u
-                stack.append(bit_indices(g.rows[u] & higher & ~used))
-    return None
-
-
-def _find_any_cycle(g: Graph, alive: int) -> tuple[int, ...] | None:
-    """Vertices of some cycle in the induced subgraph, in cycle order."""
-    seen = 0
-    parent: dict[int, int] = {}
-    for root in bit_indices(alive):
-        if (seen >> root) & 1:
-            continue
-        stack = [(root, -1)]
-        while stack:
-            v, par = stack.pop()
-            if (seen >> v) & 1:
-                continue
-            seen |= 1 << v
-            parent[v] = par
-            for u in bit_indices(g.rows[v] & alive):
-                if u == par:
-                    continue
-                if (seen >> u) & 1:
-                    # back edge v-u closes a cycle; walk parents to recover it
-                    path_v = []
-                    x = v
-                    while x != -1:
-                        path_v.append(x)
-                        x = parent[x]
-                    anc = set(path_v)
-                    path_u = []
-                    x = u
-                    while x not in anc:
-                        path_u.append(x)
-                        x = parent[x]
-                    meet = x
-                    cyc = path_u + [meet] + path_v[: path_v.index(meet)][::-1]
-                    if len(cyc) >= 3:
-                        return tuple(cyc)
-                else:
-                    stack.append((u, v))
-    return None
-
-
-
-# One finder per family kind: (g, alive mask, k) -> a copy in path or
-# cycle order, or None. The keys are the valid kinds.
-_FINDERS = {
-    "k1": lambda g, alive, k: ((alive & -alive).bit_length() - 1,) if alive else None,
-    "k2": lambda g, alive, k: _find_k2(g, alive),
-    "k3": lambda g, alive, k: _find_cycle_subgraph(g, 3, alive),
-    "p3": lambda g, alive, k: _find_p3(g, alive),
-    "cycle": lambda g, alive, k: _find_cycle_subgraph(g, k, alive),
-    "anycycle": lambda g, alive, k: _find_any_cycle(g, alive),
-}
-
-
-@dataclass(frozen=True)
-class IsolationFamily:
-    """A family of forbidden connected graphs for isolation.
-
-    kind is one of "k1", "k2", "k3", "p3", "cycle" (the k-cycle, k >= 3)
-    or "anycycle" (every cycle): the keys of ``_FINDERS``.
-    """
-
-    kind: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _FINDERS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "cycle" and (self.k is None or self.k < 3):
-            raise ValueError("cycle family needs k >= 3")
-
-    def __str__(self) -> str:
-        return f"cycle:{self.k}" if self.kind == "cycle" else self.kind
-
-
-K1 = IsolationFamily("k1")
-K2 = IsolationFamily("k2")
-K3 = IsolationFamily("k3")
-P3 = IsolationFamily("p3")
-ANY_CYCLE = IsolationFamily("anycycle")
-
-
-def cycle_family(k: int) -> IsolationFamily:
-    return IsolationFamily("cycle", k=k)
-
-
-def family_from_name(name: str) -> IsolationFamily:
-    """Parse "k1" | "k2" | "k3" | "p3" | "anycycle" | "cycle:k"."""
-    name = name.strip().lower()
-    if name.startswith("cycle:"):
-        return cycle_family(int(name.split(":", 1)[1]))
-    simple = {"k1": K1, "k2": K2, "k3": K3, "p3": P3, "anycycle": ANY_CYCLE}
-    if name not in simple:
-        raise ValueError(f"unknown family {name!r}")
-    return simple[name]
-
-
-def contains_copy(g: Graph, fam: IsolationFamily,
-                  within: VertexSet | None = None) -> tuple[int, ...] | None:
-    """A subgraph copy of some family member inside g (or a subset of g):
-    a tuple whose entry i is the g-vertex that member vertex i maps to,
-    injective and adjacency-preserving, listing the path or cycle in order.
-    """
+    _require_p3(fam)
     alive = g.full_mask() if within is None else within.bits
     if within is not None and within.graph_order != g.n:
         raise ValueError("vertex set does not belong to this graph")
-    return _FINDERS[fam.kind](g, alive, fam.k)
+    return _find_p3(g, alive)
 
 
 # -- induced cycles ------------------------------------------------------------

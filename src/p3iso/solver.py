@@ -1,24 +1,24 @@
-"""Exact isolation numbers via iterative-deepening hitting-set search.
+"""Exact 3-path isolation numbers via iterative-deepening hitting-set search.
 
 The search is sound because any isolating set must intersect N[V(H)] for
-every surviving family copy H: a vertex outside every such closed
-neighborhood leaves H untouched. The first depth that admits a solution
-is the isolation number, and for P3 the deepening starts at a packing
-lower bound. For the 3-path family the depth never exceeds ceil(n/3) in
-practice (an edge-isolating set is also path-isolating and those stay
-near n/3); that is a heuristic remark only, the loop is capped by n and
-by the caller's budget.
+every surviving 3-path H: a vertex outside every such closed neighborhood
+leaves H untouched. The first depth that admits a solution is the
+isolation number, and the deepening starts at a packing lower bound. The
+depth never exceeds ceil(n/3) in practice (an edge-isolating set is also
+path-isolating and those stay near n/3); that is a heuristic remark only,
+the loop is capped by n and by the caller's budget.
 
 One failure memo per ``isolation_number`` call maps an alive mask to the
 largest remaining budget proven too small for it, and every deepening
 level and lex-min probe shares it, so memory grows with the nodes
 visited. The memo does not depend on the prefix D that led to a node: a
-surviving copy lies in alive = V - N[D], so its closed neighborhood never
+surviving 3-path lies in alive = V - N[D], so its closed neighborhood never
 meets D, and what is left after adding S is alive - N[S] whatever D was.
 "alive cannot be isolated with r more vertices" is thus a fact about
 (alive, r) alone. A prune only skips a subtree proven to fail, and the
 branch order is fixed, so the first set found is the one an unpruned
-depth-first search would find.
+depth-first search would find. The depth-first search keeps its own
+stack, so a deep search needs no Python recursion.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .graphcore import (Graph, VertexSet, _coerce_mask, bit_indices,
                         closed_mask, component_masks, delete_vertices)
-from .patterns import P3, IsolationFamily, contains_copy
+from .patterns import P3, _require_p3, contains_copy
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,10 @@ class Certificate:
     set: VertexSet
     value: int
     exact: bool
-    family: IsolationFamily = P3
 
 
-def is_isolating(g: Graph, fam: IsolationFamily, d) -> bool:
-    """True iff G - N[D] contains no copy of a family member."""
+def is_isolating(g: Graph, fam: str, d) -> bool:
+    """True iff G - N[D] contains no 3-path; ``fam`` must be P3."""
     alive = g.full_mask() & ~closed_mask(g, _coerce_mask(g, d))
     return contains_copy(g, fam, within=VertexSet(alive, g.n)) is None
 
@@ -97,9 +96,7 @@ def _packing_lower_bound(alive: int, offers: _Offers) -> int:
     from below. Every alive center offers its alive copy with the smallest
     N[copy] (``offers`` from ``_p3_offers``), and the offers are packed in
     ascending |N[copy]|, smaller center first on ties: a small
-    neighborhood blocks few others. Only the P3 search uses it: for any
-    other family the copy just found bounds the budget by 1, and the
-    remaining budget is at least 1 by then.
+    neighborhood blocks few others.
     """
     taken = []
     for c in bit_indices(alive):
@@ -118,55 +115,61 @@ def _packing_lower_bound(alive: int, offers: _Offers) -> int:
 
 
 class _Search:
-    """The search state of one ``isolation_number`` call.
+    """The search state of one ``isolation_number`` call; ``fam`` must be P3.
 
     ``failed`` maps an alive mask to the largest remaining budget proven
     too small for it. Every depth and every lex-min probe reads it to skip
     subtrees and records each failure in it.
     """
 
-    def __init__(self, g: Graph, fam: IsolationFamily):
+    def __init__(self, g: Graph, fam: str = P3):
+        _require_p3(fam)
         self.g = g
-        self.fam = fam
         self.closed = tuple(row | (1 << v) for v, row in enumerate(g.rows))
-        self.offers = _p3_offers(g, self.closed) if fam == P3 else None
+        self.offers = _p3_offers(g, self.closed)
         self.failed: dict[int, int] = {}
 
     def lower_bound(self) -> int:
-        """The packing bound of the whole graph for P3, else 0."""
-        return 0 if self.offers is None else _packing_lower_bound(
-            self.g.full_mask(), self.offers)
+        """The packing bound of the whole graph."""
+        return _packing_lower_bound(self.g.full_mask(), self.offers)
 
     def find(self, k: int, prefix_mask: int = 0) -> int | None:
-        """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None."""
-        g, fam, closed, offers, failed = (self.g, self.fam, self.closed,
-                                          self.offers, self.failed)
+        """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None.
 
-        def dfs(alive: int, d_mask: int, remaining: int) -> int | None:
-            if failed.get(alive, -1) >= remaining:
-                return None
-            copy = contains_copy(g, fam, within=VertexSet(alive, g.n))
-            if copy is None:
-                return d_mask
-            if remaining == 0 or (offers is not None and
-                                  remaining < _packing_lower_bound(alive, offers)):
-                failed[alive] = remaining
-                return None
-            hood = 0
-            for v in copy:
-                hood |= closed[v]
-            for u in bit_indices(hood):
-                got = dfs(alive & ~closed[u], d_mask | (1 << u), remaining - 1)
-                if got is not None:
-                    return got
-            failed[alive] = remaining
-            return None
-
+        Depth-first on an explicit stack of open nodes [alive, D,
+        remaining, untried hitters]; a node's children add its hitters in
+        ascending order, and a node is recorded as failed once its last
+        child fails.
+        """
+        g, closed, offers, failed = self.g, self.closed, self.offers, self.failed
         alive = g.full_mask() & ~closed_mask(g, prefix_mask)
-        return dfs(alive, prefix_mask, k - prefix_mask.bit_count())
+        d_mask, remaining = prefix_mask, k - prefix_mask.bit_count()
+        stack: list[list[int]] = []
+        while True:
+            if failed.get(alive, -1) < remaining:
+                copy = contains_copy(g, P3, within=VertexSet(alive, g.n))
+                if copy is None:
+                    return d_mask
+                if remaining and remaining >= _packing_lower_bound(alive, offers):
+                    hood = 0
+                    for v in copy:
+                        hood |= closed[v]
+                    stack.append([alive, d_mask, remaining, hood])
+                else:
+                    failed[alive] = remaining
+            while stack and not stack[-1][3]:
+                top = stack.pop()
+                failed[top[0]] = top[2]
+            if not stack:
+                return None
+            top = stack[-1]
+            low = top[3] & -top[3]
+            top[3] ^= low
+            alive = top[0] & ~closed[low.bit_length() - 1]
+            d_mask, remaining = top[1] | low, top[2] - 1
 
     def lex_min(self, k: int) -> int:
-        """Lexicographically smallest isolating set of size k = iota(g, fam).
+        """Lexicographically smallest isolating set of size k = iota(g).
 
         Greedy prefix fixing: a vertex is adopted, in ascending order,
         whenever some isolating completion within the size budget still
@@ -187,13 +190,13 @@ class _Search:
         return prefix
 
 
-def isolation_number(g: Graph, fam: IsolationFamily = P3,
+def isolation_number(g: Graph, fam: str = P3,
                      budget: int | None = None, canonical: bool = True) -> Certificate:
-    """The exact isolation number with a minimum certificate set.
+    """The exact 3-path isolation number with a minimum certificate set.
 
-    Iterative deepening over k from a lower bound (the packing bound for
-    P3, else 0); with ``budget`` given, the search stops at k = budget and
-    a failure is reported as a first-class "exceeds budget" certificate
+    ``fam`` must be P3. Iterative deepening over k from the packing lower
+    bound; with ``budget`` given, the search stops at k = budget and a
+    failure is reported as a first-class "exceeds budget" certificate
     (exact=False, value=budget+1) rather than an error. With ``canonical``
     the returned minimum set is the lexicographically smallest one. A
     negative budget raises ValueError.
@@ -208,20 +211,21 @@ def isolation_number(g: Graph, fam: IsolationFamily = P3,
             assert got.bit_count() == k, "first feasible depth is the optimum"
             if canonical and k > 0:
                 got = search.lex_min(k)
-            return Certificate(VertexSet(got, g.n), k, True, fam)
+            return Certificate(VertexSet(got, g.n), k, True)
     assert budget is not None, "unbudgeted search must terminate by k = n"
-    return Certificate(VertexSet.full(g.n), budget + 1, False, fam)
+    return Certificate(VertexSet.full(g.n), budget + 1, False)
 
 
-def isolation_number_additive(g: Graph, fam: IsolationFamily = P3) -> Certificate:
+def isolation_number_additive(g: Graph, fam: str = P3) -> Certificate:
     """Isolation number as the sum over components (solved independently)."""
+    _require_p3(fam)
     total = 0
     bits = 0
     for comp_mask in component_masks(g):
         keep = VertexSet(comp_mask, g.n)
         sub, old_of_new = delete_vertices(g, keep.complement())
-        cert = isolation_number(sub, fam)
+        cert = isolation_number(sub)
         total += cert.value
         for v in cert.set:
             bits |= 1 << old_of_new[v]
-    return Certificate(VertexSet(bits, g.n), total, True, fam)
+    return Certificate(VertexSet(bits, g.n), total, True)

@@ -127,67 +127,6 @@ def all_graphs(n: int):
         yield Graph.from_edges(n, edges)
 
 
-def residual_after(g: Graph, d):
-    keep = set(range(g.n)) - closed_nbhd_set(g, d)
-    edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
-    return keep, edges
-
-
-def residual_has_k1(keep, edges):
-    return bool(keep)
-
-
-def residual_has_k2(keep, edges):
-    return bool(edges)
-
-
-def residual_has_k3(keep, edges):
-    es = set(map(frozenset, edges))
-    return any(frozenset((a, b)) in es and frozenset((b, c)) in es
-               and frozenset((a, c)) in es
-               for a, b, c in combinations(sorted(keep), 3))
-
-
-def residual_has_cycle_k(k):
-    def check(keep, edges):
-        es = set(map(frozenset, edges))
-        for combo in combinations(sorted(keep), k):
-            for perm in permutations(combo[1:]):
-                cyc = (combo[0],) + perm
-                if all(frozenset((cyc[i], cyc[(i + 1) % k])) in es
-                       for i in range(k)):
-                    return True
-        return False
-    return check
-
-
-def residual_has_any_cycle(keep, edges):
-    # a graph is a forest iff every edge merges two components
-    parent = {v: v for v in keep}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return True
-        parent[ru] = rv
-    return False
-
-
-def brute_iota_family(g: Graph, residual_check) -> int:
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            keep, edges = residual_after(g, combo)
-            if not residual_check(keep, edges):
-                return k
-    raise AssertionError("full vertex set always isolates")
-
-
 def encode_graph6_reference(g: Graph) -> str:
     """Reference graph6 encoder written directly from the format definition."""
     if g.n <= 62:

@@ -51,12 +51,6 @@ def test_iota_edge_list_autodetect(tmp_path, capsys):
     assert code == 0 and "iota=2" in out
 
 
-def test_iota_family_flag(tmp_path, capsys):
-    path = write(tmp_path, "c5.g6", emit_graph6(gen.cycle(5)))
-    code, out, _ = run(capsys, "iota", path, "--family", "k2", "--json")
-    assert json.loads(out)["iota"] == 2
-
-
 def test_iota_parse_failure_exits_2(tmp_path, capsys):
     path = write(tmp_path, "bad.g6", "B\n")
     code, _, err = run(capsys, "iota", path)
@@ -141,7 +135,8 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
      "FAIL: 1 unreadable line(s) skipped", "line 2"),
     (b"Bw\n\xe9\n", ["verify", "--stream", "-"], 2,
      "FAIL: 1 unreadable line(s) skipped", "line 2"),
-    # bad arguments are usage errors
+    # bad arguments are usage errors; P3 is the only family, so argparse
+    # rejects --family as an unknown option
     (b"Bw\n", ["iota", "FILE", "--family", "foo"], 2, "", "--family"),
     (b"Bw\n", ["iota", "FILE", "--family", "cycle:2"], 2, "", "--family"),
     (b"Bw\n", ["iota", "FILE", "--budget", "-1"], 2, "", "--budget"),
@@ -186,6 +181,17 @@ def test_iota_json_carries_long_graph6(tmp_path, capsys):
     assert parse_graph6(json.loads(out)["graph6"]) == g
 
 
+def test_iota_json_record_keys_are_pinned(tmp_path, capsys):
+    # --json output is stable for golden-file tests: no key comes or goes
+    path = write(tmp_path, "g.g6", "Bw\n?\nFhCKG\n")
+    code, out, _ = run(capsys, "iota", path, "--json", "--budget", "1")
+    assert code == 0
+    recs = json.loads(out)
+    assert len(recs) == 3
+    for rec in recs:
+        assert set(rec) == {"n", "m", "iota", "exact", "set", "graph6"}
+
+
 def test_check_observations(capsys):
     code, out, _ = run(capsys, "check-observations")
     assert code == 0
@@ -206,17 +212,17 @@ def test_gen_cycle_11(capsys):
     assert parse_graph6(out.strip()) == gen.cycle(11)
 
 
-def test_long_cycle_family_pipeline_exits_0():
-    # a 1100-vertex path search needs more depth than the Python stack has
+def test_long_cycle_isolate_pipeline_exits_0():
+    # a 1100-vertex graph6 line (long header) piped through stdin
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     cli = [sys.executable, "-m", "p3iso.cli"]
     g6 = subprocess.run(cli + ["gen", "cycle", "1100"], capture_output=True,
                         text=True, env=env, check=True).stdout
-    proc = subprocess.run(cli + ["iota", "-", "--family", "cycle:1100"], input=g6,
+    proc = subprocess.run(cli + ["isolate", "-"], input=g6,
                           capture_output=True, text=True, env=env, timeout=120)
     assert "Traceback" not in proc.stderr
-    assert proc.returncode == 0 and "iota=1" in proc.stdout
+    assert proc.returncode == 0 and "|D|=220" in proc.stdout
 
 
 def test_gen_bad_order_exits_2(capsys):

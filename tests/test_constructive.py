@@ -144,9 +144,9 @@ def test_verify_certificate():
     cert, _ = isolate_p3_subcubic(c12)
     assert verify_certificate(c12, cert)
     smaller = VertexSet.of(12, list(cert.set)[:-1])
-    assert not verify_certificate(c12, Certificate(smaller, cert.value, False, P3))
+    assert not verify_certificate(c12, Certificate(smaller, cert.value, False))
     edgeless = Graph.empty(4)
-    assert verify_certificate(edgeless, Certificate(VertexSet.empty(4), 0, True, P3))
+    assert verify_certificate(edgeless, Certificate(VertexSet.empty(4), 0, True))
     assert not verify_certificate(gen.cycle(11), cert)  # wrong graph order
 
 

@@ -1,14 +1,10 @@
 import random
 from itertools import permutations
 
-import pytest
-
 from p3iso import generators as gen
 from p3iso.graphcore import (Graph, VertexSet, delete_closed_neighborhood,
                              is_connected)
-from p3iso.patterns import (ANY_CYCLE, K1, K2, K3, P3, IsolationFamily,
-                            catalog_match, contains_copy, cycle_family,
-                            family_from_name, has_induced_cycle,
+from p3iso.patterns import (P3, catalog_match, contains_copy, has_induced_cycle,
                             is_isomorphic)
 
 from conftest import connected_subcubic_upto
@@ -19,15 +15,6 @@ def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def test_family_validation_and_parsing():
-    with pytest.raises(ValueError):
-        IsolationFamily("cycle", k=2)
-    with pytest.raises(ValueError):
-        IsolationFamily("nope")
-    assert family_from_name("cycle:5") == cycle_family(5)
-    assert family_from_name("p3") is P3
 
 
 def test_contains_copy_p3_examples():
@@ -43,49 +30,22 @@ def test_contains_copy_p3_examples():
     assert contains_copy(sub, P3) is not None
 
 
-def test_contains_copy_other_families():
-    assert contains_copy(gen.path(2), K2) is not None
-    assert contains_copy(Graph.empty(4), K2) is None
-    assert contains_copy(Graph.empty(1), K1) is not None
-    assert contains_copy(Graph.empty(0), K1) is None
-    assert contains_copy(gen.complete(4), K3) is not None
-    assert contains_copy(gen.cycle(5), K3) is None
-    assert contains_copy(gen.cycle(5), ANY_CYCLE) is not None
-    assert contains_copy(gen.path(9), ANY_CYCLE) is None
-    assert contains_copy(gen.complete(4), cycle_family(4)) is not None
-    assert contains_copy(gen.cycle(5), cycle_family(4)) is None
-
-
 def test_contains_copy_witnesses_are_copies(rng):
-    from oracles import (residual_has_any_cycle, residual_has_cycle_k,
-                         residual_has_k1, residual_has_k2, residual_has_k3)
-
     def has_p3(keep, edges):
         ends = [v for e in edges for v in e]
         return any(ends.count(v) >= 2 for v in keep)
 
-    # (family, oracle on the subgraph induced by `within`, cycle length:
-    # None for a path, 0 for a cycle of any length)
-    checks = [(K1, residual_has_k1, None), (K2, residual_has_k2, None),
-              (P3, has_p3, None), (K3, residual_has_k3, 3),
-              (cycle_family(4), residual_has_cycle_k(4), 4),
-              (cycle_family(5), residual_has_cycle_k(5), 5),
-              (ANY_CYCLE, residual_has_any_cycle, 0)]
     for _ in range(400):
         g = gen.random_general_graph(rng.randint(1, 8), rng.uniform(0.2, 0.8), rng)
         within = VertexSet(rng.getrandbits(g.n), g.n)
         keep = set(within)
         edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
-        for fam, oracle, cycle_len in checks:
-            m = contains_copy(g, fam, within=within)
-            assert (m is not None) == oracle(keep, edges), (fam, list(g.edges()), keep)
-            if m is None:
-                continue
-            assert len(set(m)) == len(m) and set(m) <= keep, (fam, m)
-            assert all(g.has_edge(u, v) for u, v in zip(m, m[1:])), (fam, m)
-            if cycle_len is not None:
-                assert g.has_edge(m[-1], m[0]) and len(m) >= 3, (fam, m)
-                assert cycle_len == 0 or len(m) == cycle_len, (fam, m)
+        m = contains_copy(g, P3, within=within)
+        assert (m is not None) == has_p3(keep, edges), (list(g.edges()), keep)
+        if m is None:
+            continue
+        assert len(set(m)) == len(m) and set(m) <= keep, m
+        assert all(g.has_edge(u, v) for u, v in zip(m, m[1:])), m
 
 
 def test_contains_copy_p3_iff_max_degree_2():

@@ -1,16 +1,21 @@
-import random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from p3iso import generators as gen
 from p3iso import solver
 from p3iso.graphcore import Graph, VertexSet, delete_vertices
-from p3iso.patterns import ANY_CYCLE, K1, K2, K3, P3, cycle_family
+from p3iso.patterns import P3, contains_copy
 from p3iso.solver import (Certificate, is_isolating, isolation_number,
                           isolation_number_additive)
 
 from conftest import connected_subcubic_upto, spine_tree
 from oracles import brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_is_isolating_examples():
@@ -18,7 +23,7 @@ def test_is_isolating_examples():
     assert is_isolating(c7, P3, [0, 3])
     assert not is_isolating(c7, P3, [0])
     g = gen.catalog_entry("G11").graph
-    assert is_isolating(g, K1, VertexSet.full(g.n))
+    assert is_isolating(g, P3, VertexSet.full(g.n))
 
 
 def test_isolation_number_catalog_values():
@@ -52,6 +57,35 @@ def test_negative_budget_is_refused():
         isolation_number(gen.cycle(7), P3, budget=-1)
     cert = isolation_number(gen.cycle(7), P3, budget=0)
     assert not cert.exact and cert.value == 1
+
+
+def test_p3_is_the_only_family():
+    c7 = gen.cycle(7)
+    calls = [lambda: contains_copy(c7, "k2"),
+             lambda: is_isolating(c7, "k2", [0, 3]),
+             lambda: isolation_number(c7, "k2"),
+             # the packing bound exceeds the budget, so no copy is searched:
+             # the family is checked before the bound is taken
+             lambda: isolation_number(c7, "k2", budget=0),
+             lambda: isolation_number_additive(c7, "k2")]
+    for call in calls:
+        with pytest.raises(ValueError, match="P3"):
+            call()
+
+
+def test_deep_search_needs_no_recursion_depth():
+    # the search keeps its own stack: iota(P_1100) = 220 is 220 levels deep,
+    # well past a recursion limit of 120
+    script = ("import sys\n"
+              "from p3iso import generators as gen\n"
+              "from p3iso.solver import isolation_number\n"
+              "sys.setrecursionlimit(120)\n"
+              "print(isolation_number(gen.path(1100), canonical=False).value)\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "220"
 
 
 def test_certificate_is_lexicographically_smallest():
@@ -157,42 +191,6 @@ def test_two_sevenths_spot_check():
         if g.n == 6 and is_isomorphic(g, gen.cycle(6)):
             continue
         assert isolation_number(g, P3, budget=3, canonical=False).value * 7 <= 2 * g.n
-
-
-def test_other_families():
-    # K1-isolation is domination
-    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-    assert isolation_number(star, K1).value == 1
-    assert isolation_number(gen.cycle(5), K2).value == 2  # the C5 outlier
-    assert isolation_number(gen.complete(3), K3).value == 1
-    assert isolation_number(gen.cycle(6), cycle_family(6)).value == 1
-    assert isolation_number(gen.path(9), ANY_CYCLE).value == 0
-    tri_chain = gen.attach_pendant(gen.complete(3), gen.complete(3), 0, 0)
-    assert isolation_number(tri_chain, ANY_CYCLE).value == 1
-
-
-def test_families_match_independent_oracles(rng):
-    from oracles import (brute_iota_family, residual_has_any_cycle,
-                         residual_has_cycle_k, residual_has_k1,
-                         residual_has_k2, residual_has_k3)
-
-    checks = [(K1, residual_has_k1), (K2, residual_has_k2),
-              (K3, residual_has_k3), (cycle_family(3), residual_has_cycle_k(3)),
-              (cycle_family(4), residual_has_cycle_k(4)),
-              (cycle_family(5), residual_has_cycle_k(5)),
-              (ANY_CYCLE, residual_has_any_cycle)]
-    for _ in range(60):
-        g = gen.random_general_graph(rng.randint(1, 8), rng.uniform(0.2, 0.7), rng)
-        for fam, chk in checks:
-            assert isolation_number(g, fam, canonical=False).value == \
-                brute_iota_family(g, chk), (fam, list(g.edges()))
-
-
-def test_cycle_longer_than_graph_is_answered_at_once():
-    # a cubic-ish order-48 graph holds many long paths; a 49-cycle cannot fit
-    g = gen.random_subcubic_connected(48, random.Random(0), extra_edges=30)
-    cert = isolation_number(g, cycle_family(49))
-    assert cert.value == 0 and cert.exact
 
 
 def test_exact_certificates_verify(rng):
