@@ -21,6 +21,7 @@ import sys
 from . import generators
 from .constructive import (InternalCaseExhausted, PreconditionViolated,
                            isolate_p3_subcubic)
+from .enumeration import EnumSpec, enumerate_connected_subcubic
 from .graph_io import (EdgeListError, Graph6Error, emit_edge_list, emit_graph6,
                        iter_graph6, parse_edge_list)
 from .graphcore import Graph
@@ -131,6 +132,8 @@ def cmd_isolate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.stream and args.jobs > 1:
+        raise InputError("--jobs splits the enumeration; it does not apply to --stream")
     if args.stream:
         with _open(args.stream) as fh:
             report = verify_stream(fh)
@@ -202,11 +205,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    from .enumeration import EnumSpec, enumerate_connected_subcubic
-
     spec = EnumSpec(args.max_n, filter=("no-induced-c6" if args.no_induced_c6 else None))
-    counts = enumerate_connected_subcubic(
-        spec, sink=lambda g: print(emit_graph6(g)), jobs=args.jobs)
+    counts = enumerate_connected_subcubic(spec, sink=lambda g: print(emit_graph6(g)))
     print(json.dumps({"counts": {str(k): v for k, v in sorted(counts.items())}}),
           file=sys.stderr)
     return 0
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(1), required=True)
     p.add_argument("--no-induced-c6", action="store_true",
                    help="restrict to graphs without induced 6-cycles")
-    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_enum)
 
     return ap

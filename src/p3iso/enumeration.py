@@ -20,20 +20,23 @@ rejected when a non-cut vertex outranks the newest one, and accepted when
 no other non-cut vertex shares its color; only the rest is labeled, and
 the labelings of an accepted child also give its automorphism group.
 
-Practical exhaustive range is max_n <= 11; the bound sweep to order 11
-(``p3iso verify --max-n 11``) takes about 8 s on a 2-vCPU Xeon, and the
-tests gate orders 10 and 11 behind the ``extended`` marker.
+A shard ``(res, mod)`` follows the res/mod convention of nauty's geng
+(McKay & Piperno, J. Symb. Comput. 60, 2014): it walks down to the split
+order S = max(1, max_n - 2), numbers the order-S graphs in walk order and
+keeps the subtrees under those whose index is ``res`` mod ``mod``; shard 0
+also keeps every graph below order S, and ``(0, 1)`` is the whole walk.
+The bound sweep to order 11 (``p3iso verify --max-n 11``) takes about
+3.5 s serially on a 2-vCPU Xeon; the tests gate orders 10 and 11 behind
+the ``extended`` marker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Iterator
 
 from .graphcore import Graph, connected_within
-from .graph_io import emit_graph6, parse_graph6
 from .patterns import _refine_colors, canonical_data, has_induced_cycle
 
 MAX_DEGREE = 3
@@ -44,23 +47,23 @@ _HEREDITARY_FILTERS = {
     "no-induced-c6": lambda g: has_induced_cycle(g, 6) is None,
 }
 
-# With jobs > 1, subtrees rooted at this order are the parallel work units.
-_SPLIT_ORDER = 6
-
 
 @dataclass(frozen=True)
 class EnumSpec:
     """Connected subcubic graphs of orders 1..max_n, optionally restricted by
-    a filter id."""
+    a filter id, in shard ``res`` of ``mod`` (all of them by default)."""
 
     max_n: int
     filter: str | None = None
+    shard: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.max_n < 1:
             raise ValueError("max_n must be >= 1")
         if self.filter is not None and self.filter not in _HEREDITARY_FILTERS:
             raise ValueError(f"unknown filter id {self.filter!r}")
+        if not 0 <= self.shard[0] < self.shard[1]:
+            raise ValueError(f"shard (res, mod) = {self.shard}: need 0 <= res < mod")
 
 
 # -- automorphisms --------------------------------------------------------------
@@ -157,67 +160,35 @@ def _children(g: Graph, labelings: list[tuple[int, ...]] | None
             yield child, child_labelings
 
 
-def _walk(g: Graph, max_n: int, filter_id: str | None,
-          labelings: list[tuple[int, ...]] | None = None) -> Iterator[Graph]:
-    """g if it passes the filter, then its accepted descendants of order at
-    most max_n, depth-first. A failing graph prunes its subtree."""
-    if filter_id is not None and not _HEREDITARY_FILTERS[filter_id](g):
-        return
-    yield g
-    if g.n < max_n:
-        for child, child_labelings in _children(g, labelings):
-            yield from _walk(child, max_n, filter_id, child_labelings)
-
-
 def iter_subcubic(spec: EnumSpec) -> Iterator[Graph]:
-    """All isomorphism classes of orders 1..max_n, depth-first."""
-    return _walk(Graph.empty(1), spec.max_n, spec.filter)
+    """The isomorphism classes of orders 1..max_n in the spec's shard,
+    depth-first. A graph that fails the filter prunes its subtree."""
+    res, mod = spec.shard
+    # deeper splits balance the shards; every shard repeats the walk above
+    split = max(1, spec.max_n - 2)
+    at_split = count()
+
+    def walk(g: Graph, labelings: list[tuple[int, ...]] | None) -> Iterator[Graph]:
+        if spec.filter is not None and not _HEREDITARY_FILTERS[spec.filter](g):
+            return
+        if g.n == split and next(at_split) % mod != res:
+            return  # another shard's subtree
+        if res == 0 or g.n >= split:
+            yield g
+        if g.n < spec.max_n:
+            for child, child_labelings in _children(g, labelings):
+                yield from walk(child, child_labelings)
+
+    return walk(Graph.empty(1), None)
 
 
-def _worker_descendants(args: tuple[str, int, str | None]) -> list[str]:
-    """graph6 lines of the descendants of one seed, without the seed itself."""
-    seed_g6, max_n, filter_id = args
-    walk = _walk(parse_graph6(seed_g6), max_n, filter_id)
-    next(walk)  # the seed passed the filter and was delivered by the caller
-    return [emit_graph6(g) for g in walk]
-
-
-def enumerate_connected_subcubic(spec: EnumSpec,
-                                 sink: Callable[[Graph], None] | None = None,
-                                 jobs: int = 1) -> dict[int, int]:
-    """Drive every enumerated graph through ``sink``; return {order: count}.
-
-    With jobs > 1 the walk up to order 6 runs here, and the subtree under
-    each order-6 graph is a work unit for a process pool. The sink always
-    runs in the calling process, in a deterministic order: the small orders
-    first, then the subtrees sorted by the graph6 line of their root.
-    """
+def enumerate_connected_subcubic(spec: EnumSpec, sink: Callable[[Graph], None] | None = None
+                                 ) -> dict[int, int]:
+    """Drive every graph of the spec's shard through ``sink``, in walk order;
+    return {order: count}."""
     counts: dict[int, int] = {}
-
-    def deliver(g: Graph) -> None:
+    for g in iter_subcubic(spec):
         counts[g.n] = counts.get(g.n, 0) + 1
         if sink:
             sink(g)
-
-    if jobs <= 1 or spec.max_n <= _SPLIT_ORDER:
-        for g in iter_subcubic(spec):
-            deliver(g)
-        return counts
-
-    seeds: list[str] = []
-    for g in _walk(Graph.empty(1), _SPLIT_ORDER, spec.filter):
-        deliver(g)
-        if g.n == _SPLIT_ORDER:
-            seeds.append(emit_graph6(g))
-    args = [(s, spec.max_n, spec.filter) for s in sorted(seeds)]
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        for lines in pool.map(_worker_descendants, args):
-            for line in lines:
-                deliver(parse_graph6(line))
-    except BaseException:
-        # a failing sink should not wait for the queued work units
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown()
     return counts

@@ -9,7 +9,11 @@ non-catalog offender is a violation and fails the run.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,9 +32,16 @@ class OrderReport:
     order: int
     examined: int = 0
     eligible: int = 0
-    exceptions: dict[str, int] = field(default_factory=dict)
+    exceptions: Counter[str] = field(default_factory=Counter)
     violations: list[str] = field(default_factory=list)
     elapsed: float = 0.0
+
+    def add(self, other: "OrderReport") -> None:
+        self.examined += other.examined
+        self.eligible += other.eligible
+        self.exceptions.update(other.exceptions)
+        self.violations += other.violations
+        self.elapsed += other.elapsed
 
 
 @dataclass
@@ -90,18 +101,36 @@ def _check_one(g: Graph, report: VerificationReport) -> None:
             if cid is None:
                 row.violations.append(emit_graph6(g))
             else:
-                row.exceptions[cid] = row.exceptions.get(cid, 0) + 1
+                row.exceptions[cid] += 1
     finally:
         row.elapsed += time.perf_counter() - t0
 
 
+def _verify_part(max_n: int, res: int, mod: int) -> VerificationReport:
+    """The bound check over shard ``res`` of ``mod`` of the walk to max_n."""
+    report = VerificationReport({n: OrderReport(n) for n in range(1, max_n + 1)})
+    enumerate_connected_subcubic(EnumSpec(max_n, shard=(res, mod)),
+                                 sink=lambda g: _check_one(g, report))
+    return report
+
+
 def verify_enumerated(max_n: int, jobs: int = 1) -> VerificationReport:
-    """Run the bound check over every connected subcubic graph up to max_n."""
+    """Run the bound check over every connected subcubic graph up to max_n.
+    With jobs > 1, min(jobs, usable CPUs) processes check one shard each;
+    their reports are summed, so ``elapsed`` is the time of all shards."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    mod = min(jobs, cpus)
+    if mod == 1:
+        return _verify_part(max_n, 0, 1)
     report = VerificationReport()
-    for n in range(1, max_n + 1):
-        report.row(n)
-    enumerate_connected_subcubic(EnumSpec(max_n), sink=lambda g: _check_one(g, report),
-                                 jobs=jobs)
+    # spawn, not fork: forking a process that runs threads is unsafe
+    with ProcessPoolExecutor(mod, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for part in pool.map(_verify_part, [max_n] * mod, range(mod), [mod] * mod):
+            for n, row in part.rows.items():
+                report.row(n).add(row)
     return report
 
 

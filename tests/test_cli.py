@@ -100,6 +100,17 @@ def test_verify_enum_and_json(capsys):
         assert row["eligible"] <= row["examined"]
 
 
+def test_verify_jobs_json_matches_serial(capsys):
+    payloads = []
+    for extra in ([], ["--jobs", "2"]):
+        code, out, _ = run(capsys, "verify", "--max-n", "8", "--json", *extra)
+        assert code == 0
+        payloads.append(json.loads(out))
+        for row in payloads[-1]["orders"]:
+            del row["elapsed_s"]
+    assert payloads[0] == payloads[1]
+
+
 def test_verify_stream(tmp_path, capsys):
     path = write(tmp_path, "cat.g6",
                  "\n".join(emit_graph6(e.graph) for e in gen.catalog()) + "\n")
@@ -144,8 +155,9 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     (b"", ["enum", "--max-n", "0"], 2, "", "--max-n"),
     (b"", ["verify", "--jobs", "0"], 2, "", "--jobs"),
     (b"", ["verify", "--jobs", "-3"], 2, "", "--jobs"),
-    (b"", ["enum", "--max-n", "3", "--jobs", "0"], 2, "", "--jobs"),
-    (b"", ["enum", "--max-n", "3", "--jobs", "-3"], 2, "", "--jobs"),
+    # enum has no --jobs; a streamed verify has nothing to split
+    (b"", ["enum", "--max-n", "3", "--jobs", "2"], 2, "", "--jobs"),
+    (b"", ["verify", "--stream", "FILE", "--jobs", "2"], 2, "", "--jobs"),
 ])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, data, argv, code, out, err):
     path = tmp_path / "input"

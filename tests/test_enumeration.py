@@ -79,9 +79,8 @@ def test_emitted_sequence_is_pinned(filter_id, digest):
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_counts_to_11_extended(jobs):
-    counts = enumerate_connected_subcubic(EnumSpec(11), jobs=jobs)
+def test_counts_to_11_extended():
+    counts = enumerate_connected_subcubic(EnumSpec(11))
     assert [counts[n] for n in range(1, 12)] == COUNTS
 
 
@@ -123,52 +122,38 @@ def test_hereditary_filter_agrees_with_post_filtering():
     assert all(has_induced_cycle(g, 6) is None for g in filtered)
 
 
-def test_parallel_matches_serial():
-    serial = enumerate_connected_subcubic(EnumSpec(8))
-    par = enumerate_connected_subcubic(EnumSpec(8), jobs=2)
-    assert serial == par
-    assert sum(serial.values()) == sum(1 for _ in iter_subcubic(EnumSpec(8)))
-
-
-def test_parallel_sink_delivery():
-    got = []
-    enumerate_connected_subcubic(EnumSpec(7), sink=got.append, jobs=2)
-    assert len(got) == sum(enumerate_connected_subcubic(EnumSpec(7)).values())
-    assert all(is_connected(g) and g.max_degree() <= 3 for g in got)
-
-
-def test_parallel_sink_error_propagates():
-    class Stop(Exception):
-        pass
-
-    stop = Stop()
-
-    def sink(g):
-        if g.n == 7:
-            raise stop
-
-    with pytest.raises(Stop) as info:
-        enumerate_connected_subcubic(EnumSpec(9), sink=sink, jobs=2)
-    assert info.value is stop
-
-
-def test_parallel_with_filters_matches_serial():
-    spec = EnumSpec(7, filter="no-induced-c6")
-    assert enumerate_connected_subcubic(spec, jobs=2) == \
-        enumerate_connected_subcubic(spec)
+def _shard_lines(n, filter_id, mod):
+    """graph6 lines delivered over all shards of ``mod``, as a multiset."""
+    got: Counter = Counter()
+    for res in range(mod):
+        spec = EnumSpec(n, filter=filter_id, shard=(res, mod))
+        enumerate_connected_subcubic(spec, sink=lambda g: got.update([emit_graph6(g)]))
+    return got
 
 
 @pytest.mark.parametrize("filter_id", [None, "no-induced-c6"])
 def test_parallel_delivers_same_graphs(filter_id):
-    # the same labeled graphs, not just the same counts per order
-    spec = EnumSpec(8, filter=filter_id)
-    serial: Counter = Counter()
-    par: Counter = Counter()
-    enumerate_connected_subcubic(spec, sink=lambda g: serial.update([emit_graph6(g)]))
-    enumerate_connected_subcubic(spec, sink=lambda g: par.update([emit_graph6(g)]),
-                                 jobs=2)
-    assert par == serial
-    assert len(serial) == sum(serial.values())
+    # shards are the parallel units: together they deliver the same labeled
+    # graphs as the serial walk, each exactly once, at every order
+    for n in range(1, 10):
+        serial = Counter(emit_graph6(g) for g in iter_subcubic(EnumSpec(n, filter=filter_id)))
+        assert len(serial) == sum(serial.values())
+        for mod in (1, 2, 3, 7):
+            assert _shard_lines(n, filter_id, mod) == serial, (n, mod)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("filter_id", [None, "no-induced-c6"])
+def test_shards_deliver_same_graphs_at_11_extended(filter_id):
+    serial = Counter(emit_graph6(g) for g in iter_subcubic(EnumSpec(11, filter=filter_id)))
+    for mod in (1, 2, 3, 7):
+        assert _shard_lines(11, filter_id, mod) == serial, mod
+
+
+@pytest.mark.parametrize("shard", [(0, 0), (-1, 2), (2, 2), (5, 3)])
+def test_shard_validation(shard):
+    with pytest.raises(ValueError):
+        EnumSpec(5, shard=shard)
 
 
 def test_canonical_form_is_an_isomorphism_invariant(rng):

@@ -1,5 +1,10 @@
+import os
+
+import pytest
+
 from p3iso import generators as gen
 from p3iso import patterns
+from p3iso import verify
 from p3iso.graph_io import emit_graph6
 from p3iso.solver import isolation_number
 from p3iso.verify import (ObservationResult, check_observations,
@@ -21,6 +26,52 @@ def test_verify_enumerated_small_orders():
     # report totals: eligible <= examined, and the gap is exactly the
     # induced-6-cycle graphs
     assert by_order[6]["examined"] - by_order[6]["eligible"] == 1  # the 6-cycle
+
+
+def _without_times(report):
+    payload = report.to_dict()
+    for row in payload["orders"]:
+        del row["elapsed_s"]
+    return payload
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_parallel_reports_match_serial(monkeypatch, jobs):
+    # one shard per job even on a host with fewer CPUs, so that jobs=3
+    # really sums three shard reports
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(jobs)),
+                        raising=False)
+    for n in range(1, 10):
+        assert _without_times(verify_enumerated(n, jobs=jobs)) == \
+            _without_times(verify_enumerated(n)), n
+
+
+def test_workers_capped_at_usable_cpus(monkeypatch):
+    # a pool that records its size and maps in this process: never start
+    # the processes a large jobs value asks for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    report = verify_enumerated(7, jobs=100000)
+    assert sizes == [4]
+    assert _without_times(report) == _without_times(verify_enumerated(7))
+    verify_enumerated(7, jobs=1)
+    assert sizes == [4]  # serial runs start no pool
+    with pytest.raises(ValueError):
+        verify_enumerated(7, jobs=0)
 
 
 def test_verify_stream_on_catalog():
