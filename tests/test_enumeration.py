@@ -131,6 +131,25 @@ def _shard_lines(n, filter_id, mod):
     return got
 
 
+def _shard_counts(n, filter_id, mod):
+    """{order: count} summed over all shards of ``mod``."""
+    total: Counter = Counter()
+    for res in range(mod):
+        total.update(enumerate_connected_subcubic(EnumSpec(n, filter=filter_id, shard=(res, mod))))
+    return dict(total)
+
+
+def test_parallel_matches_serial():
+    serial = enumerate_connected_subcubic(EnumSpec(8))
+    assert _shard_counts(8, None, 2) == serial
+    assert sum(serial.values()) == sum(1 for _ in iter_subcubic(EnumSpec(8)))
+
+
+def test_parallel_with_filters_matches_serial():
+    spec = EnumSpec(7, filter="no-induced-c6")
+    assert _shard_counts(7, "no-induced-c6", 2) == enumerate_connected_subcubic(spec)
+
+
 @pytest.mark.parametrize("filter_id", [None, "no-induced-c6"])
 def test_parallel_delivers_same_graphs(filter_id):
     # shards are the parallel units: together they deliver the same labeled
