@@ -15,9 +15,9 @@ from .patterns import (P3, catalog_match, contains_copy, has_induced_cycle,
 from .solver import (Certificate, is_isolating, isolation_number,
                      isolation_number_additive)
 from .generators import (BadOrder, CatalogEntry, CatalogSelfCheckFailed,
-                         ConstructionParams, catalog, catalog_entry, complete,
-                         construction_B, construction_B_p3, cycle, path,
-                         random_eligible_graph, random_subcubic_connected)
+                         catalog, catalog_entry, complete, construction_B_p3,
+                         cycle, path, random_eligible_graph,
+                         random_subcubic_connected)
 from .graph_io import (emit_edge_list, emit_graph6, iter_graph6,
                        parse_edge_list, parse_graph6)
 from .constructive import (CaseTrace, PreconditionViolated,

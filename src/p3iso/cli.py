@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
         with _open(args.stream) as fh:
             report = verify_stream(fh)
     else:
-        report = verify_enumerated(args.max_n, jobs=args.jobs)
+        report = verify_enumerated(args.max_n or 9, jobs=args.jobs)
     payload = report.to_dict()
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -242,9 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_isolate)
 
     p = sub.add_parser("verify", help="check the floor(n/4) bound over a corpus")
-    p.add_argument("--max-n", type=_at_least(1), default=9)
-    p.add_argument("--stream", default=None,
-                   help="graph6 file to verify instead of enumerating; - for stdin")
+    # one corpus or the other; --max-n defaults to None (9 in cmd_verify)
+    # because argparse lets a value identical to the default pass unchecked
+    corpus = p.add_mutually_exclusive_group()
+    corpus.add_argument("--max-n", type=_at_least(1), default=None,
+                        help="largest order to enumerate (default 9)")
+    corpus.add_argument("--stream", default=None,
+                        help="graph6 file to verify instead of enumerating; - for stdin")
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)

@@ -1,17 +1,17 @@
 """Polynomial-time floor(n/4) isolating sets for connected subcubic graphs
 with no induced 6-cycles (the twelve exceptional graphs excluded).
 
-The algorithm mirrors the inductive argument that proves the bound: orders
-up to 15 go to the budgeted exact solver, max-degree-2 graphs get closed
-forms, and otherwise a degree-3 vertex v is deleted with its neighborhood
-and the components of the remainder are classified against the exceptional
-catalog. Exceptional components trigger one of the named cases below; each
-case assembles the answer from prescribed vertices plus solutions of
-strictly smaller eligible pieces.
+The algorithm mirrors the inductive argument that proves the bound: pieces
+of order up to 15 take the one exact base step _base, max-degree-2 graphs
+get closed forms, and otherwise a degree-3 vertex v is deleted with its
+neighborhood and the components of the remainder are classified against the
+exceptional catalog. Exceptional components trigger one of the named cases
+below; each case assembles the answer from prescribed vertices plus
+solutions of strictly smaller eligible pieces.
 
 A piece is a vertex mask of the input graph, so every set and every trace
 label is in the input's own labels. Only pieces of order <= 15 (for the
-exact solver) and components of a catalog order (3, 7, 11, 15, for the
+base step) and components of a catalog order (3, 7, 11, 15, for the
 isomorphism tests) are extracted as relabeled graphs. Each case is a
 generator that yields the mask of a smaller piece and is sent back that
 piece's set; one loop over an explicit stack drives them, so the depth of
@@ -269,10 +269,6 @@ def _catalog_id(g: Graph, mask: int) -> str | None:
     return patterns.catalog_match(_extract(g, mask)[0])
 
 
-def _require_plain(g: Graph, mask: int, msg: str) -> None:
-    _require(_catalog_id(g, mask) is None, msg)
-
-
 def _split(g: Graph, mask: int, kill: int, v: int) -> tuple[int, list[int]]:
     """The component of the piece minus ``kill`` holding v, and the others."""
     parts = component_masks(g, within=mask & ~kill)
@@ -320,27 +316,29 @@ def _close(g, trace, bits: int, case: str, chosen, removed: int, **detail) -> in
     return bits
 
 
-def _base_step(trace: CaseTrace, cert: Certificate, old: tuple[int, ...],
-               detail: dict) -> int:
-    """Trace an exact solution of an extracted piece; its bits in g's labels."""
+def _base(g: Graph, mask: int, trace: CaseTrace, note: str | None = None) -> int:
+    """The one exact base step, on the piece extracted once. Without a ``note``
+    the piece is eligible: not exceptional, and solved within floor(n/4); a
+    noted piece is a small exceptional component, solved without a budget."""
+    sub, old = _extract(g, mask)
+    detail, budget = {"order": sub.n}, None
+    if note is None:
+        _require(patterns.catalog_match(sub) is None, "recursed into an exceptional graph")
+        budget = sub.n // 4
+    else:
+        detail["note"] = note
+    cert = solver.isolation_number(sub, P3, budget=budget, canonical=False)
+    _require(cert.exact, f"small graph needs more than floor({sub.n}/4)")
     chosen = [old[v] for v in cert.set]
     trace.add(CASE_BASE, chosen, old, detail)
     return sum(1 << u for u in chosen)
-
-
-def _exact_small(g: Graph, mask: int, trace: CaseTrace, note: str) -> int:
-    """Exact solve of a small (possibly exceptional) component."""
-    sub, old = _extract(g, mask)
-    _require(sub.n <= 15, f"{note}: expected a small component")
-    cert = solver.isolation_number(sub, P3, canonical=False)
-    return _base_step(trace, cert, old, {"note": note, "order": sub.n})
 
 
 def _plain_or_small(g: Graph, mask: int, trace: CaseTrace, note: str):
     """Solve a piece that may be a small exceptional component."""
     if _catalog_id(g, mask) is None:
         return (yield mask)
-    return _exact_small(g, mask, trace, note)
+    return _base(g, mask, trace, note)
 
 
 # -- the recursion ---------------------------------------------------------------
@@ -352,17 +350,13 @@ def _piece(g: Graph, mask: int, trace: CaseTrace):
     Like every case below, a generator run by _solve: it yields the masks of
     smaller pieces and returns the set bits, in g's labels.
     Eligible: connected, subcubic, no induced 6-cycle, not exceptional.
-    This entry check is the only place a yielded piece is checked for
-    connectivity and exceptionality (every catalog order is <= 15).
+    This entry is the only place a yielded piece is checked for connectivity
+    and, through the base step _base on the extracted piece, exceptionality
+    (every catalog order is <= 15).
     """
     _require(connected_within(g, mask), "recursed into a disconnected graph")
     if mask.bit_count() <= 15:
-        sub, old = _extract(g, mask)
-        _require(patterns.catalog_match(sub) is None,
-                 "recursed into an exceptional graph")
-        cert = solver.isolation_number(sub, P3, budget=sub.n // 4, canonical=False)
-        _require(cert.exact, f"small graph needs more than floor({sub.n}/4)")
-        return _base_step(trace, cert, old, {"order": sub.n})
+        return _base(g, mask, trace)
     v = next((u for u in bit_indices(mask) if _degree(g, mask, u) == 3), None)
     if v is None:
         return _delta2(g, mask, trace)
@@ -443,10 +437,8 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
     x1, x1p = h1.linked[0], h1.linked[1]
     w = next(u for u in nbrs if u not in (x1, x1p))
 
-    if h1.cid == "G15":
-        return (yield from _case221(g, mask, h1, x1, x1p, trace))
-    if h1.cid == "G11":
-        return (yield from _case222_g11(g, mask, h1, trace))
+    if h1.cid in ("G15", "G11"):
+        return (yield from _case_inner(g, mask, h1, x1, x1p, trace))
     if h1.cid in ("C11", "C7"):
         k = h1.mask.bit_count()
         return (yield from _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w,
@@ -454,7 +446,7 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
     if h1.cid in ("G71", "G72", "G73", "G75"):
         return (yield from _case223_non_cycle(g, mask, h1, x1, trace))
     if h1.cid in ("P3", "C3"):
-        return (yield from _case224(g, mask, v, h1, trace))
+        return (yield from _case224(g, mask, v, nbrs, h1, trace))
     raise InternalCaseExhausted(
         f"component {h1.cid} cannot be doubly linked")  # G74/G76 have one open slot
 
@@ -526,31 +518,24 @@ def _normalize(g: Graph, h_mask: int, cid: str, pin: int | None = None):
     return [old[i] for i in wit] if wit else None
 
 
-def _delete_inner(g, mask, h_mask, y, trace, case, note, **detail):
-    """Delete N[y] for an inner vertex y of a catalog copy and recurse once."""
-    _require(g.rows[y] & mask & ~h_mask == 0, f"inner {note} vertex has outside edges")
+def _case_inner(g, mask, h1, x1, x1p, trace):
+    """The doubly linked component is a G15 or G11 copy: delete N[y] for an
+    inner vertex y and recurse once. A G15 copy (Case 2.2.1) is pinned at an
+    attachment of x1 or x1' and y = psi[12]; a G11 copy (Case 2.2.2, subcase
+    "G11") is unpinned and y = psi[1]."""
+    if h1.cid == "G15":
+        pins = [t for xa in (x1, x1p) for t in _attachments(g, xa, h1.mask)]
+        case, at, detail = CASE_221, 12, {}
+    else:
+        pins, case, at, detail = [None], CASE_222, 1, {"subcase": "G11"}
+    psi = next(filter(None, (_normalize(g, h1.mask, h1.cid, pin=t) for t in pins)), None)
+    _require(psi is not None, f"no normalization of the {h1.cid} copy fits its attachments")
+    y = psi[at]
+    _require(g.rows[y] & mask & ~h1.mask == 0, f"inner {h1.cid} vertex has outside edges")
     kill = closed_mask(g, 1 << y) & mask
+    detail["normalization"] = {i + 1: u for i, u in enumerate(psi)}
     trace.add(case, [y], bit_indices(kill), detail)
     return (1 << y) | (yield mask & ~kill)
-
-
-def _case221(g, mask, h1, x1, x1p, trace):
-    """The doubly linked component is a copy of the order-15 graph."""
-    pins = (t for xa in (x1, x1p) for t in _attachments(g, xa, h1.mask))
-    psi = next(filter(None, (_normalize(g, h1.mask, "G15", pin=t) for t in pins)), None)
-    _require(psi is not None, "no attachment of the G15 copy is triangle-type")
-    return (yield from _delete_inner(
-        g, mask, h1.mask, psi[12], trace, CASE_221, "G15",
-        normalization={i + 1: psi[i] for i in range(15)}))
-
-
-def _case222_g11(g, mask, h1, trace):
-    """The doubly linked component is a copy of the order-11 non-cycle."""
-    psi = _normalize(g, h1.mask, "G11")
-    _require(psi is not None, "catalog said G11 but no isomorphism found")
-    return (yield from _delete_inner(
-        g, mask, h1.mask, psi[1], trace, CASE_222, "G11", subcase="G11",
-        normalization={i + 1: psi[i] for i in range(11)}))
 
 
 def _case223_non_cycle(g, mask, h1, x1, trace):
@@ -640,8 +625,7 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
     _require(j_mask in others, "the 4-path remnant of the 7-cycle is not a component")
     side_parts = [p for p in others if p != j_mask]
     for p in side_parts:
-        _require_plain(g, p, "side component in the C7 disconnected subcase "
-                       "is exceptional")
+        _require(_catalog_id(g, p) is None, "C7-disconnected side component is exceptional")
     cm = _catalog_id(g, gv_mask)
 
     if cm is None:
@@ -678,16 +662,15 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
                   subcase="C7-disconnected-C7")
 
 
-def _case224(g, mask, v, h1, trace):
+def _case224(g, mask, v, nbrs, h1, trace):
     """The doubly linked component is a 3-vertex graph."""
-    nbrs = tuple(bit_indices(g.rows[v] & mask))
     h_mask = h1.mask
     h_verts = list(bit_indices(h_mask))
     deg2 = [t for t in h_verts if _degree(g, h_mask, t) == 2]
-    adjacent_pairs = [(t, u) for t in deg2 for u in nbrs if g.has_edge(t, u)]
+    pairs = [(t, u) for t in deg2 for u in nbrs if g.has_edge(t, u)]
 
-    if adjacent_pairs:
-        return (yield from _case224_deg2_attached(g, mask, v, h1, adjacent_pairs, trace))
+    if pairs:
+        return (yield from _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace))
 
     # condition (1): no degree-2 vertex of H1 touches N(v); H1 must be a path
     _require(h1.cid == "P3", "triangle component always violates condition (1)")
@@ -716,13 +699,6 @@ def _case224(g, mask, v, h1, trace):
     w = next(u for u in nbrs if u not in (x1, x1p))
     _require(g.has_edge(x1, x1p),
              "missing x1-x1' edge would force an induced 6-cycle")
-    if g.has_edge(w, y1p) and g.has_edge(w, y1):
-        raise InternalCaseExhausted("w adjacent to both ends forces order 7")
-    if g.has_edge(w, y1p):
-        # mirror the roles so the undisturbed end pairs with the deleted x
-        x1, x1p, y1, y1p = x1p, x1, y1p, y1
-    _require(not g.has_edge(w, y1p),
-             "w adjacent to the far end forces an induced 6-cycle")
     kill = _kill(g, mask, x1, (v, x1p, y1), "x1 should be saturated by v, x1', y1")
     k2_mask = (1 << y1p) | (1 << ystar)
     gw_mask = _one_beside(g, mask, kill, k2_mask,
@@ -766,9 +742,8 @@ def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace):
                   subcase=f"double-attachment-{cm}")
 
 
-def _case224_deg2_attached(g, mask, v, h1, pairs, trace):
+def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
     """Condition (1) fails: a degree-2 vertex of H1 touches N(v)."""
-    nbrs = tuple(bit_indices(g.rows[v] & mask))
     h_mask = h1.mask
     y1, x1 = pairs[0]
     linked_others = [u for u in nbrs if u != x1 and g.rows[u] & h_mask]
@@ -783,8 +758,7 @@ def _case224_deg2_attached(g, mask, v, h1, pairs, trace):
     gv_mask, others = _split(g, mask, kill, v)
     _require(len(others) <= 1, "x1 has one open slot, so at most one side component")
     hstar_mask = others[0] if others else 0
-    if hstar_mask:
-        _require_plain(g, hstar_mask, "side component hanging off x1 is exceptional")
+    _require(_catalog_id(g, hstar_mask) is None, "side component off x1 is exceptional")
     cm = _catalog_id(g, gv_mask)
 
     if cm is None:
@@ -802,7 +776,7 @@ def _case224_deg2_attached(g, mask, v, h1, pairs, trace):
              "3-vertex remainder must be exactly v, x1', w")
     _require(hstar_mask != 0, "order at least 16 forces a side component")
     if hstar_mask.bit_count() % 4 != 0:
-        bits = (1 << y1) | _exact_small(g, gv_mask, trace, "small remainder at v")
+        bits = (1 << y1) | _base(g, gv_mask, trace, "small remainder at v")
         bits |= yield hstar_mask
         return _close(g, trace, bits, CASE_224, [y1], kill,
                       subcase="deg2-attached-small-gv")

@@ -61,55 +61,28 @@ def attach_pendant(g: Graph, h: Graph, gv: int, hv: int) -> Graph:
 # -- the extremal construction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Block counts for the extremal construction on n vertices over a
-    k-vertex attachment graph: a spine copies, b = n - k*a path vertices."""
+def construction_B_p3(n: int) -> Graph:
+    """The spine-with-private-copies construction B_{n,P3}.
 
-    n: int
-    k: int
-    a: int
-    b: int
-
-    @classmethod
-    def for_order(cls, n: int, k: int) -> "ConstructionParams":
-        if n < k + 1:
-            raise BadOrder(f"parameters defined for n >= k+1, got n={n}, k={k}")
-        a = n // (k + 1)
-        b = n - k * a
-        params = cls(n, k, a, b)
-        if not (params.a <= params.b <= params.a + params.k):
-            raise AssertionError(f"parameter invariant violated: {params}")
-        return params
-
-
-def construction_B(n: int, f: Graph) -> Graph:
-    """The spine-with-private-copies construction B over attachment graph f.
-
-    For n <= |V(f)| this is just P_n. Otherwise: a path on spine vertices
-    1..a, the extra path vertices a+1..b all joined to spine vertex a, and
-    each spine vertex i fully joined to its own private copy of f.
-    Labels here are 0-based; the spine occupies 0..b-1.
+    For n <= 3 this is just P_n. Otherwise, with a = n // 4 spine vertices
+    and b = n - 3a path vertices: a path on spine vertices 1..a, the extra
+    path vertices a+1..b all joined to spine vertex a, and each spine vertex
+    i fully joined to its own private 3-path. Labels here are 0-based; the
+    path occupies 0..b-1.
     """
     if n < 1:
         raise BadOrder(f"construction needs n >= 1, got {n}")
-    k = f.n
-    if f.n == 0 or not is_connected(f):
-        raise ValueError("attachment graph must be connected and nonempty")
-    if n <= k:
+    if n <= 3:
         return path(n)
-    p = ConstructionParams.for_order(n, k)
-    edges: list[tuple[int, int]] = [(i, i + 1) for i in range(p.a - 1)]
-    edges += [(p.a - 1, j) for j in range(p.a, p.b)]
-    for i in range(p.a):
-        base = p.b + k * i
-        edges += [(base + u, base + v) for u, v in f.edges()]
-        edges += [(i, base + u) for u in range(k)]
+    a = n // 4
+    b = n - 3 * a
+    edges: list[tuple[int, int]] = [(i, i + 1) for i in range(a - 1)]
+    edges += [(a - 1, j) for j in range(a, b)]
+    for i in range(a):
+        base = b + 3 * i
+        edges += [(base, base + 1), (base + 1, base + 2)]
+        edges += [(i, base + u) for u in range(3)]
     return Graph.from_edges(n, edges)
-
-
-def construction_B_p3(n: int) -> Graph:
-    return construction_B(n, path(3))
 
 
 # -- the exceptional catalog ---------------------------------------------------
@@ -216,13 +189,10 @@ def random_subcubic_tree(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_subcubic_connected(n: int, rng: random.Random,
-                              extra_edges: int | None = None) -> Graph:
+def random_subcubic_connected(n: int, rng: random.Random) -> Graph:
     """A random connected subcubic graph: random tree plus random chords."""
     g = random_subcubic_tree(n, rng)
-    if extra_edges is None:
-        extra_edges = rng.randint(0, max(1, n // 3))
-    for _ in range(extra_edges):
+    for _ in range(rng.randint(0, max(1, n // 3))):
         low = [v for v in range(n) if g.degree(v) <= 2]
         rng.shuffle(low)
         added = False

@@ -144,13 +144,16 @@ def emit_graph6(g: Graph) -> str:
     return _encode_order(g.n) + body.translate(_TO_TEXT).decode("ascii")
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" then m lines "u v" (1-based labels)."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise EdgeListError("empty input")
     header = lines[0].split()
-    if len(header) != 2 or not all(tok.lstrip("-").isdigit() for tok in header):
+    if len(header) != 2 or not all(_INT.fullmatch(tok) for tok in header):
         raise EdgeListError(f"bad header {lines[0]!r}, expected 'n m'")
     n, m = int(header[0]), int(header[1])
     if n < 0 or m < 0:
@@ -160,7 +163,7 @@ def parse_edge_list(text: str) -> Graph:
     rows = [0] * n
     for ln in lines[1:]:
         toks = ln.split()
-        if len(toks) != 2 or not all(tok.lstrip("-").isdigit() for tok in toks):
+        if len(toks) != 2 or not all(_INT.fullmatch(tok) for tok in toks):
             raise EdgeListError(f"bad edge line {ln!r}")
         u, v = int(toks[0]), int(toks[1])
         if not (1 <= u <= n and 1 <= v <= n):

@@ -158,6 +158,11 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     # enum has no --jobs; a streamed verify has nothing to split
     (b"", ["enum", "--max-n", "3", "--jobs", "2"], 2, "", "--jobs"),
     (b"", ["verify", "--stream", "FILE", "--jobs", "2"], 2, "", "--jobs"),
+    # --max-n sizes the enumeration, so a streamed verify refuses it too
+    (b"", ["verify", "--stream", "FILE", "--max-n", "3"], 2, "", "--max-n"),
+    # a doubled sign in an edge list is a format error, not a crash
+    (b"3 1\n1 --2\n", ["iota", "--format", "edges", "FILE"], 2, "", "bad edge line"),
+    (b"--3 0\n", ["iota", "--format", "edges", "FILE"], 2, "", "bad header"),
 ])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, data, argv, code, out, err):
     path = tmp_path / "input"

@@ -280,6 +280,18 @@ def test_targeted_case(name, g, case, sub):
     check(g, want_case=case, want_sub=sub)
 
 
+def test_case222_c11_disconnected_mirror():
+    # x1' attaches at psi[10], not psi[1], so the C11-disconnected step takes
+    # the mirrored D' = {psi[0], psi[5], psi[10]}; kept out of
+    # targeted_graphs(), whose names are the golden fixture's keys
+    c11 = [(i, i + 1) for i in range(4, 14)] + [(4, 14)]
+    g = Graph.from_edges(17, FRAME + c11 + [(1, 4), (2, 14), (3, 15), (15, 16)])
+    _, trace = check(g, want_case="Case2.2.2", want_sub="C11-disconnected")
+    step = next(s for s in trace.steps if s.detail.get("subcase") == "C11-disconnected")
+    psi = step.detail["normalization"]
+    assert step.chosen == (4, 9, 14) == (psi[1], psi[6], psi[11])
+
+
 def test_g73_component_cannot_be_doubly_linked():
     # the three attachable vertices of this order-7 graph are pairwise
     # joined by both a 2-path and a 3-path inside it, so every double

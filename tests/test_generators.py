@@ -1,9 +1,8 @@
 import pytest
 
 from p3iso import generators as gen
-from p3iso.generators import (BadOrder, CatalogSelfCheckFailed,
-                              ConstructionParams)
-from p3iso.graphcore import Graph, VertexSet, delete_vertices, is_connected
+from p3iso.generators import BadOrder, CatalogSelfCheckFailed
+from p3iso.graphcore import VertexSet, delete_vertices, is_connected
 from p3iso.patterns import catalog_match, has_induced_cycle, is_isomorphic
 from p3iso.solver import is_isolating, isolation_number
 from p3iso.patterns import P3
@@ -23,17 +22,8 @@ def test_standard_graphs():
         gen.complete(0)
 
 
-def test_construction_params():
-    for n in range(4, 41):
-        p = ConstructionParams.for_order(n, 3)
-        assert p.a == n // 4 and p.b == n - 3 * p.a
-        assert p.a <= p.b <= p.a + p.k
-    with pytest.raises(BadOrder):
-        ConstructionParams.for_order(3, 3)
-
-
 def test_construction_b_examples():
-    assert gen.construction_B(3, gen.path(3)) == gen.path(3)
+    assert gen.construction_B_p3(3) == gen.path(3)
 
     b4 = gen.construction_B_p3(4)
     # a single spine vertex joined to every vertex of one 3-path
@@ -52,15 +42,6 @@ def test_construction_b_order_and_spine():
         if n >= 4:
             a = n // 4
             assert is_isolating(b, P3, VertexSet.of(n, range(a)))
-
-
-def test_construction_b_general_attachment():
-    b = gen.construction_B(10, gen.complete(3))
-    assert b.n == 10
-    b = gen.construction_B(9, gen.cycle(4))
-    assert b.n == 9
-    with pytest.raises(ValueError):
-        gen.construction_B(5, Graph.empty(2))
 
 
 def test_catalog_entries():

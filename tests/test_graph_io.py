@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p3iso import generators as gen
-from p3iso.graph_io import (DuplicateEdge, MalformedHeader,
+from p3iso.graph_io import (DuplicateEdge, EdgeListError, MalformedHeader,
                             NonCanonicalPadding, OutOfRange, SelfLoop,
                             TruncatedBits, _decode_order, _encode_order,
                             emit_edge_list, emit_graph6, iter_graph6,
@@ -122,6 +122,10 @@ def test_edge_list_roundtrip_and_examples():
         parse_edge_list("3 2\n1 2\n2 1")
     with pytest.raises(OutOfRange):
         parse_edge_list("3 1\n1 4")
+    # a doubled sign or a non-ASCII digit is a format error, not a crash in int()
+    for text in ("3 1\n1 --2", "--3 0", "3 1\n1 \u00b2"):
+        with pytest.raises(EdgeListError):
+            parse_edge_list(text)
 
 
 def test_edge_list_g11_fixture_degree_sequence():
