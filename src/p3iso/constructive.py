@@ -17,8 +17,11 @@ generator that yields the mask of a smaller piece and is sent back that
 piece's set; one loop over an explicit stack drives them, so the depth of
 the deletion never becomes depth of the Python stack.
 
-_piece checks every yielded piece on entry (connected, not a catalog copy);
-the cases check only the component shapes they rely on. Any mismatch raises
+A yielded piece is connected by construction: it is a component found by
+graphcore.split_off, which walks out from the boundary of the deleted set,
+or a remainder that split_off shows to be one component. _solve checks the
+root piece once. _piece refuses a catalog copy on entry; the cases check
+only the component shapes they rely on. Any mismatch raises
 InternalCaseExhausted; the top level then falls back to the budgeted exact
 solver on graphs of order at most FALLBACK_MAX_ORDER, which preserves the
 output contract while surfacing the bug in the trace, and re-raises above
@@ -35,8 +38,8 @@ from . import patterns
 from . import solver
 from .generators import BadOrder
 from .graphcore import (Graph, VertexSet, bit_indices, closed_mask,
-                        component_masks, connected_within, delete_vertices,
-                        is_connected)
+                        connected_within, delete_vertices, is_connected,
+                        split_off)
 from .patterns import P3
 from .solver import Certificate, is_isolating
 
@@ -233,7 +236,10 @@ def _solve(g: Graph, mask: int, trace: CaseTrace) -> int:
     Each stack entry is a case generator at work on one piece; a yielded
     mask is pushed as a new piece, and a finished piece's bits are sent to
     the entry below it.
+    Only this root mask is checked for connectivity: a yielded piece is
+    connected by the split that made it.
     """
+    _require(connected_within(g, mask), "recursed into a disconnected graph")
     stack = [_piece(g, mask, trace)]
     bits = None
     while stack:
@@ -271,9 +277,16 @@ def _catalog_id(g: Graph, mask: int) -> str | None:
 
 def _split(g: Graph, mask: int, kill: int, v: int) -> tuple[int, list[int]]:
     """The component of the piece minus ``kill`` holding v, and the others."""
-    parts = component_masks(g, within=mask & ~kill)
+    parts = split_off(g, mask, kill)
     gv_mask = next(p for p in parts if (p >> v) & 1)
     return gv_mask, [p for p in parts if p != gv_mask]
+
+
+def _connected_rest(g: Graph, mask: int, kill: int) -> int:
+    """The piece minus ``kill``, which must be one component."""
+    parts = split_off(g, mask, kill)
+    _require(len(parts) == 1, "recursed into a disconnected graph")
+    return parts[0]
 
 
 def _kill(g: Graph, mask: int, y: int, others, msg: str) -> int:
@@ -294,7 +307,7 @@ def _each(masks):
 def _one_beside(g: Graph, mask: int, kill: int, piece: int,
                 msg_piece: str, msg_rest: str) -> int:
     """The single component of the piece minus ``kill`` other than ``piece``."""
-    parts = component_masks(g, within=mask & ~kill)
+    parts = split_off(g, mask, kill)
     _require(piece in parts, msg_piece)
     rest = [p for p in parts if p != piece]
     _require(len(rest) == 1, msg_rest)
@@ -350,11 +363,12 @@ def _piece(g: Graph, mask: int, trace: CaseTrace):
     Like every case below, a generator run by _solve: it yields the masks of
     smaller pieces and returns the set bits, in g's labels.
     Eligible: connected, subcubic, no induced 6-cycle, not exceptional.
-    This entry is the only place a yielded piece is checked for connectivity
-    and, through the base step _base on the extracted piece, exceptionality
-    (every catalog order is <= 15).
+    Connectivity follows from the split that yielded the piece, or from the
+    one-component assertion where a case yields a whole remainder. This
+    entry is the only place a yielded piece is checked for exceptionality,
+    through the base step _base on the extracted piece (every catalog
+    order is <= 15).
     """
-    _require(connected_within(g, mask), "recursed into a disconnected graph")
     if mask.bit_count() <= 15:
         return _base(g, mask, trace)
     v = next((u for u in bit_indices(mask) if _degree(g, mask, u) == 3), None)
@@ -400,7 +414,7 @@ def _lemma_gv(g: Graph, cmask: int, y: int):
     _require(_degree(g, cmask, y) <= 2, "attachment vertex has full degree")
     if cmask.bit_count() == 3:
         return 0, cmask
-    return (yield cmask & ~(1 << y)), 1 << y
+    return (yield _connected_rest(g, cmask, 1 << y)), 1 << y
 
 
 def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
@@ -412,7 +426,7 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
     nbrs = tuple(bit_indices(g.rows[v] & mask))
 
     comps: list[_Comp] = []
-    for cmask in component_masks(g, within=rest):
+    for cmask in split_off(g, mask, nv):
         linked = tuple(x for x in nbrs if g.rows[x] & cmask)
         _require(bool(linked), "a component is not linked to any neighbor of v")
         comps.append(_Comp(cmask, _catalog_id(g, cmask), linked))
@@ -535,7 +549,7 @@ def _case_inner(g, mask, h1, x1, x1p, trace):
     kill = closed_mask(g, 1 << y) & mask
     detail["normalization"] = {i + 1: u for i, u in enumerate(psi)}
     trace.add(case, [y], bit_indices(kill), detail)
-    return (1 << y) | (yield mask & ~kill)
+    return (1 << y) | (yield _connected_rest(g, mask, kill))
 
 
 def _case223_non_cycle(g, mask, h1, x1, trace):
@@ -558,8 +572,8 @@ def _case223_non_cycle(g, mask, h1, x1, trace):
         if g.rows[ystar] & mask & ~h_mask:
             continue
         kill = closed_mask(g, 1 << ystar) & mask
-        star = mask & ~kill
-        if not connected_within(g, star) or _catalog_id(g, star) is not None:
+        star = _connected_rest(g, mask, kill)
+        if _catalog_id(g, star) is not None:
             continue
         trace.add(CASE_223, [ystar], bit_indices(kill), {"subcase": h1.cid})
         return (1 << ystar) | (yield star)
@@ -800,7 +814,7 @@ def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
             kill2 &= ~(1 << ystar)
         _require(kill2 & ~closed_mask(g, 1 << y1p) == 0,
                  "second deletion set must lie inside N[y1']")
-        parts2 = component_masks(g, within=mask & ~kill2)
+        parts2 = split_off(g, mask, kill2)
         if d_y1p_in_h == 1:
             _require((1 << ystar) in parts2, "y* should split off as a singleton")
         big = [p for p in parts2 if p != 1 << ystar]
@@ -821,5 +835,5 @@ def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
     _require(g.has_edge(x1p, w),
              "both closing edges absent would leave an induced 6-cycle")
     kill2 = _kill(g, mask, x1p, (v, w, y1p), "x1' should be saturated by v, w, y1'")
-    bits = (1 << x1p) | (yield mask & ~kill2)
+    bits = (1 << x1p) | (yield _connected_rest(g, mask, kill2))
     return _close(g, trace, bits, CASE_224, [x1p], kill2, subcase="deg2-attached-r0-x1pw")

@@ -7,7 +7,11 @@ edge. Python ints are a single machine word for n <= 64 and grow
 transparently beyond, so small instances get the fast path for free.
 
 Graphs and vertex sets are immutable after construction and safe to share
-across workers. Components are bitmasks, from ``component_masks``.
+across workers. Components are bitmasks, from ``component_masks``, or,
+for a connected mask with some vertices deleted, from ``split_off``: it
+searches from the boundary of the deleted set and stops once one search
+is left, so it costs the small side of the split, not the whole mask. Its
+answer is exact only when that mask is connected.
 """
 
 from __future__ import annotations
@@ -241,6 +245,52 @@ def component_masks(g: Graph, within: int | None = None) -> list[int]:
 
 def connected_within(g: Graph, within: int) -> bool:
     return within == 0 or _reach(g, within & -within, within) == within
+
+
+def split_off(g: Graph, mask: int, kill: int) -> list[int]:
+    """The components of ``mask & ~kill``, ordered by smallest vertex, as
+    ``component_masks`` orders them.
+
+    Precondition: ``mask`` induces a connected subgraph. Then every
+    component of the remainder holds a vertex adjacent to ``kill``, so one
+    search per such seed, grown a layer at a time in lockstep and merged
+    with any search it meets, finds them all. Once at most one search still
+    grows, that one is everything the finished searches left: the walk
+    costs the small side of the split, not the whole remainder (the
+    small-side trick of Even and Shiloach, J. ACM 28(1), 1981).
+    """
+    rows = g.rows
+    rest = mask & ~kill
+    if rest == mask:
+        return [rest] if rest else []
+    seeds = closed_mask(g, mask & kill) & rest
+    active = [(1 << s, 1 << s) for s in bit_indices(seeds)]  # (comp, frontier)
+    done = []
+    while len(active) > 1:
+        i = 0
+        while i < len(active):
+            comp, front = active[i]
+            grow = 0
+            for v in bit_indices(front):
+                grow |= rows[v]
+            grow &= rest & ~comp
+            front = grow
+            for j in reversed(range(len(active))):
+                if active[j][0] & grow:  # never j == i: grow avoids comp
+                    met, met_front = active.pop(j)
+                    i -= j < i
+                    comp |= met
+                    front = front & ~met | met_front
+            comp |= grow
+            if front:
+                active[i] = (comp, front)
+                i += 1
+            else:
+                active.pop(i)
+                done.append(comp)
+    if active:  # the one search left holds all the finished ones did not
+        done.append(rest & ~sum(done))
+    return sorted(done, key=lambda comp: comp & -comp)
 
 
 # -- spec-level operations ---------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,15 @@ def test_piece_entry_is_the_one_check_site():
     assert trace.steps == []
 
 
+def test_whole_remainder_must_be_one_component():
+    # a case that yields a piece minus a deleted set asserts, through the
+    # splitter, that one component is left
+    g = gen.path(8)
+    assert constructive._connected_rest(g, g.full_mask(), 1 << 7) == 0b1111111
+    with pytest.raises(InternalCaseExhausted, match="disconnected"):
+        constructive._connected_rest(g, g.full_mask(), 1 << 3)
+
+
 # -- golden traces and recursion depth ---------------------------------------------
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_traces.json"
@@ -441,8 +451,26 @@ def test_deep_input_needs_no_recursion_depth():
     assert CASE_FALLBACK not in trace.case_ids()
 
 
+def test_long_caterpillar_scales():
+    # each deletion level splits its piece from the boundary of the deleted
+    # set; a walk over the whole piece per level would take minutes here
+    g = caterpillar(12800)
+    start = time.perf_counter()
+    cert, trace = isolate_p3_subcubic(g)
+    assert time.perf_counter() - start < 10
+    assert verify_certificate(g, cert)
+    assert len(cert.set) <= g.n // 4
+    assert CASE_FALLBACK not in trace.case_ids()
+
+
 if __name__ == "__main__":
-    # Rewrites the golden fixture from the traces of the code as it stands:
-    # run it only from a commit whose traces are known to be right.
-    GOLDEN.write_text(json.dumps({name: trace_digest(g) for name, g in golden_corpus()},
-                                 indent=0, sort_keys=True) + "\n")
+    # `python tests/test_constructive.py --rewrite-golden` rewrites the golden
+    # fixture from the traces of the code as it stands: run it only from a
+    # commit whose traces are known to be right.
+    if sys.argv[1:] != ["--rewrite-golden"]:
+        sys.exit("refusing to touch the golden fixture without --rewrite-golden")
+    old = json.loads(GOLDEN.read_text())
+    new = {name: trace_digest(g) for name, g in golden_corpus()}
+    GOLDEN.write_text(json.dumps(new, indent=0, sort_keys=True) + "\n")
+    changed = sum(1 for name in new.keys() | old.keys() if new.get(name) != old.get(name))
+    print(f"{changed} of {len(new)} digests changed")

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p3iso import generators as gen
-from p3iso.graphcore import (Graph, VertexSet, closed_neighborhood,
-                             component_masks, delete_closed_neighborhood,
-                             delete_vertices, distance, is_connected)
+from p3iso.graphcore import (Graph, VertexSet, bit_indices, closed_neighborhood,
+                             component_masks, connected_within,
+                             delete_closed_neighborhood, delete_vertices,
+                             distance, is_connected, split_off)
 from p3iso.patterns import P3, contains_copy, is_isomorphic
 
 from conftest import connected_subcubic_upto
@@ -120,6 +121,47 @@ def test_components_partition_everything():
             assert bits & comp == 0
             bits |= comp
         assert bits == g.full_mask()
+
+
+def _connected_mask(g: Graph, rng) -> int:
+    """A random connected vertex set of g, grown from one vertex."""
+    mask = 1 << rng.randrange(g.n)
+    for _ in range(rng.randint(0, g.n - 1)):
+        grow = [u for v in bit_indices(mask) for u in bit_indices(g.rows[v] & ~mask)]
+        if not grow:
+            break
+        mask |= 1 << rng.choice(grow)
+    return mask
+
+
+def test_split_off_matches_component_masks(rng):
+    for i in range(5000):
+        if i % 2:
+            g = gen.random_subcubic_connected(rng.randint(1, 40), rng)
+        else:  # degree above 3 and many boundary seeds
+            g = gen.random_general_graph(rng.randint(1, 24), rng.random() * 0.3, rng)
+        mask = _connected_mask(g, rng)
+        assert connected_within(g, mask)
+        kill = sum(1 << rng.randrange(g.n) for _ in range(rng.randint(0, 6)))
+        assert split_off(g, mask, kill) == component_masks(g, within=mask & ~kill)
+
+
+def test_split_off_edge_cases():
+    g = gen.cycle(9)
+    assert split_off(g, g.full_mask(), 0) == [g.full_mask()]
+    assert split_off(g, 0b111, 0b1111) == []
+    assert split_off(g, 0, 0) == []
+    assert split_off(g, 1 << 4, 0) == [1 << 4]
+    assert split_off(g, 1 << 4, 1 << 4) == []
+    assert split_off(g, g.full_mask(), 1 << 4) == [g.full_mask() & ~(1 << 4)]
+    # a spider with three legs of 40: deleting the body leaves three long
+    # components, and every search has to run to its end
+    legs = [(0, 1), (0, 41), (0, 81)] + [(a + i, a + i + 1) for a in (1, 41, 81)
+                                         for i in range(39)]
+    spider = Graph.from_edges(121, legs)
+    parts = split_off(spider, spider.full_mask(), 1)
+    assert parts == component_masks(spider, within=spider.full_mask() & ~1)
+    assert [p.bit_count() for p in parts] == [40, 40, 40]
 
 
 def test_distance_examples():
