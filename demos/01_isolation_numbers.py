@@ -6,19 +6,19 @@ iterative-deepening hitting-set search and returns it as a certificate
 that can be re-validated independently.
 """
 
-from p3iso import P3, is_isolating, isolation_number, isolation_number_additive
+from p3iso import is_isolating, isolation_number, isolation_number_additive
 from p3iso import generators as gen
 
 c6 = gen.cycle(6)
 cert = isolation_number(c6)
 print(f"C6: iota = {cert.value}, minimum set (1-based) = "
       f"{[v + 1 for v in cert.set]}")
-print("  re-check:", is_isolating(c6, P3, cert.set))
+print("  re-check:", is_isolating(c6, cert.set))
 
 # Budgeted mode answers the predicate "iota <= k" without insisting on the
 # exact value; exceeding the budget is a result, not an error.
 c7 = gen.cycle(7)
-budgeted = isolation_number(c7, P3, budget=1)
+budgeted = isolation_number(c7, budget=1)
 print(f"C7 within budget 1? exact={budgeted.exact}, reported value ="
       f" {budgeted.value} (meaning iota > 1)")
 

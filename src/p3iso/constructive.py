@@ -19,9 +19,10 @@ the deletion never becomes depth of the Python stack.
 
 A yielded piece is connected by construction: it is a component found by
 graphcore.split_off, which walks out from the boundary of the deleted set,
-or a remainder that split_off shows to be one component. _solve checks the
-root piece once. _piece refuses a catalog copy on entry; the cases check
-only the component shapes they rely on. Any mismatch raises
+or a remainder that split_off shows to be one component (_rest). The root
+piece is the whole input graph, whose connectivity isolate_p3_subcubic
+checks as a precondition. _piece refuses a catalog copy on entry; the
+cases check only the component shapes they rely on. Any mismatch raises
 InternalCaseExhausted; the top level then falls back to the budgeted exact
 solver on graphs of order at most FALLBACK_MAX_ORDER, which preserves the
 output contract while surfacing the bug in the trace, and re-raises above
@@ -36,11 +37,9 @@ from dataclasses import dataclass, field
 from . import generators
 from . import patterns
 from . import solver
-from .generators import BadOrder
 from .graphcore import (Graph, VertexSet, bit_indices, closed_mask,
                         connected_within, delete_vertices, is_connected,
                         split_off)
-from .patterns import P3
 from .solver import Certificate, is_isolating
 
 CASE_BASE = "Base<=15"
@@ -149,7 +148,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """
     if cert.set.graph_order != g.n:
         return False
-    return is_isolating(g, P3, cert.set) and len(cert.set) <= cert.value
+    return is_isolating(g, cert.set) and len(cert.set) <= cert.value
 
 
 def _closed_form_positions(n: int, kind: str) -> range:
@@ -170,18 +169,14 @@ def path_cycle_isolating_set(n: int, kind: str) -> Certificate:
     floor((n+4)/5), which stays within n/4 except at n in {3, 6, 7, 11}.
     """
     if kind == "path":
-        if n < 1:
-            raise BadOrder("path needs n >= 1")
         g = generators.path(n)
     elif kind == "cycle":
-        if n < 3:
-            raise BadOrder("cycle needs n >= 3")
         g = generators.cycle(n)
     else:
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
     dset = VertexSet.of(n, _closed_form_positions(n, kind))
-    if not is_isolating(g, P3, dset):
-        return solver.isolation_number(g, P3)
+    if not is_isolating(g, dset):
+        return solver.isolation_number(g)
     return Certificate(dset, len(dset), False)
 
 
@@ -206,8 +201,8 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
     trace = CaseTrace()
     bound = g.n // 4
     try:
-        dset = VertexSet(_solve(g, g.full_mask(), trace), g.n)
-        if not is_isolating(g, P3, dset) or len(dset) > bound:
+        dset = VertexSet(_solve(g, trace), g.n)
+        if not is_isolating(g, dset) or len(dset) > bound:
             raise InternalCaseExhausted("assembled set violates the contract")
     except InternalCaseExhausted as exc:
         partial = trace.case_ids()
@@ -215,7 +210,7 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
             raise InternalCaseExhausted(
                 f"{exc} (after {len(partial)} case steps; order {g.n} is above "
                 f"the exact fallback limit {FALLBACK_MAX_ORDER})", partial) from exc
-        cert = solver.isolation_number(g, P3, budget=bound, canonical=False)
+        cert = solver.isolation_number(g, budget=bound, canonical=False)
         if not cert.exact:
             raise InternalCaseExhausted(
                 f"fallback solver exceeded floor(n/4); original failure: {exc}",
@@ -230,17 +225,14 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
 # -- the explicit stack and mask helpers ---------------------------------------
 
 
-def _solve(g: Graph, mask: int, trace: CaseTrace) -> int:
-    """Isolating set bits for the eligible piece ``mask`` of g.
+def _solve(g: Graph, trace: CaseTrace) -> int:
+    """Isolating set bits for the eligible graph g, the root piece.
 
     Each stack entry is a case generator at work on one piece; a yielded
     mask is pushed as a new piece, and a finished piece's bits are sent to
     the entry below it.
-    Only this root mask is checked for connectivity: a yielded piece is
-    connected by the split that made it.
     """
-    _require(connected_within(g, mask), "recursed into a disconnected graph")
-    stack = [_piece(g, mask, trace)]
+    stack = [_piece(g, g.full_mask(), trace)]
     bits = None
     while stack:
         try:
@@ -282,11 +274,16 @@ def _split(g: Graph, mask: int, kill: int, v: int) -> tuple[int, list[int]]:
     return gv_mask, [p for p in parts if p != gv_mask]
 
 
-def _connected_rest(g: Graph, mask: int, kill: int) -> int:
-    """The piece minus ``kill``, which must be one component."""
+def _rest(g: Graph, mask: int, kill: int, beside: int = 0, msg_beside: str = "",
+          msg_rest: str = "recursed into a disconnected graph") -> int:
+    """The single component of the piece minus ``kill`` other than
+    ``beside``; ``beside``, when given, must itself be a component."""
     parts = split_off(g, mask, kill)
-    _require(len(parts) == 1, "recursed into a disconnected graph")
-    return parts[0]
+    if beside:
+        _require(beside in parts, msg_beside)
+    rest = [p for p in parts if p != beside]
+    _require(len(rest) == 1, msg_rest)
+    return rest[0]
 
 
 def _kill(g: Graph, mask: int, y: int, others, msg: str) -> int:
@@ -302,16 +299,6 @@ def _each(masks):
     for p in masks:
         bits |= yield p
     return bits
-
-
-def _one_beside(g: Graph, mask: int, kill: int, piece: int,
-                msg_piece: str, msg_rest: str) -> int:
-    """The single component of the piece minus ``kill`` other than ``piece``."""
-    parts = split_off(g, mask, kill)
-    _require(piece in parts, msg_piece)
-    rest = [p for p in parts if p != piece]
-    _require(len(rest) == 1, msg_rest)
-    return rest[0]
 
 
 def _attachments(g: Graph, x: int, mask: int) -> list[int]:
@@ -330,17 +317,16 @@ def _close(g, trace, bits: int, case: str, chosen, removed: int, **detail) -> in
 
 
 def _base(g: Graph, mask: int, trace: CaseTrace, note: str | None = None) -> int:
-    """The one exact base step, on the piece extracted once. Without a ``note``
-    the piece is eligible: not exceptional, and solved within floor(n/4); a
-    noted piece is a small exceptional component, solved without a budget."""
+    """The one exact base step, on the piece extracted and matched once. An
+    eligible piece is solved within floor(n/4). An exceptional piece needs a
+    ``note``, given where a case expects a small exceptional component, and
+    is solved without a budget."""
     sub, old = _extract(g, mask)
-    detail, budget = {"order": sub.n}, None
-    if note is None:
-        _require(patterns.catalog_match(sub) is None, "recursed into an exceptional graph")
-        budget = sub.n // 4
-    else:
-        detail["note"] = note
-    cert = solver.isolation_number(sub, P3, budget=budget, canonical=False)
+    detail, budget = {"order": sub.n}, sub.n // 4
+    if patterns.catalog_match(sub) is not None:
+        _require(note is not None, "recursed into an exceptional graph")
+        detail["note"], budget = note, None
+    cert = solver.isolation_number(sub, budget=budget, canonical=False)
     _require(cert.exact, f"small graph needs more than floor({sub.n}/4)")
     chosen = [old[v] for v in cert.set]
     trace.add(CASE_BASE, chosen, old, detail)
@@ -348,10 +334,11 @@ def _base(g: Graph, mask: int, trace: CaseTrace, note: str | None = None) -> int
 
 
 def _plain_or_small(g: Graph, mask: int, trace: CaseTrace, note: str):
-    """Solve a piece that may be a small exceptional component."""
-    if _catalog_id(g, mask) is None:
-        return (yield mask)
-    return _base(g, mask, trace, note)
+    """Solve a piece that may be a small exceptional component: a piece of
+    order <= 15 takes the base step here, a larger one is yielded."""
+    if mask.bit_count() <= 15:
+        return _base(g, mask, trace, note)
+    return (yield mask)
 
 
 # -- the recursion ---------------------------------------------------------------
@@ -386,15 +373,22 @@ def _delta2(g: Graph, mask: int, trace: CaseTrace) -> int:
         kind, case = "path", CASE_PATH
     else:
         kind, case = "cycle", CASE_CYCLE
-    order = [ends[0] if ends else (mask & -mask).bit_length() - 1]
-    prev = -1
-    while len(order) < n:
-        nxt = min(u for u in bit_indices(g.rows[order[-1]] & mask) if u != prev)
-        prev = order[-1]
-        order.append(nxt)
+    order = _walk(g, mask, ends[0] if ends else (mask & -mask).bit_length() - 1, -1, n)
     picks = [order[p] for p in _closed_form_positions(n, kind)]
     trace.add(case, picks, bit_indices(mask), {"order": n})
     return sum(1 << p for p in picks)
+
+
+def _walk(g: Graph, mask: int, start: int, prev: int, length: int) -> list[int]:
+    """``length`` vertices along a path or cycle inside ``mask``, from
+    ``start`` away from ``prev``: each step goes to the smaller neighbor
+    other than the vertex just left."""
+    walk = [start]
+    while len(walk) < length:
+        cur = walk[-1]
+        walk.append(min(u for u in bit_indices(g.rows[cur] & mask) if u != prev))
+        prev = cur
+    return walk
 
 
 @dataclass
@@ -414,7 +408,7 @@ def _lemma_gv(g: Graph, cmask: int, y: int):
     _require(_degree(g, cmask, y) <= 2, "attachment vertex has full degree")
     if cmask.bit_count() == 3:
         return 0, cmask
-    return (yield _connected_rest(g, cmask, 1 << y)), 1 << y
+    return (yield _rest(g, cmask, 1 << y)), 1 << y
 
 
 def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
@@ -549,7 +543,7 @@ def _case_inner(g, mask, h1, x1, x1p, trace):
     kill = closed_mask(g, 1 << y) & mask
     detail["normalization"] = {i + 1: u for i, u in enumerate(psi)}
     trace.add(case, [y], bit_indices(kill), detail)
-    return (1 << y) | (yield _connected_rest(g, mask, kill))
+    return (1 << y) | (yield _rest(g, mask, kill))
 
 
 def _case223_non_cycle(g, mask, h1, x1, trace):
@@ -572,7 +566,7 @@ def _case223_non_cycle(g, mask, h1, x1, trace):
         if g.rows[ystar] & mask & ~h_mask:
             continue
         kill = closed_mask(g, 1 << ystar) & mask
-        star = _connected_rest(g, mask, kill)
+        star = _rest(g, mask, kill)
         if _catalog_id(g, star) is not None:
             continue
         trace.add(CASE_223, [ystar], bit_indices(kill), {"subcase": h1.cid})
@@ -658,18 +652,13 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
     # G_v^* is a 7-cycle through x1'-v-w; walk it from x1' away from v
     _require(sorted(bit_indices(g.rows[v] & gv_mask)) == sorted((x1p, w)),
              "cycle through v must pass x1' and w")
-    walk = [x1p]
-    prev = v
-    while len(walk) < 6:
-        cur = walk[-1]
-        walk.append(next(u for u in bit_indices(g.rows[cur] & gv_mask) if u != prev))
-        prev = cur
+    walk = _walk(g, gv_mask, x1p, v, 6)
     u2, u4 = walk[2], walk[4]
     _require(walk[5] == w, "7-cycle walk should end at w")
     kill2 = closed_mask(g, (1 << x1p) | (1 << u4)) & mask
-    hdag_mask = _one_beside(g, mask, kill2, 1 << u2,
-                            "u2 should be isolated after the double deletion",
-                            "double deletion should leave one big component")
+    hdag_mask = _rest(g, mask, kill2, 1 << u2,
+                      "u2 should be isolated after the double deletion",
+                      "double deletion should leave one big component")
     bits = (1 << x1p) | (1 << u4)
     bits |= yield hdag_mask
     return _close(g, trace, bits, CASE_223, [x1p, u4], kill2 | (1 << u2),
@@ -715,9 +704,9 @@ def _case224(g, mask, v, nbrs, h1, trace):
              "missing x1-x1' edge would force an induced 6-cycle")
     kill = _kill(g, mask, x1, (v, x1p, y1), "x1 should be saturated by v, x1', y1")
     k2_mask = (1 << y1p) | (1 << ystar)
-    gw_mask = _one_beside(g, mask, kill, k2_mask,
-                          "the far end plus middle should come off as a K2",
-                          "exactly one component should hold w")
+    gw_mask = _rest(g, mask, kill, k2_mask,
+                    "the far end plus middle should come off as a K2",
+                    "exactly one component should hold w")
     _require((gw_mask >> w) & 1, "w missing from its component")
     bits = 1 << x1
     bits |= yield from _plain_or_small(g, gw_mask, trace, "Case 2.2.4 w-side remainder")
@@ -798,9 +787,9 @@ def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
     # |V(H*)| = 4k: the prescribed second deletions
     if g.has_edge(x1p, ystar):
         kill2 = _kill(g, mask, x1p, (v, y1p, ystar), "x1' should be saturated by v, y1', y*")
-        hdag = _one_beside(g, mask, kill2, 1 << w,
-                           "w should be isolated by the second deletion",
-                           "second deletion should leave one big component")
+        hdag = _rest(g, mask, kill2, 1 << w,
+                     "w should be isolated by the second deletion",
+                     "second deletion should leave one big component")
         bits = (1 << x1p) | (yield hdag)
         return _close(g, trace, bits, CASE_224, [x1p], kill2 | (1 << w),
                       subcase="deg2-attached-x1p-ystar")
@@ -809,31 +798,26 @@ def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
     if d_y1p_in_h == 2 or not g.has_edge(w, ystar):
         # delete x1' plus the whole component; the rest is connected, non-
         # exceptional, and covered from y1' (for the path shape, y* splits off)
-        kill2 = (1 << x1p) | h_mask
-        if d_y1p_in_h == 1:
-            kill2 &= ~(1 << ystar)
+        single = (1 << ystar) if d_y1p_in_h == 1 else 0
+        kill2 = ((1 << x1p) | h_mask) & ~single
         _require(kill2 & ~closed_mask(g, 1 << y1p) == 0,
                  "second deletion set must lie inside N[y1']")
-        parts2 = split_off(g, mask, kill2)
-        if d_y1p_in_h == 1:
-            _require((1 << ystar) in parts2, "y* should split off as a singleton")
-        big = [p for p in parts2 if p != 1 << ystar]
-        _require(len(big) == 1, "one component should remain beside y*")
-        bits = (1 << y1p) | (yield big[0])
-        removed = kill2 | ((1 << ystar) if (1 << ystar) in parts2 else 0)
-        return _close(g, trace, bits, CASE_224, [y1p], removed,
+        big = _rest(g, mask, kill2, single, "y* should split off as a singleton",
+                    "one component should remain beside y*")
+        bits = (1 << y1p) | (yield big)
+        return _close(g, trace, bits, CASE_224, [y1p], kill2 | single,
                       subcase="deg2-attached-r0-y1p")
 
     # path shape, w adjacent to y*: one of two closing edges must exist
     if g.has_edge(w, y1p):
         kill2 = _kill(g, mask, y1p, (x1p, w, y1), "y1' should be saturated by x1', w, y1")
-        a_mask = _one_beside(g, mask, kill2, 1 << ystar, "y* should be isolated here",
-                             "one big component expected")
+        a_mask = _rest(g, mask, kill2, 1 << ystar, "y* should be isolated here",
+                       "one big component expected")
         bits = (1 << y1p) | (yield a_mask)
         return _close(g, trace, bits, CASE_224, [y1p], kill2 | (1 << ystar),
                       subcase="deg2-attached-r0-wy1p")
     _require(g.has_edge(x1p, w),
              "both closing edges absent would leave an induced 6-cycle")
     kill2 = _kill(g, mask, x1p, (v, w, y1p), "x1' should be saturated by v, w, y1'")
-    bits = (1 << x1p) | (yield _connected_rest(g, mask, kill2))
+    bits = (1 << x1p) | (yield _rest(g, mask, kill2))
     return _close(g, trace, bits, CASE_224, [x1p], kill2, subcase="deg2-attached-r0-x1pw")

@@ -156,7 +156,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
             failures.append(f"{cid}: max degree {g.max_degree()} != documented")
         if patterns.has_induced_cycle(g, 6) is not None:
             failures.append(f"{cid}: has an induced 6-cycle")
-        cert = solver.isolation_number(g, patterns.P3)
+        cert = solver.isolation_number(g)
         if cert.value != expected_iota:
             failures.append(f"{cid}: iota {cert.value} != {expected_iota}")
         entries.append(CatalogEntry(cid, g, order, expected_iota,

@@ -4,13 +4,14 @@ graph6: one printable line per graph; chars are 63..126, carrying 6-bit
 groups. Header is n+63 for n <= 62, or '~' + 3 chars (18-bit n), or '~~' +
 6 chars (36-bit n). The body packs the upper triangle of the adjacency
 matrix in column-major order (bit (i, j) for i < j ordered by j then i),
-zero-padded to a multiple of 6. Emission uses the shortest header that
-holds n and canonical zero padding. Decode and encode visit only the set
-bits one by one (decode finds them with a regular-expression scan), so a
-sparse graph costs time linear in the length of its line. ``iter_graph6``
-is the one reader of graph6 streams: it pairs each nonblank line's number
-with its graph or its decoding error, and accepts the optional
-'>>graph6<<' header.
+zero-padded to a multiple of 6. Decoding ignores the padding bits, so a
+line with nonzero padding still gives its one graph; emission uses the
+shortest header that holds n and canonical zero padding. Decode and
+encode visit only the set bits one by one (decode finds them with a
+regular-expression scan), so a sparse graph costs time linear in the
+length of its line. ``iter_graph6`` is the one reader of graph6 streams:
+it pairs each nonblank line's number with its graph or its decoding
+error, and accepts the optional '>>graph6<<' header.
 
 Edge list: a header line "n m" then m lines "u v" with 1-based labels.
 """
@@ -34,10 +35,6 @@ class MalformedHeader(Graph6Error):
 
 class TruncatedBits(Graph6Error):
     pass
-
-
-class NonCanonicalPadding(Graph6Error):
-    """Padding bits were not zero; tolerated, fatal only in strict mode."""
 
 
 class EdgeListError(ValueError):
@@ -81,12 +78,11 @@ def _decode_order(line: str) -> tuple[int, int]:
     return n, start
 
 
-def parse_graph6(line: str, *, strict: bool = False) -> Graph:
+def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line.
 
     Raises MalformedHeader/TruncatedBits on structural damage. Nonzero
-    padding bits are tolerated (the payload is still unambiguous) unless
-    ``strict``, in which case NonCanonicalPadding is raised.
+    padding bits are ignored (the payload is still unambiguous).
     """
     line = line.rstrip("\n")
     bad = _OUTSIDE_RANGE.search(line)
@@ -109,9 +105,6 @@ def parse_graph6(line: str, *, strict: bool = False) -> Graph:
         for b in (32, 16, 8, 4, 2, 1):
             if x & b:
                 if p >= nbits:
-                    if strict:
-                        raise NonCanonicalPadding(
-                            "non-canonical padding (padding bits not zero)")
                     break
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i

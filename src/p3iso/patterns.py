@@ -1,8 +1,9 @@
 """Pattern detection: 3-path copies, induced k-cycles, small-graph isomorphism.
 
-The 3-vertex path P3 is the one isolation family, and ``contains_copy``
-finds a subgraph copy of it (extra edges among the three vertices are
-fine); induced matching is used for induced cycles. The
+The 3-vertex path P3 is the one pattern this package isolates, so no
+function here takes a pattern argument: ``contains_copy`` finds a subgraph
+copy of P3 (extra edges among the three vertices are fine); induced
+matching is used for induced cycles. The
 canonical labeling (``canonical_data``, an exhaustive search over the
 color-refinement partition in the spirit of McKay and Piperno's
 "Practical graph isomorphism II", 2014) lives here and decides every
@@ -21,14 +22,8 @@ from .graphcore import Graph, VertexSet, bit_indices
 
 # -- 3-path copies -------------------------------------------------------------
 
-# The one isolation family: the 3-vertex path. Every function that takes a
-# family accepts this value only.
+# The name of the one isolated pattern, the 3-vertex path.
 P3 = "p3"
-
-
-def _require_p3(fam) -> None:
-    if fam != P3:
-        raise ValueError(f"unknown family {fam!r}: P3 is the only isolation family")
 
 
 def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
@@ -51,12 +46,11 @@ def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
     return (a, best, b)
 
 
-def contains_copy(g: Graph, fam: str,
+def contains_copy(g: Graph,
                   within: VertexSet | None = None) -> tuple[int, int, int] | None:
     """A 3-path a-c-b inside g (or a subset of g) as the tuple (a, c, b),
     or None. Extra edges among the three vertices are fine.
     """
-    _require_p3(fam)
     alive = g.full_mask() if within is None else within.bits
     if within is not None and within.graph_order != g.n:
         raise ValueError("vertex set does not belong to this graph")

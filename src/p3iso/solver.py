@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .graphcore import (Graph, VertexSet, _coerce_mask, bit_indices,
                         closed_mask, component_masks, delete_vertices)
-from .patterns import P3, _require_p3, contains_copy
+from .patterns import P3, contains_copy
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,10 @@ class Certificate:
     exact: bool
 
 
-def is_isolating(g: Graph, fam: str, d) -> bool:
-    """True iff G - N[D] contains no 3-path; ``fam`` must be P3."""
+def is_isolating(g: Graph, d) -> bool:
+    """True iff G - N[D] contains no 3-path."""
     alive = g.full_mask() & ~closed_mask(g, _coerce_mask(g, d))
-    return contains_copy(g, fam, within=VertexSet(alive, g.n)) is None
+    return contains_copy(g, within=VertexSet(alive, g.n)) is None
 
 
 # per center, its 3-paths as (|N[copy]|, mask of the two ends, N[copy])
@@ -115,15 +115,14 @@ def _packing_lower_bound(alive: int, offers: _Offers) -> int:
 
 
 class _Search:
-    """The search state of one ``isolation_number`` call; ``fam`` must be P3.
+    """The search state of one ``isolation_number`` call.
 
     ``failed`` maps an alive mask to the largest remaining budget proven
     too small for it. Every depth and every lex-min probe reads it to skip
     subtrees and records each failure in it.
     """
 
-    def __init__(self, g: Graph, fam: str = P3):
-        _require_p3(fam)
+    def __init__(self, g: Graph):
         self.g = g
         self.closed = tuple(row | (1 << v) for v, row in enumerate(g.rows))
         self.offers = _p3_offers(g, self.closed)
@@ -147,7 +146,7 @@ class _Search:
         stack: list[list[int]] = []
         while True:
             if failed.get(alive, -1) < remaining:
-                copy = contains_copy(g, P3, within=VertexSet(alive, g.n))
+                copy = contains_copy(g, within=VertexSet(alive, g.n))
                 if copy is None:
                     return d_mask
                 if remaining and remaining >= _packing_lower_bound(alive, offers):
@@ -194,17 +193,23 @@ def isolation_number(g: Graph, fam: str = P3,
                      budget: int | None = None, canonical: bool = True) -> Certificate:
     """The exact 3-path isolation number with a minimum certificate set.
 
-    ``fam`` must be P3. Iterative deepening over k from the packing lower
-    bound; with ``budget`` given, the search stops at k = budget and a
-    failure is reported as a first-class "exceeds budget" certificate
-    (exact=False, value=budget+1) rather than an error. With ``canonical``
-    the returned minimum set is the lexicographically smallest one. A
-    negative budget raises ValueError.
+    Iterative deepening over k from the packing lower bound; with
+    ``budget`` given, the search stops at k = budget and a failure is
+    reported as a first-class "exceeds budget" certificate (exact=False,
+    value=budget+1) rather than an error. With ``canonical`` the returned
+    minimum set is the lexicographically smallest one. A negative budget
+    raises ValueError.
+
+    ``fam`` must be P3, the one isolation family. The slot remains only
+    because ``bench/worker.py`` passes P3 positionally; every other caller
+    leaves it out.
     """
+    if fam != P3:
+        raise ValueError(f"unknown family {fam!r}: P3 is the only isolation family")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     cap = g.n if budget is None else min(budget, g.n)
-    search = _Search(g, fam)
+    search = _Search(g)
     for k in range(search.lower_bound(), cap + 1):
         got = search.find(k)
         if got is not None:
@@ -216,9 +221,8 @@ def isolation_number(g: Graph, fam: str = P3,
     return Certificate(VertexSet.full(g.n), budget + 1, False)
 
 
-def isolation_number_additive(g: Graph, fam: str = P3) -> Certificate:
+def isolation_number_additive(g: Graph) -> Certificate:
     """Isolation number as the sum over components (solved independently)."""
-    _require_p3(fam)
     total = 0
     bits = 0
     for comp_mask in component_masks(g):

@@ -24,7 +24,6 @@ from .enumeration import EnumSpec, enumerate_connected_subcubic
 from .graph_io import emit_graph6, iter_graph6
 from .graphcore import (Graph, delete_closed_neighborhood, delete_vertices, distance,
                         is_connected)
-from .patterns import P3
 
 
 @dataclass
@@ -95,7 +94,7 @@ def _check_one(g: Graph, report: VerificationReport) -> None:
                 or patterns.has_induced_cycle(g, 6) is not None):
             return
         row.eligible += 1
-        cert = solver.isolation_number(g, P3, budget=g.n // 4, canonical=False)
+        cert = solver.isolation_number(g, budget=g.n // 4, canonical=False)
         if not cert.exact:
             cid = patterns.catalog_match(g)
             if cid is None:
@@ -186,7 +185,7 @@ def check_observations() -> list[ObservationResult]:
     # iota = (n+1)/4 across the catalog
     fails = []
     for cid, g in graphs.items():
-        got = solver.isolation_number(g, P3).value
+        got = solver.isolation_number(g).value
         if got != (g.n + 1) // 4:
             fails.append(f"{cid}: iota={got}")
     add("catalog-iota-(n+1)/4", fails)
@@ -296,7 +295,7 @@ def check_observations() -> list[ObservationResult]:
         for u, v in _legal_single_additions(g):
             gp = g.with_edge(u, v)
             if cid == "G75" and (u, v) in special:
-                if solver.isolation_number(gp, P3).value > 1:
+                if solver.isolation_number(gp).value > 1:
                     fails.append(f"{cid}+{u + 1}-{v + 1}: iota > 1")
             else:
                 got = patterns.catalog_match(gp)
@@ -311,7 +310,7 @@ def check_observations() -> list[ObservationResult]:
     for u, v in _legal_single_additions(g71):
         gp = g71.with_edge(u, v)
         if {u, v} <= low_set:
-            if solver.isolation_number(gp, P3).value > 1:
+            if solver.isolation_number(gp).value > 1:
                 fails.append(f"G71+{u + 1}-{v + 1}: iota > 1")
         else:
             got = patterns.catalog_match(gp)
@@ -338,7 +337,7 @@ def check_observations() -> list[ObservationResult]:
             if g.degree(v) > 2:
                 continue
             sub, _ = delete_vertices(g, [v])
-            if solver.isolation_number(sub, P3).value > bound:
+            if solver.isolation_number(sub).value > bound:
                 fails.append(f"{cid}: vertex {v + 1}")
             if cid not in ("P3", "C3") and not is_connected(sub):
                 fails.append(f"{cid}: vertex {v + 1} disconnects")

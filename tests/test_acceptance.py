@@ -20,7 +20,7 @@ from p3iso.constructive import (CASE_FALLBACK, isolate_p3_subcubic,
 from p3iso.enumeration import EnumSpec, iter_subcubic
 from p3iso.graph_io import emit_graph6, parse_graph6
 from p3iso.graphcore import Graph, delete_vertices, is_connected
-from p3iso.patterns import P3, catalog_match, has_induced_cycle
+from p3iso.patterns import catalog_match, has_induced_cycle
 from p3iso.solver import (_Search, is_isolating, isolation_number,
                           isolation_number_additive)
 from p3iso.verify import check_observations, verify_enumerated, verify_stream
@@ -74,7 +74,7 @@ def test_criterion_2_sharpness():
         assert has_induced_cycle(g, 6) is None and catalog_match(g) is None, k
         cert = isolation_number(g)
         assert cert.exact and cert.value == k == g.n // 4, k
-        assert _Search(g, P3).lower_bound() == k, k  # the packing bound
+        assert _Search(g).lower_bound() == k, k  # the packing bound
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"sharpness sweep took {elapsed:.1f}s"
 
@@ -165,23 +165,23 @@ def test_criterion_6_lemmas():
     # subcubic; the atlas is complete per isomorphism class)
     for n in range(1, 6):
         for g in atlas[n]:
-            assert isolation_number(g, P3, budget=1, canonical=False).value <= 1
+            assert isolation_number(g, budget=1, canonical=False).value <= 1
 
     # iota <= 2 for every graph on at most 8 vertices: exhaustive over
     # connected subcubic, sampled over general
     for g in iter_subcubic(EnumSpec(8)):
-        assert isolation_number(g, P3, budget=2, canonical=False).value <= 2
+        assert isolation_number(g, budget=2, canonical=False).value <= 2
     rng = random.Random(88)
     for _ in range(10_000):
         g = gen.random_general_graph(rng.randint(1, 8), rng.random(), rng)
-        assert isolation_number(g, P3, budget=2, canonical=False).value <= 2
+        assert isolation_number(g, budget=2, canonical=False).value <= 2
 
     # closed-form path/cycle sets are valid isolating sets up to n = 40
     for n in range(1, 41):
-        assert is_isolating(gen.path(n), P3, path_cycle_isolating_set(n, "path").set)
+        assert is_isolating(gen.path(n), path_cycle_isolating_set(n, "path").set)
         if n >= 3:
             cert = path_cycle_isolating_set(n, "cycle")
-            assert is_isolating(gen.cycle(n), P3, cert.set)
+            assert is_isolating(gen.cycle(n), cert.set)
             assert len(cert.set) == (n + 4) // 5
 
     # additivity over components equals the direct value on all graphs of
@@ -189,10 +189,10 @@ def test_criterion_6_lemmas():
     # order 8 (assembled from connected atlas parts), every connected
     # subcubic graph of order 8, and random connected general graphs
     def assert_additive(g):
-        direct = isolation_number(g, P3, canonical=False)
+        direct = isolation_number(g, canonical=False)
         split = isolation_number_additive(g)
         assert split.value == direct.value
-        assert is_isolating(g, P3, split.set)
+        assert is_isolating(g, split.set)
 
     for n in range(1, 8):
         for g in atlas[n]:
@@ -247,8 +247,8 @@ def test_criterion_6_lemmas():
         x = [v for v in range(g.n) if rng.random() < 0.25]
         y = [v for v in closed_nbhd_set(g, x) if rng.random() < 0.6]
         sub, _ = delete_vertices(g, y)
-        assert isolation_number(g, P3, canonical=False).value <= \
-            len(x) + isolation_number(sub, P3, canonical=False).value
+        assert isolation_number(g, canonical=False).value <= \
+            len(x) + isolation_number(sub, canonical=False).value
 
 
 @criterion(7, "observation suite: every documented catalog property holds")

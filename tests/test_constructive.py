@@ -14,7 +14,6 @@ from p3iso.constructive import (CASE_FALLBACK, FALLBACK_MAX_ORDER,
                                 isolate_p3_subcubic, path_cycle_isolating_set,
                                 verify_certificate)
 from p3iso.graphcore import Graph, VertexSet, closed_mask
-from p3iso.patterns import P3
 from p3iso.solver import Certificate, is_isolating, isolation_number
 
 from conftest import connected_subcubic_upto
@@ -95,7 +94,7 @@ def test_extremal_family_is_not_subcubic():
 def test_path_formula_positions():
     cert = path_cycle_isolating_set(9, "path")
     assert sorted(v + 1 for v in cert.set) == [4, 8]
-    assert is_isolating(gen.path(9), P3, cert.set)
+    assert is_isolating(gen.path(9), cert.set)
 
 
 def test_cycle_formula_positions():
@@ -112,11 +111,11 @@ def test_path3_defers_to_solver():
 def test_formula_sets_valid_up_to_40():
     for n in range(1, 41):
         cert = path_cycle_isolating_set(n, "path")
-        assert is_isolating(gen.path(n), P3, cert.set)
+        assert is_isolating(gen.path(n), cert.set)
         assert len(cert.set) <= max(1, n // 4)
         if n >= 3:
             cert = path_cycle_isolating_set(n, "cycle")
-            assert is_isolating(gen.cycle(n), P3, cert.set)
+            assert is_isolating(gen.cycle(n), cert.set)
             assert len(cert.set) == (n + 4) // 5
             if n not in (3, 6, 7, 11):
                 assert 4 * len(cert.set) <= n
@@ -378,22 +377,24 @@ def test_failed_case_falls_back_only_on_small_orders(monkeypatch):
 def test_piece_entry_is_the_one_check_site():
     # the cases yield pieces unchecked; _piece refuses ineligible ones on entry
     trace = constructive.CaseTrace()
-    g = gen.path(8)
-    with pytest.raises(InternalCaseExhausted, match="disconnected"):
-        constructive._solve(g, 0b11110111, trace)
-    g = Graph.from_edges(9, cat_edges("C7", 0) + [(6, 7), (7, 8)])
     with pytest.raises(InternalCaseExhausted, match="exceptional"):
-        constructive._solve(g, 0b1111111, trace)
+        constructive._solve(gen.cycle(7), trace)
     assert trace.steps == []
 
 
 def test_whole_remainder_must_be_one_component():
     # a case that yields a piece minus a deleted set asserts, through the
-    # splitter, that one component is left
+    # splitter, that one component is left beside an expected one
     g = gen.path(8)
-    assert constructive._connected_rest(g, g.full_mask(), 1 << 7) == 0b1111111
+    full = g.full_mask()
+    assert constructive._rest(g, full, 1 << 7) == 0b1111111
+    assert constructive._rest(g, full, 1 << 1, 1 << 0, "beside", "rest") == 0b11111100
     with pytest.raises(InternalCaseExhausted, match="disconnected"):
-        constructive._connected_rest(g, g.full_mask(), 1 << 3)
+        constructive._rest(g, full, 1 << 3)
+    with pytest.raises(InternalCaseExhausted, match="beside"):
+        constructive._rest(g, full, 1 << 2, 1 << 0, "beside", "rest")
+    with pytest.raises(InternalCaseExhausted, match="rest"):
+        constructive._rest(g, full, (1 << 1) | (1 << 4), 1 << 0, "beside", "rest")
 
 
 # -- golden traces and recursion depth ---------------------------------------------

@@ -9,7 +9,7 @@ from p3iso.graphcore import (Graph, VertexSet, bit_indices, closed_neighborhood,
                              component_masks, connected_within,
                              delete_closed_neighborhood, delete_vertices,
                              distance, is_connected, split_off)
-from p3iso.patterns import P3, contains_copy, is_isomorphic
+from p3iso.patterns import contains_copy, is_isomorphic
 
 from conftest import connected_subcubic_upto
 
@@ -91,7 +91,7 @@ def test_delete_nothing_is_identity():
 
 def _p3_flags(g: Graph) -> list[bool]:
     # per component, in order: does it hold a 3-path?
-    return [contains_copy(g, P3, within=VertexSet(m, g.n)) is not None
+    return [contains_copy(g, within=VertexSet(m, g.n)) is not None
             for m in component_masks(g)]
 
 

@@ -4,7 +4,7 @@ from itertools import permutations
 from p3iso import generators as gen
 from p3iso.graphcore import (Graph, VertexSet, delete_closed_neighborhood,
                              is_connected)
-from p3iso.patterns import (P3, catalog_match, contains_copy, has_induced_cycle,
+from p3iso.patterns import (catalog_match, contains_copy, has_induced_cycle,
                             is_isomorphic)
 
 from conftest import connected_subcubic_upto
@@ -18,8 +18,8 @@ def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
 
 
 def test_contains_copy_p3_examples():
-    assert contains_copy(gen.path(2), P3) is None
-    wit = contains_copy(gen.cycle(5), P3)
+    assert contains_copy(gen.path(2)) is None
+    wit = contains_copy(gen.cycle(5))
     assert wit is not None
     a, c, b = wit
     assert gen.cycle(5).has_edge(a, c) and gen.cycle(5).has_edge(c, b)
@@ -27,7 +27,7 @@ def test_contains_copy_p3_examples():
     # C6 minus a closed neighborhood still holds a 3-path: one vertex cannot
     # isolate a 6-cycle
     sub, _ = delete_closed_neighborhood(gen.cycle(6), [0])
-    assert contains_copy(sub, P3) is not None
+    assert contains_copy(sub) is not None
 
 
 def test_contains_copy_witnesses_are_copies(rng):
@@ -40,7 +40,7 @@ def test_contains_copy_witnesses_are_copies(rng):
         within = VertexSet(rng.getrandbits(g.n), g.n)
         keep = set(within)
         edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
-        m = contains_copy(g, P3, within=within)
+        m = contains_copy(g, within=within)
         assert (m is not None) == has_p3(keep, edges), (list(g.edges()), keep)
         if m is None:
             continue
@@ -50,7 +50,7 @@ def test_contains_copy_witnesses_are_copies(rng):
 
 def test_contains_copy_p3_iff_max_degree_2():
     for g in connected_subcubic_upto(7):
-        assert (contains_copy(g, P3) is not None) == (g.max_degree() >= 2)
+        assert (contains_copy(g) is not None) == (g.max_degree() >= 2)
 
 
 def test_induced_cycle_examples():

@@ -8,7 +8,6 @@ import pytest
 from p3iso import generators as gen
 from p3iso import solver
 from p3iso.graphcore import Graph, VertexSet, delete_vertices
-from p3iso.patterns import P3, contains_copy
 from p3iso.solver import (Certificate, is_isolating, isolation_number,
                           isolation_number_additive)
 
@@ -20,10 +19,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_is_isolating_examples():
     c7 = gen.cycle(7)
-    assert is_isolating(c7, P3, [0, 3])
-    assert not is_isolating(c7, P3, [0])
+    assert is_isolating(c7, [0, 3])
+    assert not is_isolating(c7, [0])
     g = gen.catalog_entry("G11").graph
-    assert is_isolating(g, P3, VertexSet.full(g.n))
+    assert is_isolating(g, VertexSet.full(g.n))
 
 
 def test_isolation_number_catalog_values():
@@ -39,35 +38,32 @@ def test_isolation_number_c6_via_oracle():
     assert brute_iota_p3(c6) == 2
     cert = isolation_number(c6)
     assert cert.value == 2 and cert.exact
-    assert is_isolating(c6, P3, cert.set)
+    assert is_isolating(c6, cert.set)
 
 
 def test_budget_exceeded_is_a_result():
     c7 = gen.cycle(7)
-    cert = isolation_number(c7, P3, budget=1)
+    cert = isolation_number(c7, budget=1)
     assert not cert.exact and cert.value == 2
-    assert is_isolating(c7, P3, cert.set)  # the trivial full set still isolates
-    cert = isolation_number(c7, P3, budget=2)
+    assert is_isolating(c7, cert.set)  # the trivial full set still isolates
+    cert = isolation_number(c7, budget=2)
     assert cert.exact and cert.value == 2
 
 
 def test_negative_budget_is_refused():
     # no certificate could state "exceeds a budget of -1" and still verify
     with pytest.raises(ValueError):
-        isolation_number(gen.cycle(7), P3, budget=-1)
-    cert = isolation_number(gen.cycle(7), P3, budget=0)
+        isolation_number(gen.cycle(7), budget=-1)
+    cert = isolation_number(gen.cycle(7), budget=0)
     assert not cert.exact and cert.value == 1
 
 
 def test_p3_is_the_only_family():
     c7 = gen.cycle(7)
-    calls = [lambda: contains_copy(c7, "k2"),
-             lambda: is_isolating(c7, "k2", [0, 3]),
-             lambda: isolation_number(c7, "k2"),
+    calls = [lambda: isolation_number(c7, "k2"),
              # the packing bound exceeds the budget, so no copy is searched:
              # the family is checked before the bound is taken
-             lambda: isolation_number(c7, "k2", budget=0),
-             lambda: isolation_number_additive(c7, "k2")]
+             lambda: isolation_number(c7, "k2", budget=0)]
     for call in calls:
         with pytest.raises(ValueError, match="P3"):
             call()
@@ -114,11 +110,11 @@ def test_differential_against_brute_force(rng):
         assert cert.exact and cert.value == value, list(g.edges())
         assert cert.set.to_tuple() == min(brute_min_isolating_sets(g, value))
         for budget in range(value):
-            low = isolation_number(g, P3, budget=budget)
+            low = isolation_number(g, budget=budget)
             assert not low.exact and low.value == budget + 1
         plain = isolation_number(g, canonical=False)
         assert plain.exact and plain.value == len(plain.set) == value
-        assert is_isolating(g, P3, plain.set)
+        assert is_isolating(g, plain.set)
 
 
 def _search_nodes(monkeypatch, g) -> int:
@@ -158,7 +154,7 @@ def test_additivity_matches_plain_on_unions(rng):
             g = gen.disjoint_union(g, rng.choice(pool))
         add = isolation_number_additive(g)
         assert add.value == isolation_number(g).value
-        assert is_isolating(g, P3, add.set) and len(add.set) == add.value
+        assert is_isolating(g, add.set) and len(add.set) == add.value
 
 
 def test_union_bound_lemma(rng):
@@ -174,7 +170,7 @@ def test_union_bound_lemma(rng):
 
 def test_small_graph_lemmas_subcubic():
     for g in connected_subcubic_upto(8):
-        iota = isolation_number(g, P3, budget=2, canonical=False).value
+        iota = isolation_number(g, budget=2, canonical=False).value
         if g.n <= 5:
             assert iota <= 1
         assert iota <= 2
@@ -190,7 +186,7 @@ def test_two_sevenths_spot_check():
             continue
         if g.n == 6 and is_isomorphic(g, gen.cycle(6)):
             continue
-        assert isolation_number(g, P3, budget=3, canonical=False).value * 7 <= 2 * g.n
+        assert isolation_number(g, budget=3, canonical=False).value * 7 <= 2 * g.n
 
 
 def test_exact_certificates_verify(rng):
@@ -198,5 +194,5 @@ def test_exact_certificates_verify(rng):
         g = gen.random_subcubic_connected(rng.randint(2, 12), rng)
         cert = isolation_number(g)
         assert isinstance(cert, Certificate)
-        assert is_isolating(g, P3, cert.set)
+        assert is_isolating(g, cert.set)
         assert len(cert.set) == cert.value and cert.exact
