@@ -25,9 +25,10 @@ A shard ``(res, mod)`` follows the res/mod convention of nauty's geng
 order S = max(1, max_n - 2), numbers the order-S graphs in walk order and
 keeps the subtrees under those whose index is ``res`` mod ``mod``; shard 0
 also keeps every graph below order S, and ``(0, 1)`` is the whole walk.
-The bound sweep to order 11 (``p3iso verify --max-n 11``) takes about
-3.5 s serially on a 2-vCPU Xeon; the tests gate orders 10 and 11 behind
-the ``extended`` marker.
+The bound sweep to order 11 (``p3iso verify --max-n 11``) takes 2.6-4.0 s
+serially on a 2-vCPU Xeon on a shared host, and the walk filtered to
+graphs without an induced 6-cycle takes 7.4-9.0 s through order 12; the
+tests gate orders 10 and 11 behind the ``extended`` marker.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ from .patterns import _refine_colors, canonical_data, has_induced_cycle
 MAX_DEGREE = 3
 
 # Filter ids. Every filter is closed under induced subgraphs, so a graph
-# that fails one has no passing descendant and its subtree is pruned.
+# that fails one has no passing descendant and its subtree is pruned. The
+# walk grows only graphs that pass, so a filter tests a candidate child
+# before its canonical-deletion test, and only for structures through the
+# newest vertex n-1: the rest of the child is its parent, which passed.
 _HEREDITARY_FILTERS = {
-    "no-induced-c6": lambda g: has_induced_cycle(g, 6) is None,
+    "no-induced-c6": lambda g: has_induced_cycle(g, 6, through=g.n - 1) is None,
 }
 
 
@@ -99,8 +103,6 @@ def _accepted(g: Graph) -> tuple[bool, list[tuple[int, ...]] | None]:
     vertices. n-1 is never a cut vertex: g - (n-1) is the connected parent.
     """
     n = g.n
-    if n == 1:
-        return True, None
     rows = g.rows
     last = n - 1
     full = g.full_mask()
@@ -133,15 +135,15 @@ def _accepted(g: Graph) -> tuple[bool, list[tuple[int, ...]] | None]:
 
 
 def _augmentations(g: Graph, auts: list[tuple[int, ...]]) -> Iterator[Graph]:
-    """One child per Aut(g)-orbit of attachment sets for a new vertex."""
+    """One child per Aut(g)-orbit of attachment sets for a new vertex: the
+    first set of each orbit in combinations order."""
     low = [v for v in range(g.n) if g.degree(v) < MAX_DEGREE]
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = set()  # the orbits of the sets tried
     for k in range(1, MAX_DEGREE + 1):
         for sub in combinations(low, k):
-            rep = min(tuple(sorted(a[s] for s in sub)) for a in auts)
-            if rep in seen:
+            if sub in seen:
                 continue
-            seen.add(rep)
+            seen.update(tuple(sorted([a[s] for s in sub])) for a in auts)
             rows = list(g.rows) + [0]
             for s in sub:
                 rows[s] |= 1 << g.n
@@ -149,12 +151,15 @@ def _augmentations(g: Graph, auts: list[tuple[int, ...]]) -> Iterator[Graph]:
             yield Graph._trusted(g.n + 1, rows)
 
 
-def _children(g: Graph, labelings: list[tuple[int, ...]] | None
+def _children(g: Graph, labelings: list[tuple[int, ...]] | None,
+              keep: Callable[[Graph], bool] | None
               ) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
-    """Accepted children of g with their labelings, if _accepted made any.
-    ``labelings`` are g's own, or None to label g here."""
+    """Accepted children of g that pass ``keep``, with their labelings, if
+    _accepted made any. ``labelings`` are g's own, or None to label g here."""
     auts = automorphisms(g) if labelings is None else _automorphisms_of(labelings)
     for child in _augmentations(g, auts):
+        if keep is not None and not keep(child):
+            continue
         accepted, child_labelings = _accepted(child)
         if accepted:
             yield child, child_labelings
@@ -162,21 +167,21 @@ def _children(g: Graph, labelings: list[tuple[int, ...]] | None
 
 def iter_subcubic(spec: EnumSpec) -> Iterator[Graph]:
     """The isomorphism classes of orders 1..max_n in the spec's shard,
-    depth-first. A graph that fails the filter prunes its subtree."""
+    depth-first. A graph that fails the filter prunes its subtree; the
+    order-1 root has no structure to fail it."""
     res, mod = spec.shard
+    keep = None if spec.filter is None else _HEREDITARY_FILTERS[spec.filter]
     # deeper splits balance the shards; every shard repeats the walk above
     split = max(1, spec.max_n - 2)
     at_split = count()
 
     def walk(g: Graph, labelings: list[tuple[int, ...]] | None) -> Iterator[Graph]:
-        if spec.filter is not None and not _HEREDITARY_FILTERS[spec.filter](g):
-            return
         if g.n == split and next(at_split) % mod != res:
             return  # another shard's subtree
         if res == 0 or g.n >= split:
             yield g
         if g.n < spec.max_n:
-            for child, child_labelings in _children(g, labelings):
+            for child, child_labelings in _children(g, labelings, keep):
                 yield from walk(child, child_labelings)
 
     return walk(Graph.empty(1), None)

@@ -60,23 +60,26 @@ def contains_copy(g: Graph,
 # -- induced cycles ------------------------------------------------------------
 
 
-def has_induced_cycle(g: Graph, k: int) -> tuple[int, ...] | None:
-    """An induced k-cycle as a vertex tuple in cycle order, or None.
+def has_induced_cycle(g: Graph, k: int,
+                      through: int | None = None) -> tuple[int, ...] | None:
+    """An induced k-cycle as a vertex tuple in cycle order, or None; with
+    ``through``, only a cycle that starts at that vertex.
 
-    Depth-first over induced paths from the minimum-labeled cycle vertex a,
-    on an explicit stack (no recursion at any k), in ascending neighbor
-    order; the closing vertex must exceed the second one, so each cycle is
-    seen in one direction only.
+    Depth-first over induced paths from the minimum-labeled cycle vertex a
+    (or from ``through``), on an explicit stack (no recursion at any k), in
+    ascending neighbor order; the closing vertex must exceed the second
+    one, so each cycle is seen in one direction only.
     """
     if k < 3:
         raise ValueError("cycle length must be >= 3")
     if g.n < k:
         return None
     rows = g.rows
-    for a in range(g.n):
-        higher = ~((1 << (a + 1)) - 1)
-        ends = rows[a] & higher  # where the path may start and close
-        inner = higher & ~rows[a]  # where it may run in between
+    for a in range(g.n) if through is None else (through,):
+        # the other cycle vertices: above a, or any but ``through``
+        others = ~((1 << (a + 1)) - 1) if through is None else ~(1 << a)
+        ends = rows[a] & others  # where the path may start and close
+        inner = others & ~rows[a]  # where it may run in between
         for b in bit_indices(ends):
             # per path vertex: [untried successors, chord ban (neighbors of
             # the earlier path vertices), vertex]; ban and N(a) cover the path
@@ -101,19 +104,31 @@ def has_induced_cycle(g: Graph, k: int) -> tuple[int, ...] | None:
 # -- isomorphism ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
+def _neighbors(row: int) -> tuple[int, ...]:
+    """The set bits of an adjacency row: a vertex's neighbors, ascending."""
+    return tuple(bit_indices(row))
+
+
 def _refine_colors(g: Graph) -> tuple[int, ...]:
-    """1-dimensional color refinement; colors are small dense ints."""
-    colors = [g.degree(v) for v in range(g.n)]
+    """1-dimensional color refinement; colors are small dense ints.
+
+    A round's colors refine the previous ones, so a round in which the
+    class count stops growing, or reaches n, ends with an equitable
+    partition: another round would return the same dense ranks. Equal
+    colors mean equal degrees, so a signature can list a vertex's color and
+    its sorted neighbor colors in one flat tuple.
+    """
+    nbrs = list(map(_neighbors, g.rows))
+    colors = [len(nb) for nb in nbrs]
+    classes = len(set(colors))
     while True:
-        sigs = []
-        for v in range(g.n):
-            nbr = sorted(colors[u] for u in bit_indices(g.rows[v]))
-            sigs.append((colors[v], tuple(nbr)))
+        sigs = [(c, *sorted([colors[u] for u in nb])) for c, nb in zip(colors, nbrs)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [relabel[s] for s in sigs]
-        if new == colors:
-            return tuple(new)
-        colors = new
+        colors = [relabel[s] for s in sigs]
+        if len(relabel) in (classes, len(colors)):
+            return tuple(colors)
+        classes = len(relabel)
 
 
 def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
@@ -122,8 +137,10 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
 
     A labeling is a tuple ``vertex_at`` with vertex_at[pos] = vertex. The
     form is the maximal tuple of adjacency columns over labelings that
-    list the refinement color classes in ascending order. ``colors``, if
-    given, must be ``_refine_colors(g)``; it saves refining again.
+    list the refinement color classes in ascending order; the column of
+    the vertex at pos has bit pos-1-p set iff it is adjacent to the vertex
+    at p < pos. ``colors``, if given, must be ``_refine_colors(g)``; it
+    saves refining again.
     """
     n = g.n
     if n == 0:
@@ -133,47 +150,48 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    block_color = []
+    block_at = []  # block_at[pos]: the color class that fills position pos
     for c in sorted(by_color):
-        block_color.extend([c] * len(by_color[c]))
-
-    def column(v: int, vertex_at: list[int]) -> int:
-        col = 0
-        row = g.rows[v]
-        for u in vertex_at:
-            col = (col << 1) | ((row >> u) & 1)
-        return col
+        block_at.extend([by_color[c]] * len(by_color[c]))
+    rows = g.rows
+    nbrs = list(map(_neighbors, rows))
+    # col[v]: v's column at the next free position pos, shifted left by
+    # n - pos; placing u at p adds 1 << (n-1-p) to each neighbor of u
+    col = [0] * n
 
     # phase 1: the maximal column sequence. Only maximal-column candidates
     # can extend toward the maximum at each node; mutual false/true twins
-    # yield identical subtrees, so one representative suffices here.
-    def find_max(pos: int, used: int, vertex_at: list[int]) -> list[int]:
+    # yield identical subtrees, so one representative suffices here. An
+    # open neighborhood never equals a closed one, so one set holds both.
+    def find_max(pos: int, used: int) -> list[int]:
         if pos == n:
             return []
-        scored = []
-        for v in by_color[block_color[pos]]:
+        top = -1
+        for v in block_at[pos]:
             if not (used >> v) & 1:
-                scored.append((column(v, vertex_at), v))
-        maxcol = max(col for col, _ in scored)
+                if col[v] > top:
+                    top, cands = col[v], [v]
+                elif col[v] == top:
+                    cands.append(v)
+        bit = 1 << (n - 1 - pos)
         best = None
         seen_rows = set()
-        for col, v in scored:
-            if col != maxcol:
+        for v in cands:
+            row = rows[v]
+            if row in seen_rows or row | (1 << v) in seen_rows:
                 continue
-            open_key = ("o", g.rows[v])
-            closed_key = ("c", g.rows[v] | (1 << v))
-            if open_key in seen_rows or closed_key in seen_rows:
-                continue
-            seen_rows.add(open_key)
-            seen_rows.add(closed_key)
-            vertex_at.append(v)
-            suffix = find_max(pos + 1, used | (1 << v), vertex_at)
-            vertex_at.pop()
+            seen_rows.add(row)
+            seen_rows.add(row | (1 << v))
+            for u in nbrs[v]:
+                col[u] += bit
+            suffix = find_max(pos + 1, used | (1 << v))
+            for u in nbrs[v]:
+                col[u] -= bit
             if best is None or suffix > best:
                 best = suffix
-        return [maxcol] + best
+        return [top] + best
 
-    best_cols = find_max(0, 0, [])
+    best_cols = find_max(0, 0)
 
     # phase 2: every labeling matching the maximal sequence (no twin
     # pruning: completeness feeds the automorphism group).
@@ -183,17 +201,20 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
         if pos == n:
             labelings.append(tuple(vertex_at))
             return
-        for v in by_color[block_color[pos]]:
-            if (used >> v) & 1:
+        bit = 1 << (n - 1 - pos)
+        for v in block_at[pos]:
+            if (used >> v) & 1 or col[v] != best_cols[pos]:
                 continue
-            if column(v, vertex_at) != best_cols[pos]:
-                continue
+            for u in nbrs[v]:
+                col[u] += bit
             vertex_at.append(v)
             collect(pos + 1, used | (1 << v), vertex_at)
             vertex_at.pop()
+            for u in nbrs[v]:
+                col[u] -= bit
 
     collect(0, 0, [])
-    form = (n, tuple(best_cols))
+    form = (n, tuple(c >> (n - pos) for pos, c in enumerate(best_cols)))
     return form, labelings
 
 

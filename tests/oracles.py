@@ -1,14 +1,17 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Everything here is deliberately naive: subset scans, permutation scans,
-and a from-scratch graph6 encoder. Nothing imports the algorithms under
-test beyond the Graph value type itself, except the canonical-deletion
-reference, which is defined relative to the library's canonical labeling.
+a from-scratch graph6 encoder, and the canonical labeling and orbit
+rule as they were first written (a whole-prefix column scan at every
+search node, a refinement that runs one confirming round, and a min over
+Aut per attachment set), which the faster code must match exactly. Nothing imports the algorithms under test beyond the
+Graph value type itself, except the canonical-deletion reference, which
+is defined relative to the library's canonical labeling.
 """
 
 from itertools import combinations, permutations
 
-from p3iso.graphcore import Graph
+from p3iso.graphcore import Graph, bit_indices
 
 
 def closed_nbhd_set(g: Graph, vs) -> set[int]:
@@ -144,3 +147,117 @@ def encode_graph6_reference(g: Graph) -> str:
     chunks = [bits[i:i + 6] for i in range(0, len(bits), 6)]
     body = "".join(chr(sum(b << (5 - i) for i, b in enumerate(ch)) + 63) for ch in chunks)
     return header + body
+
+
+def reference_refine_colors(g: Graph) -> tuple[int, ...]:
+    """1-dimensional color refinement; colors are small dense ints."""
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
+        sigs = []
+        for v in range(g.n):
+            nbr = sorted(colors[u] for u in bit_indices(g.rows[v]))
+            sigs.append((colors[v], tuple(nbr)))
+        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [relabel[s] for s in sigs]
+        if new == colors:
+            return tuple(new)
+        colors = new
+
+
+def reference_canonical_data(g: Graph, colors: tuple[int, ...] | None = None
+                             ) -> tuple[tuple, list[tuple[int, ...]]]:
+    """(canonical form, all labelings achieving it).
+
+    A labeling is a tuple ``vertex_at`` with vertex_at[pos] = vertex. The
+    form is the maximal tuple of adjacency columns over labelings that
+    list the refinement color classes in ascending order. ``colors``, if
+    given, must be ``reference_refine_colors(g)``; it saves refining again.
+    """
+    n = g.n
+    if n == 0:
+        return (0, ()), [()]
+    if colors is None:
+        colors = reference_refine_colors(g)
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    block_color = []
+    for c in sorted(by_color):
+        block_color.extend([c] * len(by_color[c]))
+
+    def column(v: int, vertex_at: list[int]) -> int:
+        col = 0
+        row = g.rows[v]
+        for u in vertex_at:
+            col = (col << 1) | ((row >> u) & 1)
+        return col
+
+    # phase 1: the maximal column sequence. Only maximal-column candidates
+    # can extend toward the maximum at each node; mutual false/true twins
+    # yield identical subtrees, so one representative suffices here.
+    def find_max(pos: int, used: int, vertex_at: list[int]) -> list[int]:
+        if pos == n:
+            return []
+        scored = []
+        for v in by_color[block_color[pos]]:
+            if not (used >> v) & 1:
+                scored.append((column(v, vertex_at), v))
+        maxcol = max(col for col, _ in scored)
+        best = None
+        seen_rows = set()
+        for col, v in scored:
+            if col != maxcol:
+                continue
+            open_key = ("o", g.rows[v])
+            closed_key = ("c", g.rows[v] | (1 << v))
+            if open_key in seen_rows or closed_key in seen_rows:
+                continue
+            seen_rows.add(open_key)
+            seen_rows.add(closed_key)
+            vertex_at.append(v)
+            suffix = find_max(pos + 1, used | (1 << v), vertex_at)
+            vertex_at.pop()
+            if best is None or suffix > best:
+                best = suffix
+        return [maxcol] + best
+
+    best_cols = find_max(0, 0, [])
+
+    # phase 2: every labeling matching the maximal sequence (no twin
+    # pruning: completeness feeds the automorphism group).
+    labelings: list[tuple[int, ...]] = []
+
+    def collect(pos: int, used: int, vertex_at: list[int]):
+        if pos == n:
+            labelings.append(tuple(vertex_at))
+            return
+        for v in by_color[block_color[pos]]:
+            if (used >> v) & 1:
+                continue
+            if column(v, vertex_at) != best_cols[pos]:
+                continue
+            vertex_at.append(v)
+            collect(pos + 1, used | (1 << v), vertex_at)
+            vertex_at.pop()
+
+    collect(0, 0, [])
+    form = (n, tuple(best_cols))
+    return form, labelings
+
+
+def reference_augmentations(g: Graph, auts: list[tuple[int, ...]]):
+    """One child per Aut(g)-orbit of attachment sets, each set tested by
+    its orbit's minimum image."""
+    low = [v for v in range(g.n) if g.degree(v) < 3]
+    seen = set()
+    for k in range(1, 4):
+        for sub in combinations(low, k):
+            rep = min(tuple(sorted(a[s] for s in sub)) for a in auts)
+            if rep in seen:
+                continue
+            seen.add(rep)
+            rows = list(g.rows) + [0]
+            for s in sub:
+                rows[s] |= 1 << g.n
+                rows[g.n] |= 1 << s
+            yield Graph(g.n + 1, rows)

@@ -5,15 +5,16 @@ from itertools import combinations
 import pytest
 
 from p3iso import generators as gen
-from p3iso.enumeration import (EnumSpec, _accepted, _augmentations, automorphisms,
-                               canonical_data, enumerate_connected_subcubic,
+from p3iso.enumeration import (_HEREDITARY_FILTERS, EnumSpec, _accepted, _augmentations,
+                               automorphisms, canonical_data, enumerate_connected_subcubic,
                                iter_subcubic)
 from p3iso.graph_io import emit_graph6
 from p3iso.graphcore import Graph, is_connected
-from p3iso.patterns import canonical_form, has_induced_cycle
+from p3iso.patterns import _refine_colors, canonical_form, has_induced_cycle
 
 from conftest import atlas_by_order
-from oracles import all_graphs, full_labeling_accepted, relabeled_edge_sets
+from oracles import (all_graphs, full_labeling_accepted, reference_augmentations,
+                     reference_canonical_data, reference_refine_colors, relabeled_edge_sets)
 
 COUNTS = [1, 1, 2, 6, 10, 29, 64, 194, 531, 1733, 5524]  # orders 1..11
 
@@ -96,6 +97,44 @@ def test_accepted_matches_full_labeling_oracle():
                 assert accepted
                 assert labelings == canonical_data(child)[1]
     assert tried == 1062
+
+
+def test_canonical_data_matches_reference_labeling(rng):
+    # same form and same labelings in the same order as the first-written
+    # labeling: on walk graphs, on candidate children (accepted or not) and
+    # on general graphs with degrees above 3, several components or no vertex
+    walk = list(iter_subcubic(EnumSpec(8)))
+    children = [c for g in walk if g.n < 8 for c in _augmentations(g, automorphisms(g))]
+    general = [Graph.empty(0)] + [
+        gen.random_general_graph(rng.randint(1, 7), rng.uniform(0.1, 0.9), rng)
+        for _ in range(299)]
+    assert any(g.max_degree() > 3 for g in general)
+    assert any(g.n and not is_connected(g) for g in general)
+    for g in walk + children + general:
+        assert _refine_colors(g) == reference_refine_colors(g), g
+        assert canonical_data(g) == reference_canonical_data(g), g
+
+
+def test_orbit_closure_matches_min_over_aut_rule():
+    for g in iter_subcubic(EnumSpec(8)):
+        auts = automorphisms(g)
+        assert list(_augmentations(g, auts)) == list(reference_augmentations(g, auts)), g
+
+
+def test_new_vertex_c6_check_matches_whole_graph_check():
+    # the filter looks only at cycles through the newest vertex, which is
+    # exact because the walk extends C6-free graphs only
+    keep = _HEREDITARY_FILTERS["no-induced-c6"]
+    failed = 0
+    for g in iter_subcubic(EnumSpec(8, filter="no-induced-c6")):
+        assert has_induced_cycle(g, 6) is None
+        for child in _augmentations(g, automorphisms(g)):
+            cycle = has_induced_cycle(child, 6, through=child.n - 1)
+            assert keep(child) == (cycle is None) == (has_induced_cycle(child, 6) is None)
+            if cycle is not None:
+                failed += 1
+                assert cycle[0] == child.n - 1 and len(set(cycle)) == 6
+    assert failed > 0
 
 
 def test_no_duplicates_up_to_7():
