@@ -7,9 +7,7 @@ enumeration of small subcubic graphs, and a verification harness tying
 them together (CLI: ``p3iso``).
 """
 
-from .graphcore import (Graph, VertexSet, closed_neighborhood,
-                        delete_closed_neighborhood, delete_vertices, distance,
-                        is_connected)
+from .graphcore import Graph, delete_vertices, distance, is_connected
 from .patterns import (P3, catalog_match, contains_copy, has_induced_cycle,
                        is_isomorphic)
 from .solver import (Certificate, is_isolating, isolation_number,

@@ -71,8 +71,8 @@ def _read_graphs(path: str, fmt: str | None) -> list[Graph]:
     return graphs
 
 
-def _one_based(vs) -> list[int]:
-    return [v + 1 for v in sorted(vs)]
+def _one_based(vs: tuple[int, ...]) -> list[int]:
+    return [v + 1 for v in vs]
 
 
 def cmd_iota(args) -> int:

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from . import generators
 from . import patterns
 from . import solver
-from .graphcore import (Graph, VertexSet, bit_indices, closed_mask,
-                        connected_within, delete_vertices, is_connected,
-                        split_off)
+from .graphcore import (Graph, bit_indices, closed_mask, connected_within,
+                        delete_vertices, is_connected, split_off)
 from .solver import Certificate, is_isolating
 
 CASE_BASE = "Base<=15"
@@ -144,11 +143,16 @@ def _detail_1based(detail: dict) -> dict:
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """Independent recheck: the set isolates and meets the claimed size.
 
-    Only the certificate's set is trusted; traces are never consulted.
+    Only the certificate's set is trusted; traces are never consulted. A
+    certificate made for a graph of another order, or whose set holds a
+    vertex outside 0..n-1 or one vertex twice, fails before the set is
+    tested.
     """
-    if cert.set.graph_order != g.n:
+    vs = cert.set
+    if (cert.graph_order != g.n or len(set(vs)) != len(vs)
+            or not all(0 <= v < g.n for v in vs)):
         return False
-    return is_isolating(g, cert.set) and len(cert.set) <= cert.value
+    return is_isolating(g, vs) and len(vs) <= cert.value
 
 
 def _closed_form_positions(n: int, kind: str) -> range:
@@ -174,10 +178,10 @@ def path_cycle_isolating_set(n: int, kind: str) -> Certificate:
         g = generators.cycle(n)
     else:
         raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
-    dset = VertexSet.of(n, _closed_form_positions(n, kind))
+    dset = tuple(_closed_form_positions(n, kind))
     if not is_isolating(g, dset):
         return solver.isolation_number(g)
-    return Certificate(dset, len(dset), False)
+    return Certificate(dset, len(dset), False, n)
 
 
 def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
@@ -201,7 +205,7 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
     trace = CaseTrace()
     bound = g.n // 4
     try:
-        dset = VertexSet(_solve(g, trace), g.n)
+        dset = tuple(bit_indices(_solve(g, trace)))
         if not is_isolating(g, dset) or len(dset) > bound:
             raise InternalCaseExhausted("assembled set violates the contract")
     except InternalCaseExhausted as exc:
@@ -219,7 +223,7 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
         trace.add(CASE_FALLBACK, cert.set, range(g.n),
                   {"error": str(exc), "partial_cases": partial})
         dset = cert.set
-    return Certificate(dset, len(dset), False), trace
+    return Certificate(dset, len(dset), False, g.n), trace
 
 
 # -- the explicit stack and mask helpers ---------------------------------------
@@ -252,7 +256,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _extract(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
-    return delete_vertices(g, VertexSet(g.full_mask() & ~mask, g.n))
+    return delete_vertices(g, g.full_mask() & ~mask)
 
 
 def _degree(g: Graph, mask: int, u: int) -> int:

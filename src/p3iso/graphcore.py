@@ -6,17 +6,20 @@ one Python int per vertex, bit ``u`` of ``rows[v]`` set iff ``vu`` is an
 edge. Python ints are a single machine word for n <= 64 and grow
 transparently beyond, so small instances get the fast path for free.
 
-Graphs and vertex sets are immutable after construction and safe to share
-across workers. Components are bitmasks, from ``component_masks``, or,
-for a connected mask with some vertices deleted, from ``split_off``: it
-searches from the boundary of the deleted set and stops once one search
-is left, so it costs the small side of the split, not the whole mask. Its
-answer is exact only when that mask is connected.
+Graphs are immutable after construction and safe to share across
+workers. Every vertex set passed between functions of the package is an
+int bitmask, bit ``v`` set iff v is in the set; an isolating set leaves
+the package as a sorted vertex tuple (``solver.Certificate``), and so do
+the sets of a constructive trace step. Components are bitmasks,
+from ``component_masks``, or, for a connected mask with some vertices
+deleted, from ``split_off``: it searches from the boundary of the deleted
+set and stops once one search is left, so it costs the small side of the
+split, not the whole mask. Its answer is exact only when that mask is
+connected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -31,7 +34,7 @@ def bit_indices(mask: int) -> Iterator[int]:
 class Graph:
     """A labeled simple graph: symmetric, irreflexive adjacency on [0, n)."""
 
-    __slots__ = ("n", "rows", "edge_count")
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int]):
         rows = tuple(rows)
@@ -52,7 +55,6 @@ class Graph:
     def _fill(self, n: int, rows: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "edge_count", sum(r.bit_count() for r in rows) // 2)
 
     @classmethod
     def _trusted(cls, n: int, rows: Iterable[int]) -> "Graph":
@@ -99,6 +101,11 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.rows)
 
+    @property
+    def edge_count(self) -> int:
+        """The number of edges, counted from the rows on each read."""
+        return sum(row.bit_count() for row in self.rows) // 2
+
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.rows), default=0)
 
@@ -135,75 +142,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of the vertices of a graph of a given order."""
-
-    bits: int
-    graph_order: int
-
-    def __post_init__(self):
-        if self.graph_order < 0:
-            raise ValueError("negative graph order")
-        if self.bits < 0 or self.bits >> self.graph_order:
-            raise ValueError("vertex set has members outside the graph")
-
-    @classmethod
-    def of(cls, graph_order: int, vertices: Iterable[int]) -> "VertexSet":
-        bits = 0
-        for v in vertices:
-            if not 0 <= v < graph_order:
-                raise ValueError(f"vertex {v} outside 0..{graph_order - 1}")
-            bits |= 1 << v
-        return cls(bits, graph_order)
-
-    @classmethod
-    def empty(cls, graph_order: int) -> "VertexSet":
-        return cls(0, graph_order)
-
-    @classmethod
-    def full(cls, graph_order: int) -> "VertexSet":
-        return cls((1 << graph_order) - 1, graph_order)
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.graph_order != other.graph_order:
-            raise ValueError("vertex sets belong to graphs of different order")
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.bits | other.bits, self.graph_order)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.bits & other.bits, self.graph_order)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.bits & ~other.bits, self.graph_order)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(~self.bits & ((1 << self.graph_order) - 1), self.graph_order)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return bit_indices(self.bits)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.graph_order and bool((self.bits >> v) & 1)
-
-    def __le__(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"VertexSet({{{', '.join(map(str, self))}}}, order={self.graph_order})"
 
 
 # -- mask-level helpers (shared by the solver and the constructive module) --
@@ -296,26 +234,17 @@ def split_off(g: Graph, mask: int, kill: int) -> list[int]:
 # -- spec-level operations ---------------------------------------------------
 
 
-def _coerce_mask(g: Graph, s) -> int:
-    if isinstance(s, VertexSet):
-        if s.graph_order != g.n:
-            raise ValueError("vertex set does not belong to this graph")
-        return s.bits
-    return VertexSet.of(g.n, s).bits
-
-
-def closed_neighborhood(g: Graph, s) -> VertexSet:
-    """N[S]: S together with every vertex adjacent to S."""
-    return VertexSet(closed_mask(g, _coerce_mask(g, s)), g.n)
-
-
-def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
-    """G - S as an induced subgraph, plus the old label of each new vertex.
+def delete_vertices(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
+    """G - S for the vertex bitmask S, as an induced subgraph, plus the old
+    label of each new vertex. A mask with a bit outside 0..n-1 (or a
+    negative one) raises ValueError.
 
     The relabeling is stable (it preserves the relative order of the kept
     vertices), so certificates computed on the subgraph can be lifted back.
     """
-    keep_mask = g.full_mask() & ~_coerce_mask(g, s)
+    if mask >> g.n:
+        raise ValueError("vertex mask has bits outside the graph")
+    keep_mask = g.full_mask() & ~mask
     keep = list(bit_indices(keep_mask))
     new_of_old = {v: i for i, v in enumerate(keep)}
     rows = []
@@ -325,11 +254,6 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
             row |= 1 << new_of_old[u]
         rows.append(row)
     return Graph._trusted(len(keep), rows), tuple(keep)
-
-
-def delete_closed_neighborhood(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
-    """G - N[S] with the same relabeling contract as delete_vertices."""
-    return delete_vertices(g, VertexSet(closed_mask(g, _coerce_mask(g, s)), g.n))
 
 
 def distance(g: Graph, u: int, v: int) -> int | float:

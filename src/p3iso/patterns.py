@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphcore import Graph, VertexSet, bit_indices
+from .graphcore import Graph, bit_indices
 
 
 # -- 3-path copies -------------------------------------------------------------
@@ -46,15 +46,17 @@ def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
     return (a, best, b)
 
 
-def contains_copy(g: Graph,
-                  within: VertexSet | None = None) -> tuple[int, int, int] | None:
-    """A 3-path a-c-b inside g (or a subset of g) as the tuple (a, c, b),
-    or None. Extra edges among the three vertices are fine.
+def contains_copy(g: Graph, within: int | None = None) -> tuple[int, int, int] | None:
+    """A 3-path a-c-b inside g, or inside the vertex mask ``within``, as the
+    tuple (a, c, b), or None. Extra edges among the three vertices are
+    fine. A mask with a bit outside 0..n-1 (or a negative one) raises
+    ValueError.
     """
-    alive = g.full_mask() if within is None else within.bits
-    if within is not None and within.graph_order != g.n:
-        raise ValueError("vertex set does not belong to this graph")
-    return _find_p3(g, alive)
+    if within is None:
+        return _find_p3(g, g.full_mask())
+    if within >> g.n:
+        raise ValueError("vertex mask has bits outside the graph")
+    return _find_p3(g, within)
 
 
 # -- induced cycles ------------------------------------------------------------

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import (Graph, VertexSet, _coerce_mask, bit_indices,
-                        closed_mask, component_masks, delete_vertices)
+from .graphcore import (Graph, bit_indices, closed_mask, component_masks,
+                        delete_vertices)
 from .patterns import P3, contains_copy
 
 
@@ -34,23 +34,31 @@ from .patterns import P3, contains_copy
 class Certificate:
     """An isolating set together with the value it certifies.
 
-    When ``exact`` is true, ``value == len(set)`` and no smaller set
-    isolates. A budgeted search that fails returns ``exact=False`` with
-    ``value == budget + 1`` ("exceeds budget") and the trivially isolating
-    full vertex set, so the is-isolating invariant holds for every
-    certificate. Upper-bound certificates (from closed forms or the
-    constructive algorithm) carry ``exact=False`` with ``value == len(set)``.
+    ``set`` is a sorted tuple of distinct vertices of a graph of order
+    ``graph_order``. When ``exact`` is true, ``value == len(set)`` and no
+    smaller set isolates. A budgeted search that fails returns
+    ``exact=False`` with ``value == budget + 1`` ("exceeds budget") and
+    the trivially isolating full vertex set ``tuple(range(n))``, so the
+    is-isolating invariant holds for every certificate. Upper-bound
+    certificates (from closed forms or the constructive algorithm) carry
+    ``exact=False`` with ``value == len(set)``.
     """
 
-    set: VertexSet
+    set: tuple[int, ...]
     value: int
     exact: bool
+    graph_order: int
 
 
-def is_isolating(g: Graph, d) -> bool:
-    """True iff G - N[D] contains no 3-path."""
-    alive = g.full_mask() & ~closed_mask(g, _coerce_mask(g, d))
-    return contains_copy(g, within=VertexSet(alive, g.n)) is None
+def is_isolating(g: Graph, vertices) -> bool:
+    """True iff G - N[D] contains no 3-path, for D the given vertices. A
+    vertex outside 0..n-1 raises ValueError."""
+    d_mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        d_mask |= 1 << v
+    return contains_copy(g, within=g.full_mask() & ~closed_mask(g, d_mask)) is None
 
 
 # per center, its 3-paths as (|N[copy]|, mask of the two ends, N[copy])
@@ -146,7 +154,7 @@ class _Search:
         stack: list[list[int]] = []
         while True:
             if failed.get(alive, -1) < remaining:
-                copy = contains_copy(g, within=VertexSet(alive, g.n))
+                copy = contains_copy(g, within=alive)
                 if copy is None:
                     return d_mask
                 if remaining and remaining >= _packing_lower_bound(alive, offers):
@@ -216,9 +224,9 @@ def isolation_number(g: Graph, fam: str = P3,
             assert got.bit_count() == k, "first feasible depth is the optimum"
             if canonical and k > 0:
                 got = search.lex_min(k)
-            return Certificate(VertexSet(got, g.n), k, True)
+            return Certificate(tuple(bit_indices(got)), k, True, g.n)
     assert budget is not None, "unbudgeted search must terminate by k = n"
-    return Certificate(VertexSet.full(g.n), budget + 1, False)
+    return Certificate(tuple(range(g.n)), budget + 1, False, g.n)
 
 
 def isolation_number_additive(g: Graph) -> Certificate:
@@ -226,10 +234,9 @@ def isolation_number_additive(g: Graph) -> Certificate:
     total = 0
     bits = 0
     for comp_mask in component_masks(g):
-        keep = VertexSet(comp_mask, g.n)
-        sub, old_of_new = delete_vertices(g, keep.complement())
+        sub, old_of_new = delete_vertices(g, g.full_mask() & ~comp_mask)
         cert = isolation_number(sub)
         total += cert.value
         for v in cert.set:
             bits |= 1 << old_of_new[v]
-    return Certificate(VertexSet(bits, g.n), total, True)
+    return Certificate(tuple(bit_indices(bits)), total, True, g.n)

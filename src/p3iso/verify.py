@@ -22,8 +22,7 @@ from . import patterns
 from . import solver
 from .enumeration import EnumSpec, enumerate_connected_subcubic
 from .graph_io import emit_graph6, iter_graph6
-from .graphcore import (Graph, delete_closed_neighborhood, delete_vertices, distance,
-                        is_connected)
+from .graphcore import Graph, closed_mask, delete_vertices, distance, is_connected
 
 
 @dataclass
@@ -173,6 +172,38 @@ def _legal_single_additions(g: Graph):
                 yield (u, v)
 
 
+def _remote_full_fails(graphs: dict[str, Graph], ids, keeps) -> list[str]:
+    """Over the listed catalog graphs g, each low vertex v (degree <= 2)
+    for which no full-degree vertex vp outside N[v] leaves a G - N[vp]
+    that ``keeps(g, sub, old)`` accepts, ``old`` the old label of each
+    vertex of ``sub``. The vp are tried in ascending order."""
+    fails = []
+    for cid in ids:
+        g = graphs[cid]
+        for v in range(g.n):
+            if g.degree(v) > 2:
+                continue
+            nv = g.rows[v] | (1 << v)
+            if not any(keeps(g, *delete_vertices(g, closed_mask(g, 1 << vp)))
+                       for vp in range(g.n)
+                       if not (nv >> vp) & 1 and g.degree(vp) == 3):
+                fails.append(f"{cid}: vertex {v + 1}")
+    return fails
+
+
+def _attachable_remnant(g: Graph, sub: Graph, old: tuple[int, ...]) -> bool:
+    """sub is a connected 3-vertex remnant of g: a path with an end of
+    degree 2 and a middle of degree 3 in g, or a triangle holding two
+    vertices of degree 3 in g."""
+    if sub.n != 3 or not is_connected(sub):
+        return False
+    rem_deg = {old[i]: sub.degree(i) for i in range(3)}
+    if sub.edge_count == 2:  # path remnant
+        return (any(g.degree(y) == 2 and rem_deg[y] == 1 for y in old) and
+                any(g.degree(y) == 3 and rem_deg[y] == 2 for y in old))
+    return sum(1 for y in old if g.degree(y) == 3) >= 2  # triangle remnant
+
+
 def check_observations() -> list[ObservationResult]:
     """Every documented catalog property, quantified exhaustively."""
     results: list[ObservationResult] = []
@@ -195,7 +226,7 @@ def check_observations() -> list[ObservationResult]:
     allowed_cuts = {("P3", 1), ("G71", 6)}  # 0-based: middle of P3, label 7
     for cid, g in graphs.items():
         for v in range(g.n):
-            sub, _ = delete_vertices(g, [v])
+            sub, _ = delete_vertices(g, 1 << v)
             connected = is_connected(sub)
             if connected == ((cid, v) in allowed_cuts):
                 fails.append(f"{cid}: vertex {v + 1}")
@@ -203,24 +234,8 @@ def check_observations() -> list[ObservationResult]:
 
     # order-7 non-cycles: a full-degree vertex far from any low vertex whose
     # closed-neighborhood deletion leaves a connected graph
-    fails = []
-    for cid in g7_noncycle:
-        g = graphs[cid]
-        for v in range(g.n):
-            if g.degree(v) > 2:
-                continue
-            ok = False
-            nv = g.rows[v] | (1 << v)
-            for vp in range(g.n):
-                if (nv >> vp) & 1 or g.degree(vp) != 3:
-                    continue
-                sub, _ = delete_closed_neighborhood(g, [vp])
-                if is_connected(sub):
-                    ok = True
-                    break
-            if not ok:
-                fails.append(f"{cid}: vertex {v + 1}")
-    add("order7-remote-full-vertex", fails)
+    add("order7-remote-full-vertex", _remote_full_fails(
+        graphs, g7_noncycle, lambda g, sub, old: is_connected(sub)))
 
     # order-7 non-cycles: no two low-degree vertices adjacent
     fails = []
@@ -241,7 +256,7 @@ def check_observations() -> list[ObservationResult]:
         for v in range(g.n):
             if g.degree(v) > 2:
                 continue
-            sub, _ = delete_closed_neighborhood(g, [v])
+            sub, _ = delete_vertices(g, closed_mask(g, 1 << v))
             if not is_connected(sub):
                 fails.append(f"{cid}: vertex {v + 1}")
     add("order11-15-neighborhood-deletion", fails)
@@ -259,33 +274,8 @@ def check_observations() -> list[ObservationResult]:
 
     # the four attachable order-7 graphs: a far full-degree vertex whose
     # deletion leaves a 3-vertex remnant with the documented degree pattern
-    fails = []
-    for cid in ("G71", "G72", "G73", "G75"):
-        g = graphs[cid]
-        for v in range(g.n):
-            if g.degree(v) > 2:
-                continue
-            nv = g.rows[v] | (1 << v)
-            ok = False
-            for vp in range(g.n):
-                if (nv >> vp) & 1 or g.degree(vp) != 3:
-                    continue
-                sub, verts = delete_closed_neighborhood(g, [vp])
-                if sub.n != 3 or not is_connected(sub):
-                    continue
-                rem_deg = {verts[i]: sub.degree(i) for i in range(3)}
-                if sub.edge_count == 2:  # path remnant
-                    if any(g.degree(y) == 2 and rem_deg[y] == 1 for y in verts) and \
-                       any(g.degree(y) == 3 and rem_deg[y] == 2 for y in verts):
-                        ok = True
-                        break
-                elif sub.edge_count == 3:  # triangle remnant
-                    if sum(1 for y in verts if g.degree(y) == 3) >= 2:
-                        ok = True
-                        break
-            if not ok:
-                fails.append(f"{cid}: vertex {v + 1}")
-    add("order7-attachable-remnant", fails)
+    add("order7-attachable-remnant", _remote_full_fails(
+        graphs, ("G71", "G72", "G73", "G75"), _attachable_remnant))
 
     # single-edge additions to G72/G73/G75
     fails = []
@@ -336,7 +326,7 @@ def check_observations() -> list[ObservationResult]:
         for v in range(g.n):
             if g.degree(v) > 2:
                 continue
-            sub, _ = delete_vertices(g, [v])
+            sub, _ = delete_vertices(g, 1 << v)
             if solver.isolation_number(sub).value > bound:
                 fails.append(f"{cid}: vertex {v + 1}")
             if cid not in ("P3", "C3") and not is_connected(sub):

@@ -33,6 +33,14 @@ def atlas_by_order() -> dict[int, list[Graph]]:
     return _ATLAS_BY_ORDER
 
 
+def sorted_vertex_tuple(cert, n: int) -> bool:
+    """The certificate's set is a sorted tuple of distinct ints in 0..n-1,
+    and the certificate names the order n."""
+    s = cert.set
+    return (type(s) is tuple and all(type(v) is int and 0 <= v < n for v in s)
+            and all(a < b for a, b in zip(s, s[1:])) and cert.graph_order == n)
+
+
 def connected_subcubic_upto(max_n: int):
     from p3iso.enumeration import EnumSpec, iter_subcubic
 

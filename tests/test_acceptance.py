@@ -245,7 +245,7 @@ def test_criterion_6_lemmas():
     for _ in range(1000):
         g = gen.random_general_graph(rng.randint(1, 10), rng.uniform(0.1, 0.5), rng)
         x = [v for v in range(g.n) if rng.random() < 0.25]
-        y = [v for v in closed_nbhd_set(g, x) if rng.random() < 0.6]
+        y = sum(1 << v for v in closed_nbhd_set(g, x) if rng.random() < 0.6)
         sub, _ = delete_vertices(g, y)
         assert isolation_number(g, canonical=False).value <= \
             len(x) + isolation_number(sub, canonical=False).value

@@ -13,10 +13,10 @@ from p3iso.constructive import (CASE_FALLBACK, FALLBACK_MAX_ORDER,
                                 InternalCaseExhausted, PreconditionViolated,
                                 isolate_p3_subcubic, path_cycle_isolating_set,
                                 verify_certificate)
-from p3iso.graphcore import Graph, VertexSet, closed_mask
+from p3iso.graphcore import Graph, closed_mask
 from p3iso.solver import Certificate, is_isolating, isolation_number
 
-from conftest import connected_subcubic_upto
+from conftest import connected_subcubic_upto, sorted_vertex_tuple
 from p3iso.patterns import catalog_match, has_induced_cycle
 
 
@@ -30,7 +30,7 @@ def cat_edges(cid, base):
 
 def check(g, want_case=None, want_sub=None):
     cert, trace = isolate_p3_subcubic(g)
-    assert verify_certificate(g, cert)
+    assert verify_certificate(g, cert) and sorted_vertex_tuple(cert, g.n)
     assert len(cert.set) <= g.n // 4
     assert CASE_FALLBACK not in trace.case_ids()
     if want_case:
@@ -111,11 +111,11 @@ def test_path3_defers_to_solver():
 def test_formula_sets_valid_up_to_40():
     for n in range(1, 41):
         cert = path_cycle_isolating_set(n, "path")
-        assert is_isolating(gen.path(n), cert.set)
+        assert is_isolating(gen.path(n), cert.set) and sorted_vertex_tuple(cert, n)
         assert len(cert.set) <= max(1, n // 4)
         if n >= 3:
             cert = path_cycle_isolating_set(n, "cycle")
-            assert is_isolating(gen.cycle(n), cert.set)
+            assert is_isolating(gen.cycle(n), cert.set) and sorted_vertex_tuple(cert, n)
             assert len(cert.set) == (n + 4) // 5
             if n not in (3, 6, 7, 11):
                 assert 4 * len(cert.set) <= n
@@ -143,11 +143,20 @@ def test_verify_certificate():
     c12 = gen.cycle(12)
     cert, _ = isolate_p3_subcubic(c12)
     assert verify_certificate(c12, cert)
-    smaller = VertexSet.of(12, list(cert.set)[:-1])
-    assert not verify_certificate(c12, Certificate(smaller, cert.value, False))
+    smaller = cert.set[:-1]
+    assert not verify_certificate(c12, Certificate(smaller, cert.value, False, 12))
     edgeless = Graph.empty(4)
-    assert verify_certificate(edgeless, Certificate(VertexSet.empty(4), 0, True))
+    assert verify_certificate(edgeless, Certificate((), 0, True, 4))
     assert not verify_certificate(gen.cycle(11), cert)  # wrong graph order
+    # each bad set below isolates C12 within its value once the check at
+    # fault is left out: the order, the range, then repetition
+    full = tuple(range(12))
+    assert verify_certificate(c12, Certificate(full, 12, False, 12))
+    assert not verify_certificate(c12, Certificate(cert.set, cert.value, False, 13))
+    assert not verify_certificate(c12, Certificate(full[:-1] + (12,), 12, False, 12))
+    assert not verify_certificate(c12, Certificate((-1,) + full[1:], 12, False, 12))
+    twice = cert.set + cert.set[:1]
+    assert not verify_certificate(c12, Certificate(twice, len(twice), False, 12))
 
 
 # -- spec examples ----------------------------------------------------------------
@@ -366,6 +375,7 @@ def test_failed_case_falls_back_only_on_small_orders(monkeypatch):
     g = spider(FALLBACK_MAX_ORDER)
     cert, trace = isolate_p3_subcubic(g)
     assert verify_certificate(g, cert) and len(cert.set) <= g.n // 4
+    assert sorted_vertex_tuple(cert, g.n)
     assert trace.case_ids() == [CASE_FALLBACK]
     assert trace.steps[0].detail["partial_cases"] == ["NoExceptional"]
     with pytest.raises(InternalCaseExhausted) as exc:

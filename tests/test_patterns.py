@@ -1,8 +1,10 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from p3iso import generators as gen
-from p3iso.graphcore import (Graph, VertexSet, delete_closed_neighborhood,
+from p3iso.graphcore import (Graph, bit_indices, closed_mask, delete_vertices,
                              is_connected)
 from p3iso.patterns import (catalog_match, contains_copy, has_induced_cycle,
                             is_isomorphic)
@@ -26,8 +28,14 @@ def test_contains_copy_p3_examples():
 
     # C6 minus a closed neighborhood still holds a 3-path: one vertex cannot
     # isolate a 6-cycle
-    sub, _ = delete_closed_neighborhood(gen.cycle(6), [0])
+    c6 = gen.cycle(6)
+    sub, _ = delete_vertices(c6, closed_mask(c6, 1 << 0))
     assert contains_copy(sub) is not None
+
+    # a mask with a bit beyond the last vertex, or a negative one, is refused
+    for outside in (1 << 6, -1):
+        with pytest.raises(ValueError):
+            contains_copy(c6, within=outside)
 
 
 def test_contains_copy_witnesses_are_copies(rng):
@@ -37,8 +45,8 @@ def test_contains_copy_witnesses_are_copies(rng):
 
     for _ in range(400):
         g = gen.random_general_graph(rng.randint(1, 8), rng.uniform(0.2, 0.8), rng)
-        within = VertexSet(rng.getrandbits(g.n), g.n)
-        keep = set(within)
+        within = rng.getrandbits(g.n)
+        keep = set(bit_indices(within))
         edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
         m = contains_copy(g, within=within)
         assert (m is not None) == has_p3(keep, edges), (list(g.edges()), keep)

@@ -7,11 +7,11 @@ import pytest
 
 from p3iso import generators as gen
 from p3iso import solver
-from p3iso.graphcore import Graph, VertexSet, delete_vertices
+from p3iso.graphcore import Graph, delete_vertices
 from p3iso.solver import (Certificate, is_isolating, isolation_number,
                           isolation_number_additive)
 
-from conftest import connected_subcubic_upto, spine_tree
+from conftest import connected_subcubic_upto, sorted_vertex_tuple, spine_tree
 from oracles import brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -22,7 +22,10 @@ def test_is_isolating_examples():
     assert is_isolating(c7, [0, 3])
     assert not is_isolating(c7, [0])
     g = gen.catalog_entry("G11").graph
-    assert is_isolating(g, VertexSet.full(g.n))
+    assert is_isolating(g, range(g.n))
+    for outside in ([7], [0, -1]):  # vertices of C7 are 0..6
+        with pytest.raises(ValueError):
+            is_isolating(c7, outside)
 
 
 def test_isolation_number_catalog_values():
@@ -46,6 +49,7 @@ def test_budget_exceeded_is_a_result():
     cert = isolation_number(c7, budget=1)
     assert not cert.exact and cert.value == 2
     assert is_isolating(c7, cert.set)  # the trivial full set still isolates
+    assert cert.set == tuple(range(7)) and sorted_vertex_tuple(cert, 7)
     cert = isolation_number(c7, budget=2)
     assert cert.exact and cert.value == 2
 
@@ -89,7 +93,7 @@ def test_certificate_is_lexicographically_smallest():
               gen.construction_B_p3(9)]:
         cert = isolation_number(g)
         best = min(brute_min_isolating_sets(g, cert.value))
-        assert cert.set.to_tuple() == best
+        assert cert.set == best
 
 
 def test_minimality_recheck_against_subset_scan(rng):
@@ -108,12 +112,14 @@ def test_differential_against_brute_force(rng):
         value = brute_iota_p3(g)
         cert = isolation_number(g)
         assert cert.exact and cert.value == value, list(g.edges())
-        assert cert.set.to_tuple() == min(brute_min_isolating_sets(g, value))
+        assert cert.set == min(brute_min_isolating_sets(g, value))
         for budget in range(value):
             low = isolation_number(g, budget=budget)
             assert not low.exact and low.value == budget + 1
+            assert sorted_vertex_tuple(low, g.n)
         plain = isolation_number(g, canonical=False)
         assert plain.exact and plain.value == len(plain.set) == value
+        assert sorted_vertex_tuple(plain, g.n)
         assert is_isolating(g, plain.set)
 
 
@@ -155,6 +161,7 @@ def test_additivity_matches_plain_on_unions(rng):
         add = isolation_number_additive(g)
         assert add.value == isolation_number(g).value
         assert is_isolating(g, add.set) and len(add.set) == add.value
+        assert sorted_vertex_tuple(add, g.n)
 
 
 def test_union_bound_lemma(rng):
@@ -163,7 +170,7 @@ def test_union_bound_lemma(rng):
         g = gen.random_subcubic_connected(rng.randint(2, 10), rng)
         x = [v for v in range(g.n) if rng.random() < 0.3]
         hood = sorted(closed_nbhd_set(g, x))
-        y = [v for v in hood if rng.random() < 0.7]
+        y = sum(1 << v for v in hood if rng.random() < 0.7)
         sub, _ = delete_vertices(g, y)
         assert isolation_number(g).value <= len(x) + isolation_number(sub).value
 
@@ -196,3 +203,4 @@ def test_exact_certificates_verify(rng):
         assert isinstance(cert, Certificate)
         assert is_isolating(g, cert.set)
         assert len(cert.set) == cert.value and cert.exact
+        assert sorted_vertex_tuple(cert, g.n)
