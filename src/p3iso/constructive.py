@@ -17,6 +17,13 @@ generator that yields the mask of a smaller piece and is sent back that
 piece's set; one loop over an explicit stack drives them, so the depth of
 the deletion never becomes depth of the Python stack.
 
+Deleting along a long input cuts off the same small pieces again and
+again. So each isolate_p3_subcubic call keeps a memo from an extracted
+piece's rows (at most 15 small ints, never the piece's n-bit mask) to its
+catalog match and its base-step certificate, and matches and solves each
+distinct piece once. The memo is made in _solve and dropped when it
+returns: no call reuses another's work.
+
 A yielded piece is connected by construction: it is a component found by
 graphcore.split_off, which walks out from the boundary of the deleted set,
 or a remainder that split_off shows to be one component (_rest). The root
@@ -234,9 +241,11 @@ def _solve(g: Graph, trace: CaseTrace) -> int:
 
     Each stack entry is a case generator at work on one piece; a yielded
     mask is pushed as a new piece, and a finished piece's bits are sent to
-    the entry below it.
+    the entry below it. ``memo`` (see _match) lives only as long as this
+    call.
     """
-    stack = [_piece(g, g.full_mask(), trace)]
+    memo: dict = {}
+    stack = [_piece(g, g.full_mask(), trace, memo)]
     bits = None
     while stack:
         try:
@@ -245,7 +254,7 @@ def _solve(g: Graph, trace: CaseTrace) -> int:
             stack.pop()
             bits = done.value
         else:
-            stack.append(_piece(g, sub, trace))
+            stack.append(_piece(g, sub, trace, memo))
             bits = None
     return bits
 
@@ -263,12 +272,22 @@ def _degree(g: Graph, mask: int, u: int) -> int:
     return (g.rows[u] & mask).bit_count()
 
 
-def _catalog_id(g: Graph, mask: int) -> str | None:
+def _match(sub: Graph, memo: dict) -> list:
+    """The memo entry [catalog id, base-step certificate or None] of an
+    extracted piece, keyed on its rows; the piece is matched on first sight
+    and solved on its first base step."""
+    entry = memo.get(sub.rows)
+    if entry is None:
+        entry = memo[sub.rows] = [patterns.catalog_match(sub), None]
+    return entry
+
+
+def _catalog_id(g: Graph, mask: int, memo: dict) -> str | None:
     """Which exceptional graph the piece is a copy of; only catalog orders
     are extracted."""
     if mask.bit_count() not in _CATALOG_ORDERS:
         return None
-    return patterns.catalog_match(_extract(g, mask)[0])
+    return _match(_extract(g, mask)[0], memo)[0]
 
 
 def _split(g: Graph, mask: int, kill: int, v: int) -> tuple[int, list[int]]:
@@ -320,35 +339,40 @@ def _close(g, trace, bits: int, case: str, chosen, removed: int, **detail) -> in
     return bits
 
 
-def _base(g: Graph, mask: int, trace: CaseTrace, note: str | None = None) -> int:
-    """The one exact base step, on the piece extracted and matched once. An
-    eligible piece is solved within floor(n/4). An exceptional piece needs a
+def _base(g: Graph, mask: int, trace: CaseTrace, memo: dict,
+          note: str | None = None) -> int:
+    """The one exact base step, on the piece extracted once and matched and
+    solved once per call (_match). An eligible piece is solved within
+    floor(n/4). An exceptional piece needs a
     ``note``, given where a case expects a small exceptional component, and
     is solved without a budget."""
     sub, old = _extract(g, mask)
+    entry = _match(sub, memo)
     detail, budget = {"order": sub.n}, sub.n // 4
-    if patterns.catalog_match(sub) is not None:
+    if entry[0] is not None:
         _require(note is not None, "recursed into an exceptional graph")
         detail["note"], budget = note, None
-    cert = solver.isolation_number(sub, budget=budget, canonical=False)
+    if entry[1] is None:
+        entry[1] = solver.isolation_number(sub, budget=budget, canonical=False)
+    cert = entry[1]
     _require(cert.exact, f"small graph needs more than floor({sub.n}/4)")
     chosen = [old[v] for v in cert.set]
     trace.add(CASE_BASE, chosen, old, detail)
     return sum(1 << u for u in chosen)
 
 
-def _plain_or_small(g: Graph, mask: int, trace: CaseTrace, note: str):
+def _plain_or_small(g: Graph, mask: int, trace: CaseTrace, memo: dict, note: str):
     """Solve a piece that may be a small exceptional component: a piece of
     order <= 15 takes the base step here, a larger one is yielded."""
     if mask.bit_count() <= 15:
-        return _base(g, mask, trace, note)
+        return _base(g, mask, trace, memo, note)
     return (yield mask)
 
 
 # -- the recursion ---------------------------------------------------------------
 
 
-def _piece(g: Graph, mask: int, trace: CaseTrace):
+def _piece(g: Graph, mask: int, trace: CaseTrace, memo: dict):
     """Isolating set of size <= floor(n/4) for an eligible piece.
 
     Like every case below, a generator run by _solve: it yields the masks of
@@ -361,11 +385,11 @@ def _piece(g: Graph, mask: int, trace: CaseTrace):
     order is <= 15).
     """
     if mask.bit_count() <= 15:
-        return _base(g, mask, trace)
+        return _base(g, mask, trace, memo)
     v = next((u for u in bit_indices(mask) if _degree(g, mask, u) == 3), None)
     if v is None:
         return _delta2(g, mask, trace)
-    return (yield from _solve_with_vertex(g, mask, v, trace))
+    return (yield from _solve_with_vertex(g, mask, v, trace, memo))
 
 
 def _delta2(g: Graph, mask: int, trace: CaseTrace) -> int:
@@ -415,7 +439,7 @@ def _lemma_gv(g: Graph, cmask: int, y: int):
     return (yield _rest(g, cmask, 1 << y)), 1 << y
 
 
-def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
+def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace, memo: dict):
     """The deletion analysis at a chosen degree-3 vertex."""
     _require(_degree(g, mask, v) == 3, "deletion vertex must have degree 3")
     nv = closed_mask(g, 1 << v) & mask
@@ -427,7 +451,7 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
     for cmask in split_off(g, mask, nv):
         linked = tuple(x for x in nbrs if g.rows[x] & cmask)
         _require(bool(linked), "a component is not linked to any neighbor of v")
-        comps.append(_Comp(cmask, _catalog_id(g, cmask), linked))
+        comps.append(_Comp(cmask, _catalog_id(g, cmask, memo), linked))
     exceptional = [c for c in comps if c.cid]
     regular = [c for c in comps if not c.cid]
 
@@ -441,7 +465,7 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
 
     solo = [c for c in exceptional if len(c.linked) == 1]
     if solo:
-        return (yield from _case21(g, mask, v, solo[0], trace))
+        return (yield from _case21(g, mask, v, solo[0], trace, memo))
 
     _require(len(exceptional) == 1,
              "several exceptional components each linked twice is impossible")
@@ -454,11 +478,11 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace):
     if h1.cid in ("C11", "C7"):
         k = h1.mask.bit_count()
         return (yield from _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w,
-                                                 trace, k))
+                                                 trace, memo, k))
     if h1.cid in ("G71", "G72", "G73", "G75"):
-        return (yield from _case223_non_cycle(g, mask, h1, x1, trace))
+        return (yield from _case223_non_cycle(g, mask, h1, x1, trace, memo))
     if h1.cid in ("P3", "C3"):
-        return (yield from _case224(g, mask, v, nbrs, h1, trace))
+        return (yield from _case224(g, mask, v, nbrs, h1, trace, memo))
     raise InternalCaseExhausted(
         f"component {h1.cid} cannot be doubly linked")  # G74/G76 have one open slot
 
@@ -488,7 +512,7 @@ def _case1(g, v, x, nv, exceptional, regular, trace):
     return bits | (yield from _each(c.mask for c in regular))
 
 
-def _case21(g, mask, v, ch, trace):
+def _case21(g, mask, v, ch, trace, memo):
     """An exceptional component linked to exactly one neighbor of v."""
     xh = ch.linked[0]
     y = _attachments(g, xh, ch.mask)[0]
@@ -499,7 +523,7 @@ def _case21(g, mask, v, ch, trace):
     gv_mask, others = _split(g, mask, (1 << xh) | ch.mask, v)
     detail: dict = {"exceptional": ch.cid, "leftover": []}
     bits |= yield from _each(others)
-    gv_cid = _catalog_id(g, gv_mask)
+    gv_cid = _catalog_id(g, gv_mask, memo)
     if gv_cid is None:
         bits |= yield gv_mask
     else:
@@ -550,7 +574,7 @@ def _case_inner(g, mask, h1, x1, x1p, trace):
     return (1 << y) | (yield _rest(g, mask, kill))
 
 
-def _case223_non_cycle(g, mask, h1, x1, trace):
+def _case223_non_cycle(g, mask, h1, x1, trace, memo):
     """H1 in {G71, G72, G73, G75}: delete a prescribed inner degree-3 vertex.
 
     A suitable y* (full degree, outside the closed neighborhood of x1's
@@ -571,14 +595,14 @@ def _case223_non_cycle(g, mask, h1, x1, trace):
             continue
         kill = closed_mask(g, 1 << ystar) & mask
         star = _rest(g, mask, kill)
-        if _catalog_id(g, star) is not None:
+        if _catalog_id(g, star, memo) is not None:
             continue
         trace.add(CASE_223, [ystar], bit_indices(kill), {"subcase": h1.cid})
         return (1 << ystar) | (yield star)
     raise InternalCaseExhausted(f"no usable inner vertex in a {h1.cid} component")
 
 
-def _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w, trace, k: int):
+def _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w, trace, memo, k: int):
     """Doubly linked C7 (k=7) or C11 (k=11) component."""
     y_mask = nv | h1.mask
     # swap x1/x1p if needed so some neighbor of v other than x1 has an edge
@@ -607,11 +631,13 @@ def _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w, trace, k: int):
     _require(att_x1p <= {psi[1], psi[k - 1]},
              "disconnected subcase needs x1' attached next to y1")
     if k == 11:
-        return (yield from _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace))
-    return (yield from _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace))
+        return (yield from _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p,
+                                             trace, memo))
+    return (yield from _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p,
+                                        trace, memo))
 
 
-def _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace):
+def _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace, memo):
     if psi[1] in att_x1p:
         d_prime = [psi[0], psi[1], psi[6]]
     else:
@@ -621,12 +647,13 @@ def _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace):
     _require((gv_mask >> w) & 1, "v and w should share a component")
     bits = sum(1 << p for p in d_prime)
     bits |= yield from _each(others)
-    bits |= yield from _plain_or_small(g, gv_mask, trace, "C11-disconnected remainder")
+    bits |= yield from _plain_or_small(g, gv_mask, trace, memo,
+                                       "C11-disconnected remainder")
     return _close(g, trace, bits, CASE_222, d_prime, kill, subcase="C11-disconnected",
                   normalization={i + 1: psi[i] for i in range(11)})
 
 
-def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
+def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace, memo):
     # re-orient the 7-cycle so x1' attaches at position 7
     if psi[6] not in att_x1p:
         psi = [psi[0]] + psi[1:][::-1]
@@ -637,8 +664,9 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
     _require(j_mask in others, "the 4-path remnant of the 7-cycle is not a component")
     side_parts = [p for p in others if p != j_mask]
     for p in side_parts:
-        _require(_catalog_id(g, p) is None, "C7-disconnected side component is exceptional")
-    cm = _catalog_id(g, gv_mask)
+        _require(_catalog_id(g, p, memo) is None,
+                 "C7-disconnected side component is exceptional")
+    cm = _catalog_id(g, gv_mask, memo)
 
     if cm is None:
         bits = (1 << y1) | (1 << psi[4])
@@ -650,7 +678,7 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
     if cm in ("C11", "G11"):
         trace.add(CASE_223, [], [], {"subcase": "C7-disconnected-reenter",
                                      "reenter_at": y1, "gv": cm})
-        return (yield from _solve_with_vertex(g, mask, y1, trace))
+        return (yield from _solve_with_vertex(g, mask, y1, trace, memo))
 
     _require(cm == "C7", f"C7-disconnected remainder is {cm}, expected C7/C11/G11")
     # G_v^* is a 7-cycle through x1'-v-w; walk it from x1' away from v
@@ -669,7 +697,7 @@ def _c7_disconnected(g, mask, v, x1p, w, psi, kill, att_x1p, trace):
                   subcase="C7-disconnected-C7")
 
 
-def _case224(g, mask, v, nbrs, h1, trace):
+def _case224(g, mask, v, nbrs, h1, trace, memo):
     """The doubly linked component is a 3-vertex graph."""
     h_mask = h1.mask
     h_verts = list(bit_indices(h_mask))
@@ -677,7 +705,8 @@ def _case224(g, mask, v, nbrs, h1, trace):
     pairs = [(t, u) for t in deg2 for u in nbrs if g.has_edge(t, u)]
 
     if pairs:
-        return (yield from _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace))
+        return (yield from _case224_deg2_attached(g, mask, v, nbrs, h1, pairs,
+                                                  trace, memo))
 
     # condition (1): no degree-2 vertex of H1 touches N(v); H1 must be a path
     _require(h1.cid == "P3", "triangle component always violates condition (1)")
@@ -691,7 +720,7 @@ def _case224(g, mask, v, nbrs, h1, trace):
         y_mid = next(t for t in h_verts if g.has_edge(y1, t))
         y_far = next(t for t in h_verts if t not in (y1, y_mid))
         return (yield from _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far,
-                                           trace))
+                                           trace, memo))
 
     # each H1 vertex touches at most one neighbor of v: attachments at the ends
     ends = [t for t in h_verts if _degree(g, h_mask, t) == 1]
@@ -713,18 +742,19 @@ def _case224(g, mask, v, nbrs, h1, trace):
                     "exactly one component should hold w")
     _require((gw_mask >> w) & 1, "w missing from its component")
     bits = 1 << x1
-    bits |= yield from _plain_or_small(g, gw_mask, trace, "Case 2.2.4 w-side remainder")
+    bits |= yield from _plain_or_small(g, gw_mask, trace, memo,
+                                       "Case 2.2.4 w-side remainder")
     return _close(g, trace, bits, CASE_224, [x1], kill | k2_mask,
                   subcase="ends-x1x1p-edge")
 
 
-def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace):
+def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace, memo):
     """A path end y1 of the 3-vertex component is adjacent to two of N(v)."""
     kill = _kill(g, mask, y1, (x1, x1p, y_mid), "doubly attached end should be saturated")
     gv_mask, others = _split(g, mask, kill, v)
     far_single = (1 << y_far) in others
     side_parts = [p for p in others if p != (1 << y_far)]
-    cm = _catalog_id(g, gv_mask)
+    cm = _catalog_id(g, gv_mask, memo)
     removed = kill | ((1 << y_far) if far_single else 0)
 
     if cm is None:
@@ -749,7 +779,7 @@ def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace):
                   subcase=f"double-attachment-{cm}")
 
 
-def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
+def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace, memo):
     """Condition (1) fails: a degree-2 vertex of H1 touches N(v)."""
     h_mask = h1.mask
     y1, x1 = pairs[0]
@@ -765,8 +795,9 @@ def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
     gv_mask, others = _split(g, mask, kill, v)
     _require(len(others) <= 1, "x1 has one open slot, so at most one side component")
     hstar_mask = others[0] if others else 0
-    _require(_catalog_id(g, hstar_mask) is None, "side component off x1 is exceptional")
-    cm = _catalog_id(g, gv_mask)
+    _require(_catalog_id(g, hstar_mask, memo) is None,
+             "side component off x1 is exceptional")
+    cm = _catalog_id(g, gv_mask, memo)
 
     if cm is None:
         bits = (1 << y1) | (yield gv_mask)
@@ -776,14 +807,14 @@ def _case224_deg2_attached(g, mask, v, nbrs, h1, pairs, trace):
     if cm in ("C7", "C11", "G11"):
         trace.add(CASE_224, [], [], {"subcase": "deg2-attached-reenter",
                                      "reenter_at": y1, "gv": cm})
-        return (yield from _solve_with_vertex(g, mask, y1, trace))
+        return (yield from _solve_with_vertex(g, mask, y1, trace, memo))
 
     _require(cm in ("P3", "C3"), f"unexpected remainder {cm} in Case 2.2.4")
     _require(gv_mask == (1 << v) | (1 << x1p) | (1 << w),
              "3-vertex remainder must be exactly v, x1', w")
     _require(hstar_mask != 0, "order at least 16 forces a side component")
     if hstar_mask.bit_count() % 4 != 0:
-        bits = (1 << y1) | _base(g, gv_mask, trace, "small remainder at v")
+        bits = (1 << y1) | _base(g, gv_mask, trace, memo, "small remainder at v")
         bits |= yield hstar_mask
         return _close(g, trace, bits, CASE_224, [y1], kill,
                       subcase="deg2-attached-small-gv")

@@ -65,27 +65,56 @@ def contains_copy(g: Graph, within: int | None = None) -> tuple[int, int, int] |
 def has_induced_cycle(g: Graph, k: int,
                       through: int | None = None) -> tuple[int, ...] | None:
     """An induced k-cycle as a vertex tuple in cycle order, or None; with
-    ``through``, only a cycle that starts at that vertex.
+    ``through``, only a cycle that starts at that vertex, which must lie in
+    0..n-1 (else ValueError).
 
-    Depth-first over induced paths from the minimum-labeled cycle vertex a
-    (or from ``through``), on an explicit stack (no recursion at any k), in
-    ascending neighbor order; the closing vertex must exceed the second
-    one, so each cycle is seen in one direction only.
+    Depth-first over induced paths a, b, ..., u from the minimum-labeled
+    cycle vertex a (or from ``through``), on an explicit stack (no recursion
+    at any k), in ascending neighbor order. b and the closing vertex u are
+    both neighbors of a (its ends), the vertices in between are not, and
+    u > b, so each cycle is seen in one direction only. Four prunes cut only
+    branches that cannot close a cycle, and they leave the order of the
+    rest alone, so the first cycle found (the witness) is the one the
+    unpruned walk finds:
+
+    - a start with fewer than two ends is skipped: a cycle needs b and u;
+    - the largest end is never b, since u must be an end above b;
+    - the closing level offers only the ends above b: the rest fail u > b;
+    - the level before it (k >= 4) offers only inner vertices adjacent to
+      an end above b, since the others have no closing candidate.
     """
     if k < 3:
         raise ValueError("cycle length must be >= 3")
+    if through is not None and not 0 <= through < g.n:
+        raise ValueError(f"vertex {through} outside 0..{g.n - 1}")
     if g.n < k:
         return None
     rows = g.rows
     for a in range(g.n) if through is None else (through,):
-        # the other cycle vertices: above a, or any but ``through``
-        others = ~((1 << (a + 1)) - 1) if through is None else ~(1 << a)
-        ends = rows[a] & others  # where the path may start and close
-        inner = others & ~rows[a]  # where it may run in between
-        for b in bit_indices(ends):
+        # the other cycle vertices are above a, or any but ``through``; the
+        # ends among them are where the path starts and closes
+        above = rows[a] if through is not None else rows[a] >> (a + 1) << (a + 1)
+        if not above & (above - 1):
+            continue
+        below = (2 << a) - 1 if through is None else 1 << a
+        inner = ~(below | rows[a])  # where the path may run in between
+        while True:
+            low = above & -above
+            above ^= low  # now the ends above b
+            if not above:
+                break
+            b = low.bit_length() - 1
+            # the successors each stack entry may offer
+            level = [inner] * (k - 2)
+            level[-1] = above
+            if k >= 4:
+                near = 0
+                for e in bit_indices(above):
+                    near |= rows[e]
+                level[-2] = inner & near
             # per path vertex: [untried successors, chord ban (neighbors of
             # the earlier path vertices), vertex]; ban and N(a) cover the path
-            stack = [[rows[b] & (ends if k == 3 else inner), 0, b]]
+            stack = [[rows[b] & level[0], 0, b]]
             while stack:
                 top = stack[-1]
                 low = top[0] & -top[0]
@@ -94,12 +123,13 @@ def has_induced_cycle(g: Graph, k: int,
                     continue
                 top[0] ^= low
                 u = low.bit_length() - 1
-                if len(stack) < k - 2:
-                    ban = top[1] | rows[top[2]]
-                    nxt = ends if len(stack) == k - 3 else inner
-                    stack.append([rows[u] & nxt & ~ban, ban, u])
-                elif u > b:
+                depth = len(stack)
+                if depth == k - 2:
                     return (a, *(entry[2] for entry in stack), u)
+                ban = top[1] | rows[top[2]]
+                nxt = rows[u] & level[depth] & ~ban
+                if nxt:
+                    stack.append([nxt, ban, u])
     return None
 
 

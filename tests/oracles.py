@@ -1,12 +1,14 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Everything here is deliberately naive: subset scans, permutation scans,
-a from-scratch graph6 encoder, and the canonical labeling and orbit
-rule as they were first written (a whole-prefix column scan at every
-search node, a refinement that runs one confirming round, and a min over
-Aut per attachment set), which the faster code must match exactly. Nothing imports the algorithms under test beyond the
-Graph value type itself, except the canonical-deletion reference, which
-is defined relative to the library's canonical labeling.
+a from-scratch graph6 encoder, and the induced-cycle search, canonical
+labeling and orbit rule as they were first written (a cycle search
+without prunes, a whole-prefix column scan at every search node, a
+refinement that runs one confirming round, and a min over Aut per
+attachment set), which the faster code must match exactly. Nothing
+imports the algorithms under test beyond the Graph value type itself,
+except the canonical-deletion reference, which is defined relative to
+the library's canonical labeling.
 """
 
 from itertools import combinations, permutations
@@ -75,6 +77,41 @@ def brute_has_induced_cycle(g: Graph, k: int) -> bool:
         if len(seen) == k:
             return True
     return False
+
+
+def reference_has_induced_cycle(g: Graph, k: int,
+                                through: int | None = None) -> tuple[int, ...] | None:
+    """The induced-cycle search as first written, with no prunes: depth-first
+    over induced paths from the minimum-labeled cycle vertex a (or from
+    ``through``), in ascending neighbor order, closing only at a neighbor of
+    a above the second vertex. The pruned search must return the same
+    witness."""
+    if k < 3:
+        raise ValueError("cycle length must be >= 3")
+    if g.n < k:
+        return None
+    rows = g.rows
+    for a in range(g.n) if through is None else (through,):
+        others = ~((1 << (a + 1)) - 1) if through is None else ~(1 << a)
+        ends = rows[a] & others
+        inner = others & ~rows[a]
+        for b in bit_indices(ends):
+            stack = [[rows[b] & (ends if k == 3 else inner), 0, b]]
+            while stack:
+                top = stack[-1]
+                low = top[0] & -top[0]
+                if not low:
+                    stack.pop()
+                    continue
+                top[0] ^= low
+                u = low.bit_length() - 1
+                if len(stack) < k - 2:
+                    ban = top[1] | rows[top[2]]
+                    nxt = ends if len(stack) == k - 3 else inner
+                    stack.append([rows[u] & nxt & ~ban, ban, u])
+                elif u > b:
+                    return (a, *(entry[2] for entry in stack), u)
+    return None
 
 
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:

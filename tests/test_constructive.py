@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from p3iso import constructive
+from p3iso import constructive, patterns, solver
 from p3iso import generators as gen
 from p3iso.constructive import (CASE_FALLBACK, FALLBACK_MAX_ORDER,
                                 InternalCaseExhausted, PreconditionViolated,
                                 isolate_p3_subcubic, path_cycle_isolating_set,
                                 verify_certificate)
-from p3iso.graphcore import Graph, closed_mask
+from p3iso.graphcore import Graph, closed_mask, delete_vertices
 from p3iso.solver import Certificate, is_isolating, isolation_number
 
 from conftest import connected_subcubic_upto, sorted_vertex_tuple
@@ -460,6 +460,38 @@ def test_deep_input_needs_no_recursion_depth():
         sys.setrecursionlimit(old)
     assert verify_certificate(g, cert)
     assert CASE_FALLBACK not in trace.case_ids()
+
+
+def test_small_pieces_are_matched_and_solved_once_per_call(monkeypatch):
+    # the order-600 caterpillar's base steps cut off the same small pieces
+    # again and again; each distinct one is matched and solved once per
+    # call, and no call reuses another's work
+    calls = {"solve": 0, "match": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "isolation_number",
+                        counted("solve", solver.isolation_number))
+    monkeypatch.setattr(patterns, "catalog_match", counted("match", patterns.catalog_match))
+    g = caterpillar(600)
+    per_call = []
+    for _ in range(2):
+        calls.update(solve=0, match=0)
+        _, trace = isolate_p3_subcubic(g)
+        per_call.append(dict(calls))
+    bases = [s.removed for s in trace.steps if s.case_id == constructive.CASE_BASE]
+    pieces = {delete_vertices(g, g.full_mask() & ~sum(1 << u for u in vs))[0].rows
+              for vs in bases}
+    assert (len(bases), len(pieces)) == (197, 2)
+    assert per_call[0]["solve"] <= len(pieces)
+    assert per_call[0]["match"] <= len(pieces) + 1  # + the whole-graph check
+    assert per_call[1] == per_call[0]
+    digest = hashlib.sha256(trace.to_json_lines().encode()).hexdigest()
+    assert digest == json.loads(GOLDEN.read_text())["caterpillar-600"]
 
 
 def test_long_caterpillar_scales():

@@ -10,7 +10,8 @@ from p3iso.patterns import (catalog_match, contains_copy, has_induced_cycle,
                             is_isomorphic)
 
 from conftest import connected_subcubic_upto
-from oracles import brute_has_induced_cycle, brute_is_isomorphic
+from oracles import (brute_has_induced_cycle, brute_is_isomorphic,
+                     reference_has_induced_cycle)
 
 
 def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
@@ -67,6 +68,10 @@ def test_induced_cycle_examples():
     assert has_induced_cycle(gen.catalog_entry("G15").graph, 6) is None
     assert has_induced_cycle(gen.complete(4), 4) is None  # every C4 is chorded
     assert has_induced_cycle(gen.cycle(7), 6) is None
+    # a ``through`` vertex outside 0..n-1 is refused, even where n < k
+    for g, through in ((gen.cycle(8), 8), (gen.cycle(8), -1), (gen.cycle(5), 9)):
+        with pytest.raises(ValueError, match=f"vertex {through} outside"):
+            has_induced_cycle(g, 6, through=through)
 
 
 def test_long_induced_cycle_needs_no_recursion():
@@ -101,6 +106,21 @@ def test_induced_cycle_agrees_on_random_general_graphs(rng):
         for k in (4, 5, 6):
             assert (has_induced_cycle(g, k) is not None) == \
                 brute_has_induced_cycle(g, k)
+
+
+def test_pruned_induced_cycle_keeps_the_witness(rng):
+    # the prunes cut only branches that cannot close, so the first cycle
+    # found is the unpruned search's, with and without ``through``
+    graphs = [gen.random_subcubic_connected(rng.randint(3, 16), rng) for _ in range(150)]
+    graphs += [gen.random_general_graph(rng.randint(3, 10), rng.uniform(0.2, 0.8), rng)
+               for _ in range(150)]
+    graphs += [gen.random_eligible_graph(n, rng) for n in (20, 60, 150, 400)]
+    for g in graphs:
+        starts = [None, *range(0, g.n, max(1, g.n // 12))]
+        for k in range(3, 9):
+            for through in starts:
+                assert has_induced_cycle(g, k, through) == \
+                    reference_has_induced_cycle(g, k, through), (list(g.edges()), k, through)
 
 
 def test_is_isomorphic_examples(rng):
