@@ -32,18 +32,23 @@ def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
     The center is a maximum-residual-degree vertex, smallest label on ties;
     its two smallest alive neighbors are the ends.
     """
-    best = None
+    rows = g.rows
+    best = -1
     best_deg = 1
-    for c in bit_indices(alive):
-        d = (g.rows[c] & alive).bit_count()
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = low.bit_length() - 1
+        d = (rows[c] & alive).bit_count()
         if d > best_deg:
             best, best_deg = c, d
-    if best is None:
+    if best < 0:
         return None
-    it = bit_indices(g.rows[best] & alive)
-    a = next(it)
-    b = next(it)
-    return (a, best, b)
+    ends = rows[best] & alive
+    a = ends & -ends
+    ends ^= a
+    return (a.bit_length() - 1, best, (ends & -ends).bit_length() - 1)
 
 
 def contains_copy(g: Graph, within: int | None = None) -> tuple[int, int, int] | None:

@@ -19,6 +19,15 @@ meets D, and what is left after adding S is alive - N[S] whatever D was.
 branch order is fixed, so the first set found is the one an unpruned
 depth-first search would find. The depth-first search keeps its own
 stack, so a deep search needs no Python recursion.
+
+Two more prunes rest on monotonicity (a subgraph of a P3-free graph is
+P3-free): when N[u] & alive lies inside N[w] & alive, w's child alive - N[w]
+is a subset of u's, so if w's child fails with r vertices, u's does too.
+``find`` drops a hitter u dominated that way by an earlier hitter w of the
+same copy (it reaches u only after w's child has failed), and ``lex_min``
+skips a candidate dominated by a failed candidate of the same position.
+``lex_min``'s witness bound keeps the greedy rule: the last set found holds
+the prefix and its next vertex, so no candidate above that vertex is needed.
 """
 
 from __future__ import annotations
@@ -61,25 +70,30 @@ def is_isolating(g: Graph, vertices) -> bool:
     return contains_copy(g, within=g.full_mask() & ~closed_mask(g, d_mask)) is None
 
 
-# per center, its 3-paths as (|N[copy]|, mask of the two ends, N[copy])
-_Offers = tuple[tuple[tuple[int, int, int], ...], ...]
+# offer: (|N[copy]|, center, N[copy]); _Offers: the mask of centers with an
+# offer, per center its ends and best offer, and at 3c + r the offer of
+# center c lacking its end of rank r
+_Offers = tuple[int, list[int], list, list]
 
 
 def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
-    """Per center c, its 3-paths a-c-b as (|N[copy]|, mask of a and b,
-    N[copy]), in ascending order: smallest closed neighborhood first.
+    """Per center c, the 3-paths a-c-b it offers to the packing bound.
 
     ``closed[v]`` is N[v]. A center of degree above 3 offers only the
     copies among the three neighbors that add the fewest vertices to N[c],
     so the offers stay linear in n on dense graphs; in a subcubic graph
-    every copy is offered.
+    every copy is offered. While all of c's ends are alive, c offers its
+    best copy, the smallest by (|N[copy]|, mask of a and b); while one end
+    is dead, the copy on the other two (if any).
     """
-    out = []
+    centers = 0
+    ends_of, best, lacking = [], [], []
     for c, row in enumerate(g.rows):
         if row.bit_count() > 3:
             ends = sorted(bit_indices(row),
                           key=lambda a: (closed[a] & ~closed[c]).bit_count())
             row = sum(1 << a for a in ends[:3])
+        ends_of.append(row)
         copies = []
         while row:
             a = row & -row
@@ -90,10 +104,18 @@ def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
                 b = rest & -rest
                 rest ^= b
                 hood = hood_a | closed[b.bit_length() - 1]
-                copies.append((hood.bit_count(), a | b, hood))
-        copies.sort()
-        out.append(tuple(copies))
-    return tuple(out)
+                copies.append((hood.bit_count(), c, hood))
+        # in ascending ends mask: the first smallest is the best, and
+        # reversed they lack the first, middle and last end
+        top = None
+        for offer in copies:
+            if top is None or offer[0] < top[0]:
+                top = offer
+        if top is not None:
+            centers |= 1 << c
+        best.append(top)
+        lacking += copies[::-1] if len(copies) == 3 else (None, None, None)
+    return centers, ends_of, best, lacking
 
 
 def _packing_lower_bound(alive: int, offers: _Offers) -> int:
@@ -102,16 +124,24 @@ def _packing_lower_bound(alive: int, offers: _Offers) -> int:
     Each copy needs its own hitter in N[copy], so copies whose closed
     neighborhoods (in all of g) are disjoint bound the remaining budget
     from below. Every alive center offers its alive copy with the smallest
-    N[copy] (``offers`` from ``_p3_offers``), and the offers are packed in
-    ascending |N[copy]|, smaller center first on ties: a small
-    neighborhood blocks few others.
+    (|N[copy]|, ends mask), read from ``offers`` (``_p3_offers``) by one
+    mask test, and the offers are packed in ascending |N[copy]|, smaller
+    center first on ties: a small neighborhood blocks few others.
     """
+    centers, ends_of, best, lacking = offers
     taken = []
-    for c in bit_indices(alive):
-        for size, ends, hood in offers[c]:
-            if not ends & ~alive:
-                taken.append((size, c, hood))
-                break
+    rest = alive & centers
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = low.bit_length() - 1
+        dead = ends_of[c] & ~alive
+        if not dead:
+            taken.append(best[c])
+        elif not dead & (dead - 1):
+            offer = lacking[3 * c + (ends_of[c] & (dead - 1)).bit_count()]
+            if offer is not None:
+                taken.append(offer)
     taken.sort()
     count = 0
     used = 0
@@ -145,8 +175,8 @@ class _Search:
 
         Depth-first on an explicit stack of open nodes [alive, D,
         remaining, untried hitters]; a node's children add its hitters in
-        ascending order, and a node is recorded as failed once its last
-        child fails.
+        ascending order, less those an earlier one dominates, and a node
+        is recorded as failed once its last child fails.
         """
         g, closed, offers, failed = self.g, self.closed, self.offers, self.failed
         alive = g.full_mask() & ~closed_mask(g, prefix_mask)
@@ -158,10 +188,21 @@ class _Search:
                 if copy is None:
                     return d_mask
                 if remaining and remaining >= _packing_lower_bound(alive, offers):
-                    hood = 0
-                    for v in copy:
-                        hood |= closed[v]
-                    stack.append([alive, d_mask, remaining, hood])
+                    hood = closed[copy[0]] | closed[copy[1]] | closed[copy[2]]
+                    hitters = 0
+                    while hood:
+                        low = hood & -hood
+                        hood ^= low
+                        # a dominating w lies in N[x] for each x in N[u] & alive
+                        rivals = hitters
+                        hit = closed[low.bit_length() - 1] & alive
+                        while rivals and hit:
+                            x = hit & -hit
+                            hit ^= x
+                            rivals &= closed[x.bit_length() - 1]
+                        if not rivals:
+                            hitters |= low
+                    stack.append([alive, d_mask, remaining, hitters])
                 else:
                     failed[alive] = remaining
             while stack and not stack[-1][3]:
@@ -175,25 +216,34 @@ class _Search:
             alive = top[0] & ~closed[low.bit_length() - 1]
             d_mask, remaining = top[1] | low, top[2] - 1
 
-    def lex_min(self, k: int) -> int:
-        """Lexicographically smallest isolating set of size k = iota(g).
+    def lex_min(self, k: int, witness: int) -> int:
+        """Lexicographically smallest isolating set of size k = iota(g),
+        given ``witness``, an isolating set of size k.
 
-        Greedy prefix fixing: a vertex is adopted, in ascending order,
-        whenever some isolating completion within the size budget still
-        contains it.
+        Greedy prefix fixing: each position adopts the smallest vertex that
+        some isolating set of size k holds with the prefix. The scan stops
+        at the witness's next vertex, adopted without a probe; a probe that
+        succeeds adopts its vertex, and its set becomes the witness.
         """
+        closed = self.closed
+        alive = self.g.full_mask()
         prefix = 0
-        size = 0
-        start = 0
-        while size < k:
-            for v in range(start, self.g.n):
-                if self.find(k, prefix | (1 << v)) is not None:
-                    prefix |= 1 << v
-                    size += 1
-                    start = v + 1
+        for _ in range(k):
+            above = witness & ~prefix
+            stop = (above & -above).bit_length() - 1
+            refuted: list[int] = []  # N[u] & alive of each failed candidate u
+            for v in range(prefix.bit_length(), stop):
+                hit = closed[v] & alive
+                if any(not hit & ~earlier for earlier in refuted):
+                    continue
+                found = self.find(k, prefix | (1 << v))
+                if found is not None:
+                    witness, stop = found, v
                     break
-            else:
-                raise AssertionError("lex-min completion must exist at the optimum")
+                refuted.append(hit)
+            prefix |= 1 << stop
+            alive &= ~closed[stop]
+        assert witness == prefix, "every lex-min set is one that find returned"
         return prefix
 
 
@@ -223,7 +273,7 @@ def isolation_number(g: Graph, fam: str = P3,
         if got is not None:
             assert got.bit_count() == k, "first feasible depth is the optimum"
             if canonical and k > 0:
-                got = search.lex_min(k)
+                got = search.lex_min(k, got)
             return Certificate(tuple(bit_indices(got)), k, True, g.n)
     assert budget is not None, "unbudgeted search must terminate by k = n"
     return Certificate(tuple(range(g.n)), budget + 1, False, g.n)

@@ -49,6 +49,87 @@ def brute_min_isolating_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     return [c for c in combinations(range(g.n), k) if not has_p3_after(g, c)]
 
 
+def _closed_rows(g: Graph) -> list[int]:
+    return [row | (1 << v) for v, row in enumerate(g.rows)]
+
+
+def reference_first_isolating_set(g: Graph, budget: int | None = None
+                                  ) -> tuple[tuple[int, ...], int, bool]:
+    """The exact search with no prunes, as (set, value, exact).
+
+    Iterative deepening from k = 0 over a depth-first search that branches
+    as the solver does: on the 3-path a-c-b centered on a vertex of largest
+    alive degree (smallest label on ties) with its two smallest alive
+    neighbors as ends, the children add the vertices of N[{a, c, b}] in
+    ascending order. No failure memo, no packing bound and no dominance
+    skip, so the first set found is the one the pruned solver must return
+    with ``canonical=False``. Past the budget the answer is the
+    exceeds-budget certificate (all vertices, budget + 1, not exact).
+    """
+    closed = _closed_rows(g)
+
+    def copy_in(alive):
+        center, most = None, 1
+        for c in bit_indices(alive):
+            d = (g.rows[c] & alive).bit_count()
+            if d > most:
+                center, most = c, d
+        if center is None:
+            return None
+        a, b = list(bit_indices(g.rows[center] & alive))[:2]
+        return (a, center, b)
+
+    def search(alive, d, remaining):
+        copy = copy_in(alive)
+        if copy is None:
+            return d
+        if not remaining:
+            return None
+        hood = closed[copy[0]] | closed[copy[1]] | closed[copy[2]]
+        for u in bit_indices(hood):
+            got = search(alive & ~closed[u], d | (1 << u), remaining - 1)
+            if got is not None:
+                return got
+        return None
+
+    cap = g.n if budget is None else min(budget, g.n)
+    for k in range(cap + 1):
+        got = search((1 << g.n) - 1, 0, k)
+        if got is not None:
+            return tuple(bit_indices(got)), k, True
+    return tuple(range(g.n)), budget + 1, False
+
+
+def reference_packing_lower_bound(g: Graph, alive: int) -> int:
+    """The solver's greedy 3-path packing bound as first written: per alive
+    center, a scan of all its copies sorted by (|N[copy]|, ends mask,
+    N[copy]) for the first one with both ends alive (a center of degree
+    above 3 offers only its three neighbors adding the fewest vertices to
+    its N[c]), then a greedy pass in ascending (|N[copy]|, center)."""
+    closed = _closed_rows(g)
+    taken = []
+    for c in bit_indices(alive):
+        row = g.rows[c]
+        if row.bit_count() > 3:
+            ends = sorted(bit_indices(row),
+                          key=lambda a: (closed[a] & ~closed[c]).bit_count())
+            row = sum(1 << a for a in ends[:3])
+        copies = sorted(((closed[c] | closed[a] | closed[b]).bit_count(),
+                         (1 << a) | (1 << b), closed[c] | closed[a] | closed[b])
+                        for a, b in combinations(bit_indices(row), 2))
+        for size, ends, hood in copies:
+            if not ends & ~alive:
+                taken.append((size, c, hood))
+                break
+    count = 0
+    used = 0
+    for _, _, hood in sorted(taken):
+        if not hood & used:
+            count += 1
+            used |= hood
+    return count
+
+
 def brute_has_induced_cycle(g: Graph, k: int) -> bool:
     """k-subset scan: some k vertices induce exactly a k-cycle."""
     for combo in combinations(range(g.n), k):

@@ -13,6 +13,7 @@ from p3iso.constructive import (CASE_FALLBACK, FALLBACK_MAX_ORDER,
                                 InternalCaseExhausted, PreconditionViolated,
                                 isolate_p3_subcubic, path_cycle_isolating_set,
                                 verify_certificate)
+from p3iso.enumeration import EnumSpec, iter_subcubic
 from p3iso.graphcore import Graph, closed_mask, delete_vertices
 from p3iso.solver import Certificate, is_isolating, isolation_number
 
@@ -436,9 +437,31 @@ def trace_digest(g):
     return hashlib.sha256(trace.to_json_lines().encode()).hexdigest()
 
 
+def small_class_digest():
+    """One sha256 over the ``--trace`` lines of every eligible graph of
+    order <= 9 in walk order: through the base step, this pins the exact
+    solver's plain (first-found) sets on the whole small class."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in iter_subcubic(EnumSpec(9)):
+        if has_induced_cycle(g, 6) is None and catalog_match(g) is None:
+            _, trace = isolate_p3_subcubic(g)
+            digest.update((trace.to_json_lines() + "\n").encode())
+            count += 1
+    assert count == 597
+    return digest.hexdigest()
+
+
+def golden_digests():
+    """Every digest the golden fixture pins, by name."""
+    out = {name: trace_digest(g) for name, g in golden_corpus()}
+    out["eligible-order-le-9"] = small_class_digest()
+    return out
+
+
 def test_traces_match_golden_fixture():
     want = json.loads(GOLDEN.read_text())
-    got = {name: trace_digest(g) for name, g in golden_corpus()}
+    got = golden_digests()
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
 
@@ -513,7 +536,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite-golden"]:
         sys.exit("refusing to touch the golden fixture without --rewrite-golden")
     old = json.loads(GOLDEN.read_text())
-    new = {name: trace_digest(g) for name, g in golden_corpus()}
+    new = golden_digests()
     GOLDEN.write_text(json.dumps(new, indent=0, sort_keys=True) + "\n")
     changed = sum(1 for name in new.keys() | old.keys() if new.get(name) != old.get(name))
     print(f"{changed} of {len(new)} digests changed")

@@ -12,7 +12,8 @@ from p3iso.solver import (Certificate, is_isolating, isolation_number,
                           isolation_number_additive)
 
 from conftest import connected_subcubic_upto, sorted_vertex_tuple, spine_tree
-from oracles import brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set
+from oracles import (brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set,
+                     reference_first_isolating_set, reference_packing_lower_bound)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,12 +89,19 @@ def test_deep_search_needs_no_recursion_depth():
     assert proc.stdout.strip() == "220"
 
 
-def test_certificate_is_lexicographically_smallest():
-    for g in [gen.cycle(6), gen.cycle(9), gen.catalog_entry("G72").graph,
-              gen.construction_B_p3(9)]:
+def test_certificate_is_lexicographically_smallest(rng):
+    graphs = [gen.cycle(6), gen.cycle(9), gen.catalog_entry("G72").graph,
+              gen.construction_B_p3(9)]
+    graphs += [gen.random_subcubic_connected(rng.randint(6, 12), rng) for _ in range(150)]
+    for g in graphs:
         cert = isolation_number(g)
-        best = min(brute_min_isolating_sets(g, cert.value))
-        assert cert.set == best
+        sets = brute_min_isolating_sets(g, cert.value)  # in lexicographic order
+        assert cert.set == sets[0]
+        # started from the largest minimum set, the scan below the witness
+        # runs at every position and must still reach the smallest one
+        if cert.value:
+            last = sum(1 << v for v in sets[-1])
+            assert solver._Search(g).lex_min(cert.value, last) == sum(1 << v for v in sets[0])
 
 
 def test_minimality_recheck_against_subset_scan(rng):
@@ -123,6 +131,34 @@ def test_differential_against_brute_force(rng):
         assert is_isolating(g, plain.set)
 
 
+def test_first_found_set_matches_unpruned_search(rng):
+    # the memo, the packing bound and the dominance skip only cut subtrees
+    # that fail, so the plain search returns the unpruned search's first set
+    graphs = [gen.random_general_graph(rng.randint(1, 9), rng.uniform(0.1, 0.8), rng)
+              for _ in range(300)]
+    graphs += [gen.random_subcubic_connected(rng.randint(1, 14), rng) for _ in range(200)]
+    for g in graphs:
+        want = reference_first_isolating_set(g)
+        plain = isolation_number(g, canonical=False)
+        assert (plain.set, plain.value, plain.exact) == want, list(g.edges())
+        for budget in range(want[1]):
+            low = isolation_number(g, budget=budget, canonical=False)
+            assert (low.set, low.value, low.exact) == reference_first_isolating_set(g, budget)
+
+
+def test_packing_bound_matches_per_offer_scan(rng):
+    for _ in range(300):
+        if rng.random() < 0.5:
+            g = gen.random_general_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
+        else:
+            g = gen.random_subcubic_connected(rng.randint(1, 20), rng)
+        search = solver._Search(g)
+        for _ in range(10):
+            alive = rng.getrandbits(g.n) if rng.random() < 0.8 else g.full_mask()
+            assert (solver._packing_lower_bound(alive, search.offers)
+                    == reference_packing_lower_bound(g, alive))
+
+
 def _search_nodes(monkeypatch, g) -> int:
     # the solver calls contains_copy once per search node
     calls = 0
@@ -140,8 +176,10 @@ def _search_nodes(monkeypatch, g) -> int:
 
 
 def test_search_node_regression_guard(monkeypatch):
-    assert _search_nodes(monkeypatch, gen.construction_B_p3(26)) <= 300
-    assert _search_nodes(monkeypatch, spine_tree(8)) <= 500
+    assert _search_nodes(monkeypatch, gen.construction_B_p3(26)) <= 20
+    assert _search_nodes(monkeypatch, spine_tree(8)) <= 40
+    # the canonical solve probes only candidates below its witness's next vertex
+    assert _search_nodes(monkeypatch, gen.path(300)) <= 400
 
 
 def test_additivity_examples():
