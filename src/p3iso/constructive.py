@@ -151,13 +151,13 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     """Independent recheck: the set isolates and meets the claimed size.
 
     Only the certificate's set is trusted; traces are never consulted. A
-    certificate made for a graph of another order, or whose set holds a
-    vertex outside 0..n-1 or one vertex twice, fails before the set is
-    tested.
+    certificate made for a graph of another order, or whose set holds
+    anything but an int in 0..n-1 (a bool is not one) or one vertex twice,
+    fails before the set is tested.
     """
     vs = cert.set
     if (cert.graph_order != g.n or len(set(vs)) != len(vs)
-            or not all(0 <= v < g.n for v in vs)):
+            or not all(type(v) is int and 0 <= v < g.n for v in vs)):
         return False
     return is_isolating(g, vs) and len(vs) <= cert.value
 

@@ -25,10 +25,6 @@ A shard ``(res, mod)`` follows the res/mod convention of nauty's geng
 order S = max(1, max_n - 2), numbers the order-S graphs in walk order and
 keeps the subtrees under those whose index is ``res`` mod ``mod``; shard 0
 also keeps every graph below order S, and ``(0, 1)`` is the whole walk.
-The bound sweep to order 11 (``p3iso verify --max-n 11``) takes 2.6-4.0 s
-serially on a 2-vCPU Xeon on a shared host, and the walk filtered to
-graphs without an induced 6-cycle takes 7.4-9.0 s through order 12; the
-tests gate orders 10 and 11 behind the ``extended`` marker.
 """
 
 from __future__ import annotations

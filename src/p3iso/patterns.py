@@ -178,6 +178,15 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
     the vertex at pos has bit pos-1-p set iff it is adjacent to the vertex
     at p < pos. ``colors``, if given, must be ``_refine_colors(g)``; it
     saves refining again.
+
+    One depth-first search over each node's maximal-column candidates, in
+    ascending block order, keeps ``best``: the best column sequence so far,
+    or its prefix while the first descent under a new best is under way.
+    A node whose top column falls below best's there is cut; one whose top
+    column rises above it replaces best from that position on and clears
+    the labelings; a leaf ties best and adds its labeling. No cut subtree
+    holds a maximal labeling, and all of them are reached after the last
+    replacement, so they come out in depth-first order.
     """
     n = g.n
     if n == 0:
@@ -190,68 +199,44 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
     block_at = []  # block_at[pos]: the color class that fills position pos
     for c in sorted(by_color):
         block_at.extend([by_color[c]] * len(by_color[c]))
-    rows = g.rows
-    nbrs = list(map(_neighbors, rows))
+    nbrs = list(map(_neighbors, g.rows))
     # col[v]: v's column at the next free position pos, shifted left by
     # n - pos; placing u at p adds 1 << (n-1-p) to each neighbor of u
     col = [0] * n
-
-    # phase 1: the maximal column sequence. Only maximal-column candidates
-    # can extend toward the maximum at each node; mutual false/true twins
-    # yield identical subtrees, so one representative suffices here. An
-    # open neighborhood never equals a closed one, so one set holds both.
-    def find_max(pos: int, used: int) -> list[int]:
-        if pos == n:
-            return []
-        top = -1
-        for v in block_at[pos]:
-            if not (used >> v) & 1:
-                if col[v] > top:
-                    top, cands = col[v], [v]
-                elif col[v] == top:
-                    cands.append(v)
-        bit = 1 << (n - 1 - pos)
-        best = None
-        seen_rows = set()
-        for v in cands:
-            row = rows[v]
-            if row in seen_rows or row | (1 << v) in seen_rows:
-                continue
-            seen_rows.add(row)
-            seen_rows.add(row | (1 << v))
-            for u in nbrs[v]:
-                col[u] += bit
-            suffix = find_max(pos + 1, used | (1 << v))
-            for u in nbrs[v]:
-                col[u] -= bit
-            if best is None or suffix > best:
-                best = suffix
-        return [top] + best
-
-    best_cols = find_max(0, 0)
-
-    # phase 2: every labeling matching the maximal sequence (no twin
-    # pruning: completeness feeds the automorphism group).
+    best: list[int] = []
     labelings: list[tuple[int, ...]] = []
+    vertex_at: list[int] = []
 
-    def collect(pos: int, used: int, vertex_at: list[int]):
+    def search(pos: int, used: int):
         if pos == n:
             labelings.append(tuple(vertex_at))
             return
+        top = -1
+        for v in block_at[pos]:
+            if not (used >> v) & 1 and col[v] > top:
+                top = col[v]
+        if pos < len(best):
+            if top < best[pos]:
+                return
+            if top > best[pos]:
+                del best[pos:]
+        if pos == len(best):
+            best.append(top)
+            labelings.clear()
         bit = 1 << (n - 1 - pos)
         for v in block_at[pos]:
-            if (used >> v) & 1 or col[v] != best_cols[pos]:
+            if (used >> v) & 1 or col[v] != top:
                 continue
             for u in nbrs[v]:
                 col[u] += bit
             vertex_at.append(v)
-            collect(pos + 1, used | (1 << v), vertex_at)
+            search(pos + 1, used | (1 << v))
             vertex_at.pop()
             for u in nbrs[v]:
                 col[u] -= bit
 
-    collect(0, 0, [])
-    form = (n, tuple(c >> (n - pos) for pos, c in enumerate(best_cols)))
+    search(0, 0)
+    form = (n, tuple(c >> (n - pos) for pos, c in enumerate(best)))
     return form, labelings
 
 

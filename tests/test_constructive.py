@@ -158,6 +158,11 @@ def test_verify_certificate():
     assert not verify_certificate(c12, Certificate((-1,) + full[1:], 12, False, 12))
     twice = cert.set + cert.set[:1]
     assert not verify_certificate(c12, Certificate(twice, len(twice), False, 12))
+    # a vertex that is not an int is rejected, not raised on
+    c7 = gen.cycle(7)
+    assert verify_certificate(c7, Certificate((1, 4), 2, False, 7))
+    for bad in [(1.0, 4.0), ("1", 4), (True, 4)]:
+        assert not verify_certificate(c7, Certificate(bad, 2, False, 7)), bad
 
 
 # -- spec examples ----------------------------------------------------------------
@@ -383,6 +388,40 @@ def test_failed_case_falls_back_only_on_small_orders(monkeypatch):
         isolate_p3_subcubic(spider(FALLBACK_MAX_ORDER + 1))
     assert exc.value.partial_cases == ["NoExceptional"]
     assert "closed form withheld" in str(exc.value)
+
+
+@pytest.mark.parametrize("bits", [
+    lambda g: 0,                 # a set that does not isolate
+    lambda g: g.full_mask(),     # an isolating set above floor(n/4)
+])
+def test_set_breaking_the_contract_falls_back(monkeypatch, bits):
+    # the cases' result is rechecked: a bad set goes the way of a failed case
+    monkeypatch.setattr(constructive, "_solve", lambda g, trace: bits(g))
+    g = gen.cycle(12)
+    cert, trace = isolate_p3_subcubic(g)
+    assert verify_certificate(g, cert) and len(cert.set) <= g.n // 4
+    assert trace.case_ids() == [CASE_FALLBACK]
+    assert trace.steps[0].detail == {"error": "assembled set violates the contract",
+                                     "partial_cases": []}
+    with pytest.raises(InternalCaseExhausted, match="assembled set violates the contract"):
+        isolate_p3_subcubic(gen.cycle(FALLBACK_MAX_ORDER + 1))
+
+
+def test_fallback_set_above_the_bound_raises(monkeypatch):
+    def failed(g, trace):
+        trace.add("NoExceptional", (), ())
+        raise InternalCaseExhausted("closed form withheld")
+
+    def inexact(g, budget, canonical):  # the exceeds-budget certificate
+        return Certificate(tuple(range(g.n)), budget + 1, False, g.n)
+
+    monkeypatch.setattr(constructive, "_solve", failed)
+    monkeypatch.setattr(solver, "isolation_number", inexact)
+    with pytest.raises(InternalCaseExhausted) as exc:
+        isolate_p3_subcubic(gen.cycle(12))
+    assert str(exc.value) == ("fallback solver exceeded floor(n/4); "
+                              "original failure: closed form withheld")
+    assert exc.value.partial_cases == ["NoExceptional"]
 
 
 def test_piece_entry_is_the_one_check_site():

@@ -12,7 +12,7 @@ from p3iso.graph_io import emit_graph6
 from p3iso.graphcore import Graph, is_connected
 from p3iso.patterns import _refine_colors, canonical_form, has_induced_cycle
 
-from conftest import atlas_by_order
+from conftest import atlas_by_order, spine_tree
 from oracles import (all_graphs, full_labeling_accepted, reference_augmentations,
                      reference_canonical_data, reference_refine_colors, relabeled_edge_sets)
 
@@ -101,16 +101,30 @@ def test_accepted_matches_full_labeling_oracle():
 
 def test_canonical_data_matches_reference_labeling(rng):
     # same form and same labelings in the same order as the first-written
-    # labeling: on walk graphs, on candidate children (accepted or not) and
-    # on general graphs with degrees above 3, several components or no vertex
-    walk = list(iter_subcubic(EnumSpec(8)))
+    # labeling: on walk graphs, on candidate children (accepted or not), on
+    # general graphs with degrees above 3, several components or no vertex,
+    # and on graphs full of ties and twins, where the one search both cuts
+    # branches and replaces its best column sequence
+    walk = list(iter_subcubic(EnumSpec(10)))
     children = [c for g in walk if g.n < 8 for c in _augmentations(g, automorphisms(g))]
     general = [Graph.empty(0)] + [
         gen.random_general_graph(rng.randint(1, 7), rng.uniform(0.1, 0.9), rng)
         for _ in range(299)]
     assert any(g.max_degree() > 3 for g in general)
     assert any(g.n and not is_connected(g) for g in general)
-    for g in walk + children + general:
+    k2, p3 = gen.path(2), gen.path(3)
+    tied = [gen.complete(k) for k in range(1, 7)] + [
+        Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3
+        Graph.from_edges(8, [(u, u | 1 << k) for u in range(8) for k in range(3)
+                             if not u >> k & 1]),  # the 3-cube
+        Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)]
+                         + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]),  # Petersen
+        spine_tree(3),
+        gen.disjoint_union(p3, p3),
+        gen.disjoint_union(gen.disjoint_union(k2, k2), k2),
+    ]
+    for g in walk + children + general + tied:
         assert _refine_colors(g) == reference_refine_colors(g), g
         assert canonical_data(g) == reference_canonical_data(g), g
 
