@@ -98,20 +98,25 @@ def cmd_iota(args) -> int:
 
 
 def cmd_isolate(args) -> int:
-    """Stops at the first failing graph (exit 3 or 4), after printing the
-    results of the graphs before it, --json or not."""
+    """Answers every graph, going on past a failing one: its --json record
+    is {"n", "error"} and its message goes to stderr. Exits 4 if any graph
+    hit an internal error, else 3 if any failed a precondition, else 0."""
     graphs = _read_graphs(args.input, args.format)
     out = []
-    code, error = 0, None
-    for g in graphs:
+    code = 0
+    for i, g in enumerate(graphs, 1):
         try:
             cert, trace = isolate_p3_subcubic(g)
         except PreconditionViolated as exc:
-            code, error = 3, f"precondition violated: {exc.reason}"
-            break
+            code, error = max(code, 3), f"precondition violated: {exc.reason}"
         except InternalCaseExhausted as exc:
             code, error = 4, f"internal error: {exc}"
-            break
+        else:
+            error = None
+        if error:
+            out.append({"n": g.n, "error": error})
+            print(f"graph {i}: {error}", file=sys.stderr)
+            continue
         rec = {
             "n": g.n,
             "size": len(cert.set),
@@ -124,10 +129,8 @@ def cmd_isolate(args) -> int:
             print(f"n={g.n} |D|={rec['size']} <= {rec['bound']} set={rec['set']}")
         if args.trace:
             print(trace.to_json_lines())
-    if args.json and out:
+    if args.json:
         print(json.dumps(out if len(out) > 1 else out[0], sort_keys=True))
-    if error:
-        print(error, file=sys.stderr)
     return code
 
 

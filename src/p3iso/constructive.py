@@ -30,10 +30,8 @@ or a remainder that split_off shows to be one component (_rest). The root
 piece is the whole input graph, whose connectivity isolate_p3_subcubic
 checks as a precondition. _piece refuses a catalog copy on entry; the
 cases check only the component shapes they rely on. Any mismatch raises
-InternalCaseExhausted; the top level then falls back to the budgeted exact
-solver on graphs of order at most FALLBACK_MAX_ORDER, which preserves the
-output contract while surfacing the bug in the trace, and re-raises above
-it.
+InternalCaseExhausted, at every order, with the case ids traced so far: a
+failed case is reported, never covered by another algorithm.
 """
 
 from __future__ import annotations
@@ -58,12 +56,6 @@ CASE_221 = "Case2.2.1"
 CASE_222 = "Case2.2.2"
 CASE_223 = "Case2.2.3"
 CASE_224 = "Case2.2.4"
-CASE_FALLBACK = "Fallback"
-
-# Largest order on which a failed case falls back to the exact solver; the
-# solver's search grows exponentially with the order, so larger inputs get
-# the InternalCaseExhausted error instead of an unbounded search.
-FALLBACK_MAX_ORDER = 40
 
 _CATALOG_ORDERS = (3, 7, 11, 15)
 
@@ -196,9 +188,10 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
 
     Preconditions: connected, subcubic, no induced 6-cycle, not a catalog
     graph. Violations raise PreconditionViolated with the failed check's
-    name. The certificate is always revalidated with is_isolating before
-    being returned. A failed proof case on a graph of order above
-    FALLBACK_MAX_ORDER raises InternalCaseExhausted.
+    name. The certificate is always revalidated with is_isolating and the
+    bound before being returned. A failed proof case, or an assembled set
+    that breaks the contract, raises InternalCaseExhausted whose
+    ``partial_cases`` are the case ids traced before the failure.
     """
     if not is_connected(g):
         raise PreconditionViolated("NotConnected")
@@ -210,26 +203,14 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
         raise PreconditionViolated("ExceptionalGraph")
 
     trace = CaseTrace()
-    bound = g.n // 4
     try:
         dset = tuple(bit_indices(_solve(g, trace)))
-        if not is_isolating(g, dset) or len(dset) > bound:
-            raise InternalCaseExhausted("assembled set violates the contract")
+        _require(is_isolating(g, dset) and len(dset) <= g.n // 4,
+                 "assembled set violates the contract")
     except InternalCaseExhausted as exc:
         partial = trace.case_ids()
-        if g.n > FALLBACK_MAX_ORDER:
-            raise InternalCaseExhausted(
-                f"{exc} (after {len(partial)} case steps; order {g.n} is above "
-                f"the exact fallback limit {FALLBACK_MAX_ORDER})", partial) from exc
-        cert = solver.isolation_number(g, budget=bound, canonical=False)
-        if not cert.exact:
-            raise InternalCaseExhausted(
-                f"fallback solver exceeded floor(n/4); original failure: {exc}",
-                partial) from exc
-        trace.steps.clear()
-        trace.add(CASE_FALLBACK, cert.set, range(g.n),
-                  {"error": str(exc), "partial_cases": partial})
-        dset = cert.set
+        raise InternalCaseExhausted(
+            f"{exc} (order {g.n}; case steps traced: {len(partial)})", partial) from exc
     return Certificate(dset, len(dset), False, g.n), trace
 
 

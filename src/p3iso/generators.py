@@ -254,7 +254,10 @@ def _random_block_tree(n: int, rng: random.Random) -> Graph:
         block = _random_block(n - g.n, rng)
         anchors = [v for v in range(g.n) if g.degree(v) <= 2]
         ports = [v for v in range(block.n) if block.degree(v) <= 2]
-        g = attach_pendant(g, block, rng.choice(anchors), rng.choice(ports))
+        joined = attach_pendant(g, block, rng.choice(anchors), rng.choice(ports))
+        if joined.n < n and joined.min_degree() == 3:
+            continue  # the next block would find nowhere to attach: draw again
+        g = joined
     return g
 
 

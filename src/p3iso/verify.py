@@ -4,7 +4,8 @@ The headline check restates the main bound as an executable assertion: over
 every eligible graph (connected, subcubic, no induced 6-cycle) of a given
 order, the P3-isolation number is at most floor(n/4), and the graphs
 exceeding it are exactly the exceptional-catalog members of that order. A
-non-catalog offender is a violation and fails the run.
+non-catalog offender is a violation and fails the run, and so is a solver
+set within the bound that fails its independent recheck.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from . import constructive
 from . import generators
 from . import patterns
 from . import solver
@@ -94,7 +96,11 @@ def _check_one(g: Graph, report: VerificationReport) -> None:
             return
         row.eligible += 1
         cert = solver.isolation_number(g, budget=g.n // 4, canonical=False)
-        if not cert.exact:
+        if cert.exact:
+            if not (constructive.verify_certificate(g, cert)
+                    and len(cert.set) <= g.n // 4):
+                row.violations.append(emit_graph6(g))
+        else:
             cid = patterns.catalog_match(g)
             if cid is None:
                 row.violations.append(emit_graph6(g))

@@ -68,15 +68,36 @@ def test_isolate_exit_codes(tmp_path, capsys):
 
 
 def test_isolate_json_keeps_results_before_a_failure(tmp_path, capsys):
-    # C12 is solved, then C6 (an induced 6-cycle) stops the run with exit 3
-    path = write(tmp_path, "c12-c6.g6",
-                 emit_graph6(gen.cycle(12)) + "\n" + emit_graph6(gen.cycle(6)) + "\n")
+    # C12 is solved, C6 (an induced 6-cycle) fails, and C16 is still solved
+    path = write(tmp_path, "c12-c6-c16.g6",
+                 "".join(emit_graph6(gen.cycle(n)) + "\n" for n in (12, 6, 16)))
     code, out, err = run(capsys, "isolate", path)
-    assert code == 3 and out.startswith("n=12 |D|=3") and "InducedC6" in err
+    assert code == 3 and "graph 2: precondition violated: InducedC6" in err
+    assert out.splitlines()[0].startswith("n=12 |D|=3")
+    assert out.splitlines()[1].startswith("n=16 |D|=4")
     code, out, err = run(capsys, "isolate", path, "--json")
     assert code == 3 and "InducedC6" in err
-    rec = json.loads(out)
-    assert (rec["n"], rec["size"], rec["bound"]) == (12, 3, 3)
+    recs = json.loads(out)
+    assert (recs[0]["n"], recs[0]["size"], recs[0]["bound"]) == (12, 3, 3)
+    assert recs[1] == {"n": 6, "error": "precondition violated: InducedC6"}
+    assert (recs[2]["n"], recs[2]["size"], recs[2]["bound"]) == (16, 4, 4)
+
+
+def test_isolate_answers_every_enumerated_graph(tmp_path, capsys):
+    # the eligible graphs to order 9 include the nine exceptional ones of
+    # orders 3 and 7; each gets an error record and the rest are solved
+    code, out, _ = run(capsys, "enum", "--max-n", "9", "--no-induced-c6")
+    assert code == 0
+    path = write(tmp_path, "upto9.g6", out)
+    code, out, err = run(capsys, "isolate", path, "--json")
+    assert code == 3
+    recs = json.loads(out)
+    errors = [r for r in recs if "error" in r]
+    assert len(recs) == 606 and len(errors) == 9
+    assert all(r["error"] == "precondition violated: ExceptionalGraph" for r in errors)
+    assert sorted(r["n"] for r in errors) == [3, 3] + [7] * 7
+    assert err.count("ExceptionalGraph") == 9
+    assert all(r["size"] <= r["bound"] for r in recs if "error" not in r)
 
 
 def test_isolate_with_trace(tmp_path, capsys):
@@ -183,8 +204,7 @@ def test_isolate_internal_error_exits_4(tmp_path, monkeypatch, capsys):
         raise constructive.InternalCaseExhausted("closed form withheld")
 
     monkeypatch.setattr(constructive, "_delta2", broken)
-    n = constructive.FALLBACK_MAX_ORDER + 1
-    path = write(tmp_path, "p.g6", emit_graph6(gen.path(n)))
+    path = write(tmp_path, "p.g6", emit_graph6(gen.path(20)))
     code, out, err = run(capsys, "isolate", path)
     assert code == 4 and out == ""
     assert "internal error: closed form withheld" in err and "Traceback" not in err

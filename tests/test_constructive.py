@@ -9,8 +9,7 @@ import pytest
 
 from p3iso import constructive, patterns, solver
 from p3iso import generators as gen
-from p3iso.constructive import (CASE_FALLBACK, FALLBACK_MAX_ORDER,
-                                InternalCaseExhausted, PreconditionViolated,
+from p3iso.constructive import (InternalCaseExhausted, PreconditionViolated,
                                 isolate_p3_subcubic, path_cycle_isolating_set,
                                 verify_certificate)
 from p3iso.enumeration import EnumSpec, iter_subcubic
@@ -33,7 +32,6 @@ def check(g, want_case=None, want_sub=None):
     cert, trace = isolate_p3_subcubic(g)
     assert verify_certificate(g, cert) and sorted_vertex_tuple(cert, g.n)
     assert len(cert.set) <= g.n // 4
-    assert CASE_FALLBACK not in trace.case_ids()
     if want_case:
         assert want_case in trace.case_ids(), trace.case_ids()
     if want_sub:
@@ -342,7 +340,6 @@ def test_random_eligible_corpus(rng):
         cert, trace = check(g)
         for c in trace.case_ids():
             cases[c] = cases.get(c, 0) + 1
-    assert CASE_FALLBACK not in cases
     assert cases.get("NoExceptional", 0) > 0
 
 
@@ -366,10 +363,21 @@ def test_iota_never_exceeds_constructive_size(rng):
         assert isolation_number(g).value <= len(cert.set) <= g.n // 4
 
 
+@pytest.mark.extended
+def test_random_sweep_over_orders_16_to_40_extended():
+    # above order 15 the graph goes through the cases, and a failed case
+    # raises; no draw may raise or miss the bound
+    rng = random.Random(21)
+    for _ in range(20000):
+        g = gen.random_eligible_graph(rng.randint(16, 40), rng)
+        cert, _ = isolate_p3_subcubic(g)
+        assert verify_certificate(g, cert) and len(cert.set) <= g.n // 4
+
+
 # -- failed cases ------------------------------------------------------------------
 
 
-def test_failed_case_falls_back_only_on_small_orders(monkeypatch):
+def test_failed_case_raises_at_every_order(monkeypatch):
     def broken(g, mask, trace):
         raise InternalCaseExhausted("closed form withheld")
 
@@ -378,50 +386,25 @@ def test_failed_case_falls_back_only_on_small_orders(monkeypatch):
     def spider(n):  # legs of length 1, 1 and n-3 at vertex 0: one deletion step
         return Graph.from_edges(n, FRAME + [(3, 4)] + path_edges(4, n - 1))
 
-    g = spider(FALLBACK_MAX_ORDER)
-    cert, trace = isolate_p3_subcubic(g)
-    assert verify_certificate(g, cert) and len(cert.set) <= g.n // 4
-    assert sorted_vertex_tuple(cert, g.n)
-    assert trace.case_ids() == [CASE_FALLBACK]
-    assert trace.steps[0].detail["partial_cases"] == ["NoExceptional"]
-    with pytest.raises(InternalCaseExhausted) as exc:
-        isolate_p3_subcubic(spider(FALLBACK_MAX_ORDER + 1))
-    assert exc.value.partial_cases == ["NoExceptional"]
-    assert "closed form withheld" in str(exc.value)
+    for n in (20, 41):
+        with pytest.raises(InternalCaseExhausted) as exc:
+            isolate_p3_subcubic(spider(n))
+        assert exc.value.partial_cases == ["NoExceptional"]
+        assert str(exc.value) == f"closed form withheld (order {n}; case steps traced: 1)"
 
 
 @pytest.mark.parametrize("bits", [
     lambda g: 0,                 # a set that does not isolate
     lambda g: g.full_mask(),     # an isolating set above floor(n/4)
 ])
-def test_set_breaking_the_contract_falls_back(monkeypatch, bits):
+def test_set_breaking_the_contract_raises(monkeypatch, bits):
     # the cases' result is rechecked: a bad set goes the way of a failed case
     monkeypatch.setattr(constructive, "_solve", lambda g, trace: bits(g))
-    g = gen.cycle(12)
-    cert, trace = isolate_p3_subcubic(g)
-    assert verify_certificate(g, cert) and len(cert.set) <= g.n // 4
-    assert trace.case_ids() == [CASE_FALLBACK]
-    assert trace.steps[0].detail == {"error": "assembled set violates the contract",
-                                     "partial_cases": []}
-    with pytest.raises(InternalCaseExhausted, match="assembled set violates the contract"):
-        isolate_p3_subcubic(gen.cycle(FALLBACK_MAX_ORDER + 1))
-
-
-def test_fallback_set_above_the_bound_raises(monkeypatch):
-    def failed(g, trace):
-        trace.add("NoExceptional", (), ())
-        raise InternalCaseExhausted("closed form withheld")
-
-    def inexact(g, budget, canonical):  # the exceeds-budget certificate
-        return Certificate(tuple(range(g.n)), budget + 1, False, g.n)
-
-    monkeypatch.setattr(constructive, "_solve", failed)
-    monkeypatch.setattr(solver, "isolation_number", inexact)
     with pytest.raises(InternalCaseExhausted) as exc:
         isolate_p3_subcubic(gen.cycle(12))
-    assert str(exc.value) == ("fallback solver exceeded floor(n/4); "
-                              "original failure: closed form withheld")
-    assert exc.value.partial_cases == ["NoExceptional"]
+    assert str(exc.value) == ("assembled set violates the contract "
+                              "(order 12; case steps traced: 0)")
+    assert exc.value.partial_cases == []
 
 
 def test_piece_entry_is_the_one_check_site():
@@ -521,7 +504,6 @@ def test_deep_input_needs_no_recursion_depth():
     finally:
         sys.setrecursionlimit(old)
     assert verify_certificate(g, cert)
-    assert CASE_FALLBACK not in trace.case_ids()
 
 
 def test_small_pieces_are_matched_and_solved_once_per_call(monkeypatch):
@@ -565,7 +547,6 @@ def test_long_caterpillar_scales():
     assert time.perf_counter() - start < 10
     assert verify_certificate(g, cert)
     assert len(cert.set) <= g.n // 4
-    assert CASE_FALLBACK not in trace.case_ids()
 
 
 if __name__ == "__main__":

@@ -117,6 +117,21 @@ def test_random_eligible_graphs_are_eligible(rng):
         assert catalog_match(g) is None
 
 
+def test_block_tree_never_runs_out_of_attachment_points(monkeypatch, rng):
+    # two joined copies of G74 (one degree-2 vertex each) leave no vertex of
+    # degree <= 2; the second copy is drawn again instead of stranding the
+    # next block
+    blocks = [gen.catalog_entry("G74").graph] * 2
+
+    def stub(max_order, rng):
+        return blocks.pop() if blocks else gen.path(min(3, max_order))
+
+    monkeypatch.setattr(gen, "_random_block", stub)
+    g = gen._random_block_tree(20, rng)
+    assert g.n == 20 and is_connected(g) and g.max_degree() <= 3
+    assert not blocks
+
+
 def test_random_subcubic_connected(rng):
     for _ in range(40):
         g = gen.random_subcubic_connected(rng.randint(1, 30), rng)

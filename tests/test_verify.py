@@ -3,10 +3,10 @@ import os
 import pytest
 
 from p3iso import generators as gen
-from p3iso import patterns
+from p3iso import patterns, solver
 from p3iso import verify
 from p3iso.graph_io import emit_graph6
-from p3iso.solver import isolation_number
+from p3iso.solver import Certificate, isolation_number
 from p3iso.verify import (ObservationResult, check_observations,
                           verify_enumerated, verify_stream)
 
@@ -105,6 +105,17 @@ def test_violation_detection(monkeypatch):
     report = verify_stream([emit_graph6(gen.path(3))])
     assert not report.passed
     assert report.to_dict()["orders"][0]["violations"]
+
+
+def test_exact_certificate_is_rechecked(monkeypatch):
+    # a solver that claims an empty exact set for the 5-cycle: the set does
+    # not isolate, so the recheck turns the claim into a violation
+    monkeypatch.setattr(solver, "isolation_number",
+                        lambda g, budget=None, canonical=True:
+                        Certificate((), 0, True, g.n))
+    report = verify_stream([emit_graph6(gen.cycle(5))])
+    assert not report.passed
+    assert report.to_dict()["orders"][0]["violations"] == [emit_graph6(gen.cycle(5))]
 
 
 def test_check_observations_all_pass():
