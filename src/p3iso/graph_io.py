@@ -137,7 +137,7 @@ def emit_graph6(g: Graph) -> str:
     return _encode_order(g.n) + body.translate(_TO_TEXT).decode("ascii")
 
 
-_INT = re.compile(r"-?[0-9]+")
+_PAIR = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")  # a stripped "n m" or "u v" line
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -145,20 +145,21 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise EdgeListError("empty input")
-    header = lines[0].split()
-    if len(header) != 2 or not all(_INT.fullmatch(tok) for tok in header):
+    header = _PAIR.fullmatch(lines[0])
+    if header is None:
         raise EdgeListError(f"bad header {lines[0]!r}, expected 'n m'")
-    n, m = int(header[0]), int(header[1])
+    n, m = int(header[1]), int(header[2])
     if n < 0 or m < 0:
         raise EdgeListError("negative counts in header")
     if len(lines) - 1 != m:
         raise EdgeListError(f"header promises {m} edges, found {len(lines) - 1}")
     rows = [0] * n
+    match = _PAIR.fullmatch
     for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2 or not all(_INT.fullmatch(tok) for tok in toks):
+        pair = match(ln)
+        if pair is None:
             raise EdgeListError(f"bad edge line {ln!r}")
-        u, v = int(toks[0]), int(toks[1])
+        u, v = int(pair[1]), int(pair[2])
         if not (1 <= u <= n and 1 <= v <= n):
             raise OutOfRange(f"edge {u} {v} outside 1..{n}")
         if u == v:

@@ -28,6 +28,14 @@ same copy (it reaches u only after w's child has failed), and ``lex_min``
 skips a candidate dominated by a failed candidate of the same position.
 ``lex_min``'s witness bound keeps the greedy rule: the last set found holds
 the prefix and its next vertex, so no candidate above that vertex is needed.
+
+Each open node carries its hub, the alive vertices with two or more alive
+neighbors: only they center a 3-path or offer one to the packing bound, so
+one walk over the hub reads both. The hub needs no full rescan. Residual
+degrees only fall, so a child's hub lies inside its parent's hub & alive;
+the child's walk starts from that mask and drops each vertex left with
+fewer than two alive neighbors. Only a root walks all of alive. A node out
+of budget fails on any copy, so it looks for one in alive with no walk.
 """
 
 from __future__ import annotations
@@ -118,40 +126,6 @@ def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
     return centers, ends_of, best, lacking
 
 
-def _packing_lower_bound(alive: int, offers: _Offers) -> int:
-    """Greedy count of alive 3-paths with pairwise disjoint closed neighborhoods.
-
-    Each copy needs its own hitter in N[copy], so copies whose closed
-    neighborhoods (in all of g) are disjoint bound the remaining budget
-    from below. Every alive center offers its alive copy with the smallest
-    (|N[copy]|, ends mask), read from ``offers`` (``_p3_offers``) by one
-    mask test, and the offers are packed in ascending |N[copy]|, smaller
-    center first on ties: a small neighborhood blocks few others.
-    """
-    centers, ends_of, best, lacking = offers
-    taken = []
-    rest = alive & centers
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        c = low.bit_length() - 1
-        dead = ends_of[c] & ~alive
-        if not dead:
-            taken.append(best[c])
-        elif not dead & (dead - 1):
-            offer = lacking[3 * c + (ends_of[c] & (dead - 1)).bit_count()]
-            if offer is not None:
-                taken.append(offer)
-    taken.sort()
-    count = 0
-    used = 0
-    for _, _, hood in taken:
-        if not hood & used:
-            count += 1
-            used |= hood
-    return count
-
-
 class _Search:
     """The search state of one ``isolation_number`` call.
 
@@ -166,28 +140,79 @@ class _Search:
         self.offers = _p3_offers(g, self.closed)
         self.failed: dict[int, int] = {}
 
+    def scan(self, alive: int, near: int, cap: int) -> tuple[int, int, int]:
+        """(hub, window, bound) for the alive mask ``alive``, given ``near``,
+        a mask of alive vertices that holds every hub vertex.
+
+        ``hub`` is the vertices of ``near`` with two or more alive
+        neighbors. ``window`` is alive & N[c] for c the one with the most,
+        smallest first on ties. No vertex there beats c, so
+        ``contains_copy`` finds alive's copy in it in O(deg c); with an
+        empty hub it is 0. ``bound`` greedily packs alive copies with
+        pairwise disjoint closed neighborhoods (in all of g), each needing
+        its own hitter, and stops once it exceeds ``cap``. Each hub vertex
+        offers its alive copy with the smallest (|N[copy]|, ends mask), read
+        from ``offers`` by one mask test, and offers go in ascending
+        |N[copy]|, smaller center first: a small neighborhood blocks few.
+        """
+        rows = self.g.rows
+        _, ends_of, best, lacking = self.offers
+        center, most = -1, 1
+        taken = []
+        hub = rest = near
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            d = (rows[c] & alive).bit_count()
+            if d < 2:
+                hub ^= low
+                continue
+            if d > most:
+                center, most = c, d
+            dead = ends_of[c] & ~alive
+            if not dead:
+                taken.append(best[c])
+            elif not dead & (dead - 1):
+                # a hub vertex with one dead end has three ends, so the
+                # copy on the other two exists
+                taken.append(lacking[3 * c + (ends_of[c] & (dead - 1)).bit_count()])
+        taken.sort()
+        count = used = 0
+        for _, _, hood in taken:
+            if not hood & used:
+                count += 1
+                if count > cap:
+                    break
+                used |= hood
+        return hub, (alive & self.closed[center] if hub else 0), count
+
     def lower_bound(self) -> int:
         """The packing bound of the whole graph."""
-        return _packing_lower_bound(self.g.full_mask(), self.offers)
+        return self.scan(self.g.full_mask(), self.offers[0], self.g.n)[2]
 
     def find(self, k: int, prefix_mask: int = 0) -> int | None:
         """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None.
 
         Depth-first on an explicit stack of open nodes [alive, D,
-        remaining, untried hitters]; a node's children add its hitters in
-        ascending order, less those an earlier one dominates, and a node
+        remaining, untried hitters, hub]; a node's children add its hitters
+        in ascending order, less those an earlier one dominates, and a node
         is recorded as failed once its last child fails.
         """
-        g, closed, offers, failed = self.g, self.closed, self.offers, self.failed
-        alive = g.full_mask() & ~closed_mask(g, prefix_mask)
+        g, closed, failed, scan = self.g, self.closed, self.failed, self.scan
+        alive = hub = g.full_mask() & ~closed_mask(g, prefix_mask)
         d_mask, remaining = prefix_mask, k - prefix_mask.bit_count()
         stack: list[list[int]] = []
         while True:
             if failed.get(alive, -1) < remaining:
-                copy = contains_copy(g, within=alive)
+                if remaining:
+                    hub, window, bound = scan(alive, hub, remaining)
+                else:  # out of budget, so any copy fails the node
+                    window, bound = alive, 1
+                copy = contains_copy(g, within=window)
                 if copy is None:
                     return d_mask
-                if remaining and remaining >= _packing_lower_bound(alive, offers):
+                if remaining >= bound:
                     hood = closed[copy[0]] | closed[copy[1]] | closed[copy[2]]
                     hitters = 0
                     while hood:
@@ -202,7 +227,7 @@ class _Search:
                             rivals &= closed[x.bit_length() - 1]
                         if not rivals:
                             hitters |= low
-                    stack.append([alive, d_mask, remaining, hitters])
+                    stack.append([alive, d_mask, remaining, hitters, hub])
                 else:
                     failed[alive] = remaining
             while stack and not stack[-1][3]:
@@ -214,6 +239,7 @@ class _Search:
             low = top[3] & -top[3]
             top[3] ^= low
             alive = top[0] & ~closed[low.bit_length() - 1]
+            hub = top[4] & alive
             d_mask, remaining = top[1] | low, top[2] - 1
 
     def lex_min(self, k: int, witness: int) -> int:

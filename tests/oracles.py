@@ -4,16 +4,21 @@ Everything here is deliberately naive: subset scans, permutation scans,
 a from-scratch graph6 encoder, and the induced-cycle search, canonical
 labeling and orbit rule as they were first written (a cycle search
 without prunes, a whole-prefix column scan at every search node, a
-refinement that runs one confirming round, and a min over Aut per
-attachment set), which the faster code must match exactly. Nothing
-imports the algorithms under test beyond the Graph value type itself,
-except the canonical-deletion reference, which is defined relative to
-the library's canonical labeling.
+refinement that runs one confirming round, a min over Aut per
+attachment set, and an exact search that scans the whole alive mask at
+every node), which the faster code must match exactly. Nothing imports
+the algorithms under test beyond the Graph value type itself, except the
+canonical-deletion reference, which is defined relative to the library's
+canonical labeling, and the whole-mask search, which shares the solver's
+offers table, failure memo and lex-min driver and replaces only ``find``
+and the packing bound.
 """
 
 from itertools import combinations, permutations
 
-from p3iso.graphcore import Graph, bit_indices
+from p3iso.graphcore import Graph, bit_indices, closed_mask
+from p3iso.patterns import contains_copy
+from p3iso.solver import _Search
 
 
 def closed_nbhd_set(g: Graph, vs) -> set[int]:
@@ -128,6 +133,99 @@ def reference_packing_lower_bound(g: Graph, alive: int) -> int:
             count += 1
             used |= hood
     return count
+
+
+def _whole_mask_packing_lower_bound(alive: int, offers) -> int:
+    """Greedy count of alive 3-paths with pairwise disjoint closed neighborhoods.
+
+    Each copy needs its own hitter in N[copy], so copies whose closed
+    neighborhoods (in all of g) are disjoint bound the remaining budget
+    from below. Every alive center offers its alive copy with the smallest
+    (|N[copy]|, ends mask), read from ``offers`` (``_p3_offers``) by one
+    mask test, and the offers are packed in ascending |N[copy]|, smaller
+    center first on ties: a small neighborhood blocks few others.
+    """
+    centers, ends_of, best, lacking = offers
+    taken = []
+    rest = alive & centers
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = low.bit_length() - 1
+        dead = ends_of[c] & ~alive
+        if not dead:
+            taken.append(best[c])
+        elif not dead & (dead - 1):
+            offer = lacking[3 * c + (ends_of[c] & (dead - 1)).bit_count()]
+            if offer is not None:
+                taken.append(offer)
+    taken.sort()
+    count = 0
+    used = 0
+    for _, _, hood in taken:
+        if not hood & used:
+            count += 1
+            used |= hood
+    return count
+
+
+class WholeMaskSearch(_Search):
+    """The solver's search before nodes carried their hub masks: each node
+    finds its 3-path with ``contains_copy`` over the whole alive mask and
+    walks the alive mask again for its packing bound. Swapped in for
+    ``solver._Search``, it must give the same certificates, and the same
+    number of ``contains_copy`` calls, as the solver.
+    """
+
+    def lower_bound(self) -> int:
+        """The packing bound of the whole graph."""
+        return _whole_mask_packing_lower_bound(self.g.full_mask(), self.offers)
+
+    def find(self, k: int, prefix_mask: int = 0) -> int | None:
+        """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None.
+
+        Depth-first on an explicit stack of open nodes [alive, D,
+        remaining, untried hitters]; a node's children add its hitters in
+        ascending order, less those an earlier one dominates, and a node
+        is recorded as failed once its last child fails.
+        """
+        g, closed, offers, failed = self.g, self.closed, self.offers, self.failed
+        alive = g.full_mask() & ~closed_mask(g, prefix_mask)
+        d_mask, remaining = prefix_mask, k - prefix_mask.bit_count()
+        stack: list[list[int]] = []
+        while True:
+            if failed.get(alive, -1) < remaining:
+                copy = contains_copy(g, within=alive)
+                if copy is None:
+                    return d_mask
+                if remaining and remaining >= _whole_mask_packing_lower_bound(alive, offers):
+                    hood = closed[copy[0]] | closed[copy[1]] | closed[copy[2]]
+                    hitters = 0
+                    while hood:
+                        low = hood & -hood
+                        hood ^= low
+                        # a dominating w lies in N[x] for each x in N[u] & alive
+                        rivals = hitters
+                        hit = closed[low.bit_length() - 1] & alive
+                        while rivals and hit:
+                            x = hit & -hit
+                            hit ^= x
+                            rivals &= closed[x.bit_length() - 1]
+                        if not rivals:
+                            hitters |= low
+                    stack.append([alive, d_mask, remaining, hitters])
+                else:
+                    failed[alive] = remaining
+            while stack and not stack[-1][3]:
+                top = stack.pop()
+                failed[top[0]] = top[2]
+            if not stack:
+                return None
+            top = stack[-1]
+            low = top[3] & -top[3]
+            top[3] ^= low
+            alive = top[0] & ~closed[low.bit_length() - 1]
+            d_mask, remaining = top[1] | low, top[2] - 1
 
 
 def brute_has_induced_cycle(g: Graph, k: int) -> bool:

@@ -126,6 +126,32 @@ def test_edge_list_roundtrip_and_examples():
             parse_edge_list(text)
 
 
+def test_edge_list_errors_keep_class_and_message():
+    cases = [
+        ("", EdgeListError, "empty input"),
+        ("3", EdgeListError, "bad header '3', expected 'n m'"),
+        ("3 1 2", EdgeListError, "bad header '3 1 2', expected 'n m'"),
+        ("3 x", EdgeListError, "bad header '3 x', expected 'n m'"),
+        ("-1 0", EdgeListError, "negative counts in header"),
+        ("3 2\n1 2", EdgeListError, "header promises 2 edges, found 1"),
+        ("3 1\n1 2 3", EdgeListError, "bad edge line '1 2 3'"),
+        ("3 1\n12", EdgeListError, "bad edge line '12'"),
+        ("3 1\n1-2", EdgeListError, "bad edge line '1-2'"),
+        ("3 1\n1 +2", EdgeListError, "bad edge line '1 +2'"),
+        ("3 1\n-1 2", OutOfRange, "edge -1 2 outside 1..3"),
+        ("3 1\n0 2", OutOfRange, "edge 0 2 outside 1..3"),
+        ("3 1\n1 4", OutOfRange, "edge 1 4 outside 1..3"),
+        ("3 1\n2 2", SelfLoop, "self-loop at 2"),
+        ("3 2\n1 2\n2 1", DuplicateEdge, "duplicate edge 2 1"),
+    ]
+    for text, cls, message in cases:
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(text)
+        assert type(info.value) is cls and str(info.value) == message, text
+    # any run of whitespace separates the two labels, and the ends are stripped
+    assert parse_edge_list(" 3\t2 \n1 \t 2\n\t2  3\n") == gen.path(3)
+
+
 def test_edge_list_g11_fixture_degree_sequence():
     text = (FIXTURES / "catalog" / "G11.edges").read_text()
     g = parse_edge_list(text)

@@ -1,13 +1,18 @@
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import oracles
 from p3iso import generators as gen
 from p3iso import solver
+from p3iso.graph_io import parse_graph6
 from p3iso.graphcore import Graph, delete_vertices
+from p3iso.patterns import contains_copy
 from p3iso.solver import (Certificate, is_isolating, isolation_number,
                           isolation_number_additive)
 
@@ -16,6 +21,7 @@ from oracles import (brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set,
                      reference_first_isolating_set, reference_packing_lower_bound)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+IOTA_MID = SRC.parent / "bench" / "data" / "iota_mid.json"
 
 
 def test_is_isolating_examples():
@@ -153,33 +159,88 @@ def test_packing_bound_matches_per_offer_scan(rng):
         else:
             g = gen.random_subcubic_connected(rng.randint(1, 20), rng)
         search = solver._Search(g)
+        full = g.full_mask()
+        assert search.scan(full, full, g.n)[0] == search.offers[0]
         for _ in range(10):
-            alive = rng.getrandbits(g.n) if rng.random() < 0.8 else g.full_mask()
-            assert (solver._packing_lower_bound(alive, search.offers)
-                    == reference_packing_lower_bound(g, alive))
+            alive = rng.getrandbits(g.n) if rng.random() < 0.8 else full
+            hub, window, bound = search.scan(alive, alive, g.n)
+            assert hub == sum(1 << v for v in range(g.n) if alive >> v & 1
+                              and (g.rows[v] & alive).bit_count() >= 2)
+            assert bound == reference_packing_lower_bound(g, alive)
+            assert contains_copy(g, within=window) == contains_copy(g, within=alive)
+            # any start mask between the hub and alive reads the same
+            near = hub | (alive & rng.getrandbits(g.n))
+            assert search.scan(alive, near, g.n) == (hub, window, bound)
+            # stopped at a cap, the count exceeds it exactly when the full one does
+            for cap in range(bound + 2):
+                capped = search.scan(alive, hub, cap)[2]
+                assert (capped > cap) == (bound > cap)
+                assert capped == bound or capped == cap + 1
 
 
-def _search_nodes(monkeypatch, g) -> int:
+def _counted_solve(monkeypatch, g, reference=False, **kwargs):
+    """(certificate, contains_copy calls) of ``isolation_number(g, **kwargs)``;
+    with ``reference``, searched by ``oracles.WholeMaskSearch``."""
     # the solver calls contains_copy once per search node
+    module = oracles if reference else solver
     calls = 0
-    real = solver.contains_copy
+    real = module.contains_copy
 
-    def counted(*args, **kwargs):
+    def counted(*args, **kw):
         nonlocal calls
         calls += 1
-        return real(*args, **kwargs)
+        return real(*args, **kw)
 
-    monkeypatch.setattr(solver, "contains_copy", counted)
-    isolation_number(g)
+    monkeypatch.setattr(module, "contains_copy", counted)
+    if reference:
+        monkeypatch.setattr(solver, "_Search", oracles.WholeMaskSearch)
+    cert = isolation_number(g, **kwargs)
     monkeypatch.undo()
-    return calls
+    return cert, calls
 
 
 def test_search_node_regression_guard(monkeypatch):
-    assert _search_nodes(monkeypatch, gen.construction_B_p3(26)) <= 20
-    assert _search_nodes(monkeypatch, spine_tree(8)) <= 40
+    # exact counts: fewer nodes is a change of search, and none at all is a
+    # search that stopped counting
+    assert _counted_solve(monkeypatch, gen.construction_B_p3(26))[1] == 7
+    assert _counted_solve(monkeypatch, spine_tree(8))[1] == 16
     # the canonical solve probes only candidates below its witness's next vertex
-    assert _search_nodes(monkeypatch, gen.path(300)) <= 400
+    assert _counted_solve(monkeypatch, gen.path(300))[1] == 298
+    items = json.loads(IOTA_MID.read_text(encoding="ascii"))
+    nodes = [_counted_solve(monkeypatch, parse_graph6(it["graph6"]))[1] for it in items]
+    assert nodes == [389, 74, 211, 220, 994, 80, 7, 7]
+
+
+def _assert_same_search(monkeypatch, g):
+    """Plain, lex-min and below-iota budgeted certificates, and the search
+    nodes of each, match the whole-mask reference search."""
+    solves = [{}, {"canonical": False}]
+    for kwargs in solves:
+        got = _counted_solve(monkeypatch, g, **kwargs)
+        assert got == _counted_solve(monkeypatch, g, reference=True, **kwargs), \
+            (kwargs, list(g.edges()))
+        if not kwargs and got[0].value:
+            solves.append({"budget": got[0].value - 1})
+
+
+def test_hub_search_matches_whole_mask_search(rng, monkeypatch):
+    # eligible graphs of order >= 16 have many alive vertices outside the
+    # hub; general graphs reach centers of degree above 3 and disconnected
+    # alive masks
+    for _ in range(25):
+        _assert_same_search(monkeypatch, gen.random_eligible_graph(rng.randint(16, 60), rng))
+    for _ in range(150):
+        _assert_same_search(monkeypatch, gen.random_general_graph(
+            rng.randint(1, 14), rng.uniform(0.1, 0.8), rng))
+
+
+@pytest.mark.extended
+def test_hub_search_matches_whole_mask_search_extended(monkeypatch):
+    # solve times at orders 61-100 have a heavy tail (one order-80 graph
+    # takes 20 s); this seed's five graphs take seconds
+    rng = random.Random(1)
+    for _ in range(5):
+        _assert_same_search(monkeypatch, gen.random_eligible_graph(rng.randint(61, 100), rng))
 
 
 def test_additivity_examples():
