@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
 def cmd_check_observations(args) -> int:
     results = check_observations()
     if args.json:
-        print(json.dumps([r.__dict__ for r in results], sort_keys=True))
+        print(json.dumps([r._asdict() for r in results], sort_keys=True))
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}"

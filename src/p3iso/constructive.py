@@ -37,13 +37,13 @@ failed case is reported, never covered by another algorithm.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import generators
 from . import patterns
 from . import solver
-from .graphcore import (Graph, bit_indices, closed_mask, connected_within,
-                        delete_vertices, is_connected, split_off)
+from .graphcore import (Graph, Record, bit_indices, closed_mask,
+                        connected_within, delete_vertices, is_connected, split_off)
 from .solver import Certificate, is_isolating
 
 CASE_BASE = "Base<=15"
@@ -79,8 +79,7 @@ class InternalCaseExhausted(RuntimeError):
         self.partial_cases = list(partial_cases)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(namedtuple("TraceStep", "case_id chosen removed detail")):
     """One decision of the recursion, in the original graph's labels.
 
     ``chosen`` went into the isolating set here; ``removed`` are the
@@ -91,15 +90,14 @@ class TraceStep:
     leftover vertices.
     """
 
-    case_id: str
-    chosen: tuple[int, ...]
-    removed: tuple[int, ...]
-    detail: dict
+    __slots__ = ()
 
 
-@dataclass
-class CaseTrace:
-    steps: list[TraceStep] = field(default_factory=list)
+class CaseTrace(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[TraceStep] | None = None):
+        self.steps = [] if steps is None else steps
 
     def add(self, case_id: str, chosen, removed, detail: dict | None = None):
         self.steps.append(TraceStep(case_id, tuple(sorted(chosen)),
@@ -400,11 +398,8 @@ def _walk(g: Graph, mask: int, start: int, prev: int, length: int) -> list[int]:
     return walk
 
 
-@dataclass
-class _Comp:
-    mask: int
-    cid: str | None
-    linked: tuple[int, ...]
+class _Comp(namedtuple("_Comp", "mask cid linked")):
+    __slots__ = ()
 
 
 def _lemma_gv(g: Graph, cmask: int, y: int):

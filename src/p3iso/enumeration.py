@@ -29,9 +29,9 @@ also keeps every graph below order S, and ``(0, 1)`` is the whole walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from itertools import combinations, count
-from typing import Callable, Iterator
 
 from .graphcore import Graph, connected_within
 from .patterns import _refine_colors, canonical_data, has_induced_cycle
@@ -48,22 +48,21 @@ _HEREDITARY_FILTERS = {
 }
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(namedtuple("EnumSpec", "max_n filter shard")):
     """Connected subcubic graphs of orders 1..max_n, optionally restricted by
     a filter id, in shard ``res`` of ``mod`` (all of them by default)."""
 
-    max_n: int
-    filter: str | None = None
-    shard: tuple[int, int] = (0, 1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_n < 1:
+    def __new__(cls, max_n: int, filter: str | None = None,
+                shard: tuple[int, int] = (0, 1)):
+        if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if self.filter is not None and self.filter not in _HEREDITARY_FILTERS:
-            raise ValueError(f"unknown filter id {self.filter!r}")
-        if not 0 <= self.shard[0] < self.shard[1]:
-            raise ValueError(f"shard (res, mod) = {self.shard}: need 0 <= res < mod")
+        if filter is not None and filter not in _HEREDITARY_FILTERS:
+            raise ValueError(f"unknown filter id {filter!r}")
+        if not 0 <= shard[0] < shard[1]:
+            raise ValueError(f"shard (res, mod) = {shard}: need 0 <= res < mod")
+        return super().__new__(cls, max_n, filter, shard)
 
 
 # -- automorphisms --------------------------------------------------------------

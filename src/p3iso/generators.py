@@ -10,7 +10,7 @@ package is imported, so a transcription error cannot load silently.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .graphcore import Graph, is_connected
@@ -122,15 +122,10 @@ _DOCUMENTED_MAX_DEGREE = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(namedtuple("CatalogEntry", "id graph order iota max_degree")):
     """One exceptional graph with its documented properties."""
 
-    id: str
-    graph: Graph
-    order: int
-    iota: int
-    max_degree: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)

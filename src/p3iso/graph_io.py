@@ -19,8 +19,8 @@ Edge list: a header line "n m" then m lines "u v" with 1-based labels.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from math import isqrt
-from typing import Iterable, Iterator
 
 from .graphcore import Graph, bit_indices
 

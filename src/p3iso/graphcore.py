@@ -20,7 +20,7 @@ connected.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -280,3 +280,21 @@ def distance(g: Graph, u: int, v: int) -> int | float:
 
 def is_connected(g: Graph) -> bool:
     return connected_within(g, g.full_mask())
+
+
+class Record:
+    """Base of the package's mutable records: a subclass lists its fields
+    in ``__slots__`` and sets them in ``__init__``, and gets a field-wise
+    repr and same-type equality; records are unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)

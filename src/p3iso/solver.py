@@ -40,15 +40,14 @@ of budget fails on any copy, so it looks for one in alive with no walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphcore import (Graph, bit_indices, closed_mask, component_masks,
                         delete_vertices)
 from .patterns import P3, contains_copy
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "set value exact graph_order")):
     """An isolating set together with the value it certifies.
 
     ``set`` is a sorted tuple of distinct vertices of a graph of order
@@ -61,10 +60,7 @@ class Certificate:
     ``exact=False`` with ``value == len(set)``.
     """
 
-    set: tuple[int, ...]
-    value: int
-    exact: bool
-    graph_order: int
+    __slots__ = ()
 
 
 def is_isolating(g: Graph, vertices) -> bool:

@@ -10,12 +10,9 @@ set within the bound that fails its independent recheck.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from . import constructive
@@ -24,17 +21,21 @@ from . import patterns
 from . import solver
 from .enumeration import EnumSpec, enumerate_connected_subcubic
 from .graph_io import emit_graph6, iter_graph6
-from .graphcore import Graph, closed_mask, delete_vertices, distance, is_connected
+from .graphcore import (Graph, Record, closed_mask, delete_vertices, distance,
+                        is_connected)
 
 
-@dataclass
-class OrderReport:
-    order: int
-    examined: int = 0
-    eligible: int = 0
-    exceptions: Counter[str] = field(default_factory=Counter)
-    violations: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+class OrderReport(Record):
+    __slots__ = ("order", "examined", "eligible", "exceptions", "violations",
+                 "elapsed")
+
+    def __init__(self, order: int, examined: int = 0, eligible: int = 0,
+                 exceptions: Counter[str] | None = None,
+                 violations: list[str] | None = None, elapsed: float = 0.0):
+        self.order, self.examined, self.eligible = order, examined, eligible
+        self.exceptions = Counter() if exceptions is None else exceptions
+        self.violations = [] if violations is None else violations
+        self.elapsed = elapsed
 
     def add(self, other: "OrderReport") -> None:
         self.examined += other.examined
@@ -44,14 +45,17 @@ class OrderReport:
         self.elapsed += other.elapsed
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Per-order results; a streamed run also counts the lines it read and
     keeps (line number, reason) for each line it could not decode."""
 
-    rows: dict[int, OrderReport] = field(default_factory=dict)
-    lines_read: int = 0
-    skipped: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = ("rows", "lines_read", "skipped")
+
+    def __init__(self, rows: dict[int, OrderReport] | None = None,
+                 lines_read: int = 0, skipped: list[tuple[int, str]] | None = None):
+        self.rows = {} if rows is None else rows
+        self.lines_read = lines_read
+        self.skipped = [] if skipped is None else skipped
 
     @property
     def graphs(self) -> int:
@@ -129,6 +133,9 @@ def verify_enumerated(max_n: int, jobs: int = 1) -> VerificationReport:
     mod = min(jobs, cpus)
     if mod == 1:
         return _verify_part(max_n, 0, 1)
+    # imported here: only a parallel run pays for loading them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     report = VerificationReport()
     # spawn, not fork: forking a process that runs threads is unsafe
     with ProcessPoolExecutor(mod, mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -162,11 +169,9 @@ def verify_stream(lines) -> VerificationReport:
 # -- machine-checked catalog observations --------------------------------------
 
 
-@dataclass(frozen=True)
-class ObservationResult:
-    name: str
-    passed: bool
-    message: str = ""
+class ObservationResult(namedtuple("ObservationResult", "name passed message",
+                                   defaults=("",))):
+    __slots__ = ()
 
 
 def _legal_single_additions(g: Graph):

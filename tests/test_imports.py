@@ -1,9 +1,17 @@
-"""Every name a library module imports is used in it (``__init__`` re-exports)."""
+"""Every name a library module imports is used in it (``__init__`` re-exports),
+and each entry point loads only the modules its caller runs."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "p3iso"
+
+# Standard modules no entry point of the package needs: records are
+# namedtuples or __slots__ classes, annotations stay strings, and only a
+# parallel verify run imports the process pool.
+UNNEEDED = ("dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -30,3 +38,51 @@ def test_library_modules_use_every_import():
     assert modules
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _probe(code: str) -> None:
+    """Run code in a fresh interpreter without site packages and with every
+    warning an error; fail with its stderr if it exits nonzero."""
+    prelude = f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-c", prelude + code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_only_the_core():
+    _probe(f"""
+import p3iso
+generators = sys.modules["p3iso.generators"]
+assert generators.catalog.cache_info().currsize == 1  # the self-check ran
+generators.catalog()
+lazy = ("json", "re", "p3iso.graph_io", "p3iso.constructive")
+loaded = [m for m in {UNNEEDED!r} + lazy if m in sys.modules]
+assert not loaded, loaded
+import p3iso.verify, p3iso.cli
+loaded = [m for m in {UNNEEDED!r} if m in sys.modules]
+assert not loaded, loaded
+""")
+
+
+def test_lazy_reexports_are_the_submodules_objects():
+    _probe("""
+import p3iso
+from p3iso import parse_graph6, isolate_p3_subcubic, CaseTrace
+from p3iso import constructive, graph_io
+assert parse_graph6 is graph_io.parse_graph6
+assert isolate_p3_subcubic is constructive.isolate_p3_subcubic
+assert CaseTrace is constructive.CaseTrace
+star = {}
+exec("from p3iso import *", star)
+assert set(p3iso.__all__) <= set(star)
+owners = [sys.modules[m] for m in sorted(sys.modules) if m.startswith("p3iso.")]
+stray = [n for n in p3iso.__all__
+         if not any(getattr(m, n, None) is star[n] for m in owners)]
+assert not stray, stray
+try:
+    p3iso.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("p3iso.no_such_name resolved")
+""")

@@ -1,10 +1,10 @@
+import concurrent.futures
 import os
 
 import pytest
 
 from p3iso import generators as gen
 from p3iso import patterns, solver
-from p3iso import verify
 from p3iso.graph_io import emit_graph6
 from p3iso.solver import Certificate, isolation_number
 from p3iso.verify import (ObservationResult, check_observations,
@@ -63,7 +63,9 @@ def test_workers_capped_at_usable_cpus(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # verify_enumerated imports the pool class when a parallel run starts,
+    # so it reads the patched module attribute
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     report = verify_enumerated(7, jobs=100000)
     assert sizes == [4]
