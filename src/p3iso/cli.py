@@ -7,6 +7,10 @@ argument, or a line that does not decode), 3 precondition error, 4 internal
 error of the constructive algorithm, 141 standard output closed by its
 reader (as in ``p3iso enum ... | head``). All vertex labels printed are
 1-based; --json output is stable for golden-file tests.
+
+A subcommand imports ``constructive``, ``enumeration``, ``verify`` or
+``json`` only when it runs them, so ``p3iso gen`` or ``p3iso catalog``
+loads none of the first three.
 """
 
 from __future__ import annotations
@@ -14,19 +18,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import os
 import sys
 
 from . import generators
-from .constructive import (InternalCaseExhausted, PreconditionViolated,
-                           isolate_p3_subcubic)
-from .enumeration import EnumSpec, enumerate_connected_subcubic
 from .graph_io import (EdgeListError, Graph6Error, emit_edge_list, emit_graph6,
                        iter_graph6, parse_edge_list)
 from .graphcore import Graph
 from .solver import isolation_number
-from .verify import check_observations, verify_enumerated, verify_stream
 
 
 class InputError(Exception):
@@ -71,6 +70,13 @@ def _read_graphs(path: str, fmt: str | None) -> list[Graph]:
     return graphs
 
 
+def _json(value, sort_keys: bool = True) -> str:
+    """``json.dumps``; json loads only when a command prints it."""
+    import json
+
+    return json.dumps(value, sort_keys=sort_keys)
+
+
 def _one_based(vs: tuple[int, ...]) -> list[int]:
     return [v + 1 for v in vs]
 
@@ -93,7 +99,7 @@ def cmd_iota(args) -> int:
             tag = "iota" if cert.exact else f"iota>{args.budget}"
             print(f"n={g.n} m={g.edge_count} {tag}={cert.value} set={rec['set']}")
     if args.json:
-        print(json.dumps(out if len(out) > 1 else out[0], sort_keys=True))
+        print(_json(out if len(out) > 1 else out[0]))
     return 0
 
 
@@ -101,6 +107,9 @@ def cmd_isolate(args) -> int:
     """Answers every graph, going on past a failing one: its --json record
     is {"n", "error"} and its message goes to stderr. Exits 4 if any graph
     hit an internal error, else 3 if any failed a precondition, else 0."""
+    from .constructive import (InternalCaseExhausted, PreconditionViolated,
+                               isolate_p3_subcubic)
+
     graphs = _read_graphs(args.input, args.format)
     out = []
     code = 0
@@ -130,11 +139,13 @@ def cmd_isolate(args) -> int:
         if args.trace:
             print(trace.to_json_lines())
     if args.json:
-        print(json.dumps(out if len(out) > 1 else out[0], sort_keys=True))
+        print(_json(out if len(out) > 1 else out[0]))
     return code
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_enumerated, verify_stream
+
     if args.stream and args.jobs > 1:
         raise InputError("--jobs splits the enumeration; it does not apply to --stream")
     if args.stream:
@@ -144,7 +155,7 @@ def cmd_verify(args) -> int:
         report = verify_enumerated(args.max_n or 9, jobs=args.jobs)
     payload = report.to_dict()
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(_json(payload))
     else:
         for row in payload["orders"]:
             exc = ", ".join(f"{k} x{v}" for k, v in row["exceptions"].items()) or "-"
@@ -164,9 +175,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_observations(args) -> int:
+    from .verify import check_observations
+
     results = check_observations()
     if args.json:
-        print(json.dumps([r._asdict() for r in results], sort_keys=True))
+        print(_json([r._asdict() for r in results]))
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}"
@@ -184,9 +197,8 @@ def _emit(graphs: list[tuple[str, Graph]], fmt: str) -> None:
         elif fmt == "edges":
             sys.stdout.write(emit_edge_list(g))
         else:
-            print(json.dumps({"name": name, "n": g.n,
-                              "edges": [[u + 1, v + 1] for u, v in g.edges()]},
-                             sort_keys=True))
+            print(_json({"name": name, "n": g.n,
+                         "edges": [[u + 1, v + 1] for u, v in g.edges()]}))
 
 
 _GENERATORS = {"path": generators.path, "cycle": generators.cycle,
@@ -208,9 +220,12 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from .enumeration import EnumSpec, enumerate_connected_subcubic
+
     spec = EnumSpec(args.max_n, filter=("no-induced-c6" if args.no_induced_c6 else None))
     counts = enumerate_connected_subcubic(spec, sink=lambda g: print(emit_graph6(g)))
-    print(json.dumps({"counts": {str(k): v for k, v in sorted(counts.items())}}),
+    print(_json({"counts": {str(k): v for k, v in sorted(counts.items())}},
+                sort_keys=False),
           file=sys.stderr)
     return 0
 

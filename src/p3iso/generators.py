@@ -9,7 +9,6 @@ package is imported, so a transcription error cannot load silently.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from functools import lru_cache
 

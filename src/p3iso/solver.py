@@ -36,6 +36,14 @@ degrees only fall, so a child's hub lies inside its parent's hub & alive;
 the child's walk starts from that mask and drops each vertex left with
 fewer than two alive neighbors. Only a root walks all of alive. A node out
 of budget fails on any copy, so it looks for one in alive with no walk.
+
+The packing bound walks one list of every offer, ranked once per solve in
+ascending (|N[copy]|, center). A center has at most one live offer at any
+alive mask, so the live ones come in the order a per-node sort of each
+hub vertex's offer would give, and the greedy pass takes the same copies.
+Its count only grows along the list, and a node with budget cap fails as
+soon as the count exceeds cap, so the walk stops at cap + 1: the capped
+bound min(bound, cap + 1) decides every node as the full bound would.
 """
 
 from __future__ import annotations
@@ -74,52 +82,54 @@ def is_isolating(g: Graph, vertices) -> bool:
     return contains_copy(g, within=g.full_mask() & ~closed_mask(g, d_mask)) is None
 
 
-# offer: (|N[copy]|, center, N[copy]); _Offers: the mask of centers with an
-# offer, per center its ends and best offer, and at 3c + r the offer of
-# center c lacking its end of rank r
-_Offers = tuple[int, list[int], list, list]
+# a ranked offer: (N[copy], center bit, the center's ends, the one end that
+# must be dead, 0 for the center's best copy)
+_Offers = tuple[int, list[tuple[int, int, int, int]]]
 
 
 def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
-    """Per center c, the 3-paths a-c-b it offers to the packing bound.
+    """The mask of centers with an offer, and every offer to the packing
+    bound in ascending (|N[copy]|, center), bucketed on |N[copy]|.
 
     ``closed[v]`` is N[v]. A center of degree above 3 offers only the
     copies among the three neighbors that add the fewest vertices to N[c],
     so the offers stay linear in n on dense graphs; in a subcubic graph
     every copy is offered. While all of c's ends are alive, c offers its
     best copy, the smallest by (|N[copy]|, mask of a and b); while one end
-    is dead, the copy on the other two (if any).
+    is dead, the copy on the other two (if any). So at any alive mask at
+    most one of c's offers is live.
     """
     centers = 0
-    ends_of, best, lacking = [], [], []
+    buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n + 1)]
     for c, row in enumerate(g.rows):
         if row.bit_count() > 3:
             ends = sorted(bit_indices(row),
                           key=lambda a: (closed[a] & ~closed[c]).bit_count())
             row = sum(1 << a for a in ends[:3])
-        ends_of.append(row)
-        copies = []
-        while row:
-            a = row & -row
-            row ^= a
-            hood_a = closed[c] | closed[a.bit_length() - 1]
-            rest = row
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                hood = hood_a | closed[b.bit_length() - 1]
-                copies.append((hood.bit_count(), c, hood))
-        # in ascending ends mask: the first smallest is the best, and
-        # reversed they lack the first, middle and last end
+        a = row & -row
+        b = (row ^ a) & -(row ^ a)
+        if not b:
+            continue
+        cbit = 1 << c
+        centers |= cbit
+        hood_a = closed[c] | closed[a.bit_length() - 1]
+        hood_b = closed[c] | closed[b.bit_length() - 1]
+        d = row ^ a ^ b
+        if not d:
+            hood = hood_a | hood_b
+            buckets[hood.bit_count()].append((hood, cbit, row, 0))
+            continue
+        hood_d = closed[d.bit_length() - 1]
         top = None
-        for offer in copies:
-            if top is None or offer[0] < top[0]:
-                top = offer
-        if top is not None:
-            centers |= 1 << c
-        best.append(top)
-        lacking += copies[::-1] if len(copies) == 3 else (None, None, None)
-    return centers, ends_of, best, lacking
+        # the three copies in ascending ends mask, each with the end it
+        # lacks: the first smallest is the best
+        for hood, need in ((hood_a | hood_b, d), (hood_a | hood_d, b), (hood_b | hood_d, a)):
+            size = hood.bit_count()
+            buckets[size].append((hood, cbit, row, need))
+            if top is None or size < top[0]:
+                top = (size, hood)
+        buckets[top[0]].append((top[1], cbit, row, 0))
+    return centers, [offer for bucket in buckets for offer in bucket]
 
 
 class _Search:
@@ -133,7 +143,7 @@ class _Search:
     def __init__(self, g: Graph):
         self.g = g
         self.closed = tuple(row | (1 << v) for v, row in enumerate(g.rows))
-        self.offers = _p3_offers(g, self.closed)
+        self.centers, self.ranked = _p3_offers(g, self.closed)
         self.failed: dict[int, int] = {}
 
     def scan(self, alive: int, near: int, cap: int) -> tuple[int, int, int]:
@@ -146,37 +156,26 @@ class _Search:
         ``contains_copy`` finds alive's copy in it in O(deg c); with an
         empty hub it is 0. ``bound`` greedily packs alive copies with
         pairwise disjoint closed neighborhoods (in all of g), each needing
-        its own hitter, and stops once it exceeds ``cap``. Each hub vertex
-        offers its alive copy with the smallest (|N[copy]|, ends mask), read
-        from ``offers`` by one mask test, and offers go in ascending
-        |N[copy]|, smaller center first: a small neighborhood blocks few.
+        its own hitter, and stops once it exceeds ``cap``. It takes, in
+        ranked order, each live offer (center alive, exactly its required
+        end dead) whose N[copy] misses those taken; small neighborhoods,
+        which block few, come first.
         """
         rows = self.g.rows
-        _, ends_of, best, lacking = self.offers
         center, most = -1, 1
-        taken = []
         hub = rest = near
         while rest:
             low = rest & -rest
             rest ^= low
-            c = low.bit_length() - 1
-            d = (rows[c] & alive).bit_count()
+            d = (rows[low.bit_length() - 1] & alive).bit_count()
             if d < 2:
                 hub ^= low
-                continue
-            if d > most:
-                center, most = c, d
-            dead = ends_of[c] & ~alive
-            if not dead:
-                taken.append(best[c])
-            elif not dead & (dead - 1):
-                # a hub vertex with one dead end has three ends, so the
-                # copy on the other two exists
-                taken.append(lacking[3 * c + (ends_of[c] & (dead - 1)).bit_count()])
-        taken.sort()
+            elif d > most:
+                center, most = low.bit_length() - 1, d
+        dead = ~alive
         count = used = 0
-        for _, _, hood in taken:
-            if not hood & used:
+        for hood, cbit, ends, need in self.ranked:
+            if cbit & alive and ends & dead == need and not hood & used:
                 count += 1
                 if count > cap:
                     break
@@ -185,7 +184,7 @@ class _Search:
 
     def lower_bound(self) -> int:
         """The packing bound of the whole graph."""
-        return self.scan(self.g.full_mask(), self.offers[0], self.g.n)[2]
+        return self.scan(self.g.full_mask(), self.centers, self.g.n)[2]
 
     def find(self, k: int, prefix_mask: int = 0) -> int | None:
         """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None.

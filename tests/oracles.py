@@ -10,8 +10,8 @@ every node), which the faster code must match exactly. Nothing imports
 the algorithms under test beyond the Graph value type itself, except the
 canonical-deletion reference, which is defined relative to the library's
 canonical labeling, and the whole-mask search, which shares the solver's
-offers table, failure memo and lex-min driver and replaces only ``find``
-and the packing bound.
+failure memo and ``lex_min`` and replaces ``find``, the packing bound
+and its per-center offers table.
 """
 
 from itertools import combinations, permutations
@@ -135,6 +135,52 @@ def reference_packing_lower_bound(g: Graph, alive: int) -> int:
     return count
 
 
+# offer: (|N[copy]|, center, N[copy]); the table: the mask of centers with
+# an offer, per center its ends and best offer, and at 3c + r the offer of
+# center c lacking its end of rank r. The solver's table before it ranked
+# the offers, kept as it was for the whole-mask search.
+def _p3_offers(g: Graph, closed: tuple[int, ...]):
+    """Per center c, the 3-paths a-c-b it offers to the packing bound.
+
+    ``closed[v]`` is N[v]. A center of degree above 3 offers only the
+    copies among the three neighbors that add the fewest vertices to N[c],
+    so the offers stay linear in n on dense graphs; in a subcubic graph
+    every copy is offered. While all of c's ends are alive, c offers its
+    best copy, the smallest by (|N[copy]|, mask of a and b); while one end
+    is dead, the copy on the other two (if any).
+    """
+    centers = 0
+    ends_of, best, lacking = [], [], []
+    for c, row in enumerate(g.rows):
+        if row.bit_count() > 3:
+            ends = sorted(bit_indices(row),
+                          key=lambda a: (closed[a] & ~closed[c]).bit_count())
+            row = sum(1 << a for a in ends[:3])
+        ends_of.append(row)
+        copies = []
+        while row:
+            a = row & -row
+            row ^= a
+            hood_a = closed[c] | closed[a.bit_length() - 1]
+            rest = row
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                hood = hood_a | closed[b.bit_length() - 1]
+                copies.append((hood.bit_count(), c, hood))
+        # in ascending ends mask: the first smallest is the best, and
+        # reversed they lack the first, middle and last end
+        top = None
+        for offer in copies:
+            if top is None or offer[0] < top[0]:
+                top = offer
+        if top is not None:
+            centers |= 1 << c
+        best.append(top)
+        lacking += copies[::-1] if len(copies) == 3 else (None, None, None)
+    return centers, ends_of, best, lacking
+
+
 def _whole_mask_packing_lower_bound(alive: int, offers) -> int:
     """Greedy count of alive 3-paths with pairwise disjoint closed neighborhoods.
 
@@ -176,6 +222,10 @@ class WholeMaskSearch(_Search):
     ``solver._Search``, it must give the same certificates, and the same
     number of ``contains_copy`` calls, as the solver.
     """
+
+    def __init__(self, g: Graph):
+        super().__init__(g)
+        self.offers = _p3_offers(g, self.closed)
 
     def lower_bound(self) -> int:
         """The packing bound of the whole graph."""

@@ -9,9 +9,11 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "p3iso"
 
 # Standard modules no entry point of the package needs: records are
-# namedtuples or __slots__ classes, annotations stay strings, and only a
-# parallel verify run imports the process pool.
-UNNEEDED = ("dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures")
+# namedtuples or __slots__ classes, annotations stay strings (the random
+# graph functions take their generator from the caller), and only a parallel
+# verify run imports the process pool.
+UNNEEDED = ("dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures",
+            "random")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -60,6 +62,17 @@ loaded = [m for m in {UNNEEDED!r} + lazy if m in sys.modules]
 assert not loaded, loaded
 import p3iso.verify, p3iso.cli
 loaded = [m for m in {UNNEEDED!r} if m in sys.modules]
+assert not loaded, loaded
+""")
+
+
+def test_cli_import_loads_no_subcommand_module():
+    # each subcommand imports the modules it runs, so ``p3iso gen`` or
+    # ``p3iso catalog`` loads none of them
+    _probe("""
+import p3iso.cli
+lazy = ("p3iso.constructive", "p3iso.verify", "p3iso.enumeration", "json")
+loaded = [m for m in lazy if m in sys.modules]
 assert not loaded, loaded
 """)
 

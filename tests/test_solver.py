@@ -160,7 +160,7 @@ def test_packing_bound_matches_per_offer_scan(rng):
             g = gen.random_subcubic_connected(rng.randint(1, 20), rng)
         search = solver._Search(g)
         full = g.full_mask()
-        assert search.scan(full, full, g.n)[0] == search.offers[0]
+        assert search.scan(full, full, g.n)[0] == search.centers
         for _ in range(10):
             alive = rng.getrandbits(g.n) if rng.random() < 0.8 else full
             hub, window, bound = search.scan(alive, alive, g.n)
@@ -176,6 +176,35 @@ def test_packing_bound_matches_per_offer_scan(rng):
                 capped = search.scan(alive, hub, cap)[2]
                 assert (capped > cap) == (bound > cap)
                 assert capped == bound or capped == cap + 1
+
+
+def test_ranked_offers(rng):
+    # the offers come in one list, in ascending (|N[copy]|, center); at any
+    # alive mask each hub center with at most one dead end has exactly one
+    # live offer and no other center has one; and the walk stopped at
+    # cap + 1 reads the reference bound capped the same way. General graphs
+    # reach centers of degree above 3
+    graphs = [gen.random_general_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
+              for _ in range(300)]
+    graphs += [gen.random_subcubic_connected(rng.randint(1, 20), rng) for _ in range(150)]
+    for g in graphs:
+        search = solver._Search(g)
+        keys = [(hood.bit_count(), cbit.bit_length()) for hood, cbit, _, _ in search.ranked]
+        assert keys == sorted(keys)
+        for _ in range(10):
+            alive = rng.getrandbits(g.n)
+            hub = search.scan(alive, alive, g.n)[0]
+            for c in range(g.n):
+                offers = [(ends, need) for _, cbit, ends, need in search.ranked
+                          if cbit == 1 << c]
+                live = [need for ends, need in offers
+                        if alive >> c & 1 and ends & ~alive == need]
+                at_most_one_dead = offers and (offers[0][0] & ~alive).bit_count() <= 1
+                assert len(live) == (1 if hub >> c & 1 and at_most_one_dead else 0), \
+                    (list(g.edges()), alive, c)
+            want = reference_packing_lower_bound(g, alive)
+            for cap in range(want + 2):
+                assert search.scan(alive, hub, cap)[2] == min(want, cap + 1)
 
 
 def _counted_solve(monkeypatch, g, reference=False, **kwargs):
