@@ -6,7 +6,7 @@ iterative-deepening hitting-set search and returns it as a certificate
 that can be re-validated independently.
 """
 
-from p3iso import is_isolating, isolation_number, isolation_number_additive
+from p3iso import is_isolating, isolation_number
 from p3iso import generators as gen
 
 c6 = gen.cycle(6)
@@ -24,7 +24,7 @@ print(f"C7 within budget 1? exact={budgeted.exact}, reported value ="
 
 # The isolation number is additive over components.
 two_cycles = gen.disjoint_union(gen.cycle(7), gen.cycle(7))
-print("iota(C7 + C7) =", isolation_number_additive(two_cycles).value,
+print("iota(C7 + C7) =", isolation_number(two_cycles).value,
       "(2 per component)")
 
 # The spine construction attains floor(n/4) exactly.

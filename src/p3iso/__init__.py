@@ -6,17 +6,18 @@ for connected subcubic graphs without induced 6-cycles, isomorph-free
 enumeration of small subcubic graphs, and a verification harness tying
 them together (CLI: ``p3iso``).
 
-``import p3iso`` loads ``graphcore``, ``patterns``, ``solver`` and
-``generators``, whose catalog self-check runs at import. The re-exports of
-``graph_io`` and ``constructive`` load their submodule on first use (PEP
-562); ``enumeration``, ``verify`` and ``cli`` load only when imported.
+``import p3iso`` loads ``graphcore``, ``check`` (the certificate recheck),
+``patterns``, ``solver`` and ``generators``, whose catalog self-check runs
+at import. The re-exports of ``graph_io`` and ``constructive`` load their
+submodule on first use (PEP 562); ``enumeration``, ``verify`` and ``cli``
+load only when imported.
 """
 
 from .graphcore import Graph, delete_vertices, distance, is_connected
+from .check import is_isolating, verify_certificate
 from .patterns import (P3, catalog_match, contains_copy, has_induced_cycle,
                        is_isomorphic)
-from .solver import (Certificate, is_isolating, isolation_number,
-                     isolation_number_additive)
+from .solver import Certificate, isolation_number
 from .generators import (BadOrder, CatalogEntry, CatalogSelfCheckFailed,
                          catalog, catalog_entry, complete, construction_B_p3,
                          cycle, path, random_eligible_graph,
@@ -26,14 +27,13 @@ _LAZY = {
     **dict.fromkeys(("emit_edge_list", "emit_graph6", "iter_graph6",
                      "parse_edge_list", "parse_graph6"), "graph_io"),
     **dict.fromkeys(("CaseTrace", "PreconditionViolated", "isolate_p3_subcubic",
-                     "path_cycle_isolating_set", "verify_certificate"),
-                    "constructive"),
+                     "path_cycle_isolating_set"), "constructive"),
 }
 
 __all__ = [
     "Graph", "delete_vertices", "distance", "is_connected",
     "P3", "catalog_match", "contains_copy", "has_induced_cycle", "is_isomorphic",
-    "Certificate", "is_isolating", "isolation_number", "isolation_number_additive",
+    "Certificate", "is_isolating", "isolation_number", "verify_certificate",
     "BadOrder", "CatalogEntry", "CatalogSelfCheckFailed", "catalog",
     "catalog_entry", "complete", "construction_B_p3", "cycle", "path",
     "random_eligible_graph", "random_subcubic_connected",

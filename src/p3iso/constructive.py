@@ -42,9 +42,10 @@ from collections import namedtuple
 from . import generators
 from . import patterns
 from . import solver
+from .check import is_isolating, verify_certificate  # bench/ calls it by this name
 from .graphcore import (Graph, Record, bit_indices, closed_mask,
                         connected_within, delete_vertices, is_connected, split_off)
-from .solver import Certificate, is_isolating
+from .solver import Certificate
 
 CASE_BASE = "Base<=15"
 CASE_PATH = "Delta<=2-Path"
@@ -137,21 +138,6 @@ def _detail_1based(detail: dict) -> dict:
 # -- public operations -------------------------------------------------------
 
 
-def verify_certificate(g: Graph, cert: Certificate) -> bool:
-    """Independent recheck: the set isolates and meets the claimed size.
-
-    Only the certificate's set is trusted; traces are never consulted. A
-    certificate made for a graph of another order, or whose set holds
-    anything but an int in 0..n-1 (a bool is not one) or one vertex twice,
-    fails before the set is tested.
-    """
-    vs = cert.set
-    if (cert.graph_order != g.n or len(set(vs)) != len(vs)
-            or not all(type(v) is int and 0 <= v < g.n for v in vs)):
-        return False
-    return is_isolating(g, vs) and len(vs) <= cert.value
-
-
 def _closed_form_positions(n: int, kind: str) -> range:
     """0-based positions along an n-vertex path or cycle that form its set.
 
@@ -186,10 +172,10 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
 
     Preconditions: connected, subcubic, no induced 6-cycle, not a catalog
     graph. Violations raise PreconditionViolated with the failed check's
-    name. The certificate is always revalidated with is_isolating and the
-    bound before being returned. A failed proof case, or an assembled set
-    that breaks the contract, raises InternalCaseExhausted whose
-    ``partial_cases`` are the case ids traced before the failure.
+    name. The set is always rechecked with check.verify_certificate
+    against the bound before being returned. A failed proof case, or an
+    assembled set that breaks the contract, raises InternalCaseExhausted
+    whose ``partial_cases`` are the case ids traced before the failure.
     """
     if not is_connected(g):
         raise PreconditionViolated("NotConnected")
@@ -203,7 +189,7 @@ def isolate_p3_subcubic(g: Graph) -> tuple[Certificate, CaseTrace]:
     trace = CaseTrace()
     try:
         dset = tuple(bit_indices(_solve(g, trace)))
-        _require(is_isolating(g, dset) and len(dset) <= g.n // 4,
+        _require(verify_certificate(g, Certificate(dset, g.n // 4, False, g.n)),
                  "assembled set violates the contract")
     except InternalCaseExhausted as exc:
         partial = trace.case_ids()

@@ -6,7 +6,8 @@ leaves H untouched. The first depth that admits a solution is the
 isolation number, and the deepening starts at a packing lower bound. The
 depth never exceeds ceil(n/3) in practice (an edge-isolating set is also
 path-isolating and those stay near n/3); that is a heuristic remark only,
-the loop is capped by n and by the caller's budget.
+the loop is capped by n and by the caller's budget. This module is search
+only: ``check`` rechecks the sets it returns, with code of its own.
 
 One failure memo per ``isolation_number`` call maps an alive mask to the
 largest remaining budget proven too small for it, and every deepening
@@ -50,8 +51,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphcore import (Graph, bit_indices, closed_mask, component_masks,
-                        delete_vertices)
+from .graphcore import Graph, bit_indices, closed_mask
 from .patterns import P3, contains_copy
 
 
@@ -69,17 +69,6 @@ class Certificate(namedtuple("Certificate", "set value exact graph_order")):
     """
 
     __slots__ = ()
-
-
-def is_isolating(g: Graph, vertices) -> bool:
-    """True iff G - N[D] contains no 3-path, for D the given vertices. A
-    vertex outside 0..n-1 raises ValueError."""
-    d_mask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-        d_mask |= 1 << v
-    return contains_copy(g, within=g.full_mask() & ~closed_mask(g, d_mask)) is None
 
 
 # a ranked offer: (N[copy], center bit, the center's ends, the one end that
@@ -298,16 +287,3 @@ def isolation_number(g: Graph, fam: str = P3,
             return Certificate(tuple(bit_indices(got)), k, True, g.n)
     assert budget is not None, "unbudgeted search must terminate by k = n"
     return Certificate(tuple(range(g.n)), budget + 1, False, g.n)
-
-
-def isolation_number_additive(g: Graph) -> Certificate:
-    """Isolation number as the sum over components (solved independently)."""
-    total = 0
-    bits = 0
-    for comp_mask in component_masks(g):
-        sub, old_of_new = delete_vertices(g, g.full_mask() & ~comp_mask)
-        cert = isolation_number(sub)
-        total += cert.value
-        for v in cert.set:
-            bits |= 1 << old_of_new[v]
-    return Certificate(tuple(bit_indices(bits)), total, True, g.n)

@@ -9,16 +9,18 @@ attachment set, and an exact search that scans the whole alive mask at
 every node), which the faster code must match exactly. Nothing imports
 the algorithms under test beyond the Graph value type itself, except the
 canonical-deletion reference, which is defined relative to the library's
-canonical labeling, and the whole-mask search, which shares the solver's
+canonical labeling, the whole-mask search, which shares the solver's
 failure memo and ``lex_min`` and replaces ``find``, the packing bound
-and its per-center offers table.
+and its per-center offers table, and the component sum, which solves each
+component with the solver.
 """
 
 from itertools import combinations, permutations
 
-from p3iso.graphcore import Graph, bit_indices, closed_mask
+from p3iso.graphcore import (Graph, bit_indices, closed_mask, component_masks,
+                             delete_vertices)
 from p3iso.patterns import contains_copy
-from p3iso.solver import _Search
+from p3iso.solver import Certificate, _Search, isolation_number
 
 
 def closed_nbhd_set(g: Graph, vs) -> set[int]:
@@ -52,6 +54,20 @@ def brute_iota_p3(g: Graph) -> int:
 
 def brute_min_isolating_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     return [c for c in combinations(range(g.n), k) if not has_p3_after(g, c)]
+
+
+def component_sum_iota(g: Graph) -> Certificate:
+    """The isolation number as the sum over components, each solved on
+    its own, with the union of their sets in g's labels."""
+    total = 0
+    bits = 0
+    for comp_mask in component_masks(g):
+        sub, old_of_new = delete_vertices(g, g.full_mask() & ~comp_mask)
+        cert = isolation_number(sub)
+        total += cert.value
+        for v in cert.set:
+            bits |= 1 << old_of_new[v]
+    return Certificate(tuple(bit_indices(bits)), total, True, g.n)
 
 
 def _closed_rows(g: Graph) -> list[int]:

@@ -15,18 +15,17 @@ from itertools import combinations_with_replacement
 import pytest
 
 from p3iso import generators as gen
-from p3iso.constructive import (isolate_p3_subcubic, path_cycle_isolating_set,
-                                verify_certificate)
+from p3iso.check import is_isolating, verify_certificate
+from p3iso.constructive import isolate_p3_subcubic, path_cycle_isolating_set
 from p3iso.enumeration import EnumSpec, iter_subcubic
 from p3iso.graph_io import emit_graph6, parse_graph6
 from p3iso.graphcore import Graph, delete_vertices, is_connected
 from p3iso.patterns import catalog_match, has_induced_cycle
-from p3iso.solver import (_Search, is_isolating, isolation_number,
-                          isolation_number_additive)
+from p3iso.solver import _Search, isolation_number
 from p3iso.verify import check_observations, verify_enumerated, verify_stream
 
 from conftest import atlas_by_order, spine_tree
-from oracles import closed_nbhd_set, encode_graph6_reference
+from oracles import closed_nbhd_set, component_sum_iota, encode_graph6_reference
 
 
 def criterion(num, desc):
@@ -188,7 +187,7 @@ def test_criterion_6_lemmas():
     # subcubic graph of order 8, and random connected general graphs
     def assert_additive(g):
         direct = isolation_number(g, canonical=False)
-        split = isolation_number_additive(g)
+        split = component_sum_iota(g)
         assert split.value == direct.value
         assert is_isolating(g, split.set)
 

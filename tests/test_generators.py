@@ -4,7 +4,8 @@ from p3iso import generators as gen
 from p3iso.generators import BadOrder, CatalogSelfCheckFailed
 from p3iso.graphcore import delete_vertices, is_connected
 from p3iso.patterns import catalog_match, has_induced_cycle, is_isomorphic
-from p3iso.solver import is_isolating, isolation_number
+from p3iso.check import is_isolating
+from p3iso.solver import isolation_number
 
 
 def test_standard_graphs():

@@ -66,6 +66,24 @@ assert not loaded, loaded
 """)
 
 
+def test_checker_loads_no_search_code():
+    # ``import p3iso`` loads the search for its re-exports, so check.py is
+    # loaded under a bare package object: only its own imports run
+    _probe(f"""
+import types
+sys.modules["p3iso"] = package = types.ModuleType("p3iso")
+package.__path__ = [{str(PACKAGE)!r}]
+import p3iso.check
+loaded = sorted(m for m in sys.modules if m.startswith("p3iso."))
+assert loaded == ["p3iso.check", "p3iso.graphcore"], loaded
+""")
+    # verify takes the recheck from check, not from constructive
+    _probe("""
+import p3iso.verify
+assert "p3iso.constructive" not in sys.modules
+""")
+
+
 def test_cli_import_loads_no_subcommand_module():
     # each subcommand imports the modules it runs, so ``p3iso gen`` or
     # ``p3iso catalog`` loads none of them

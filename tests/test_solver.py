@@ -8,17 +8,18 @@ from pathlib import Path
 import pytest
 
 import oracles
+from p3iso import check, patterns, solver
 from p3iso import generators as gen
-from p3iso import solver
+from p3iso.check import is_isolating
 from p3iso.graph_io import parse_graph6
-from p3iso.graphcore import Graph, delete_vertices
+from p3iso.graphcore import Graph, closed_mask, delete_vertices
 from p3iso.patterns import contains_copy
-from p3iso.solver import (Certificate, is_isolating, isolation_number,
-                          isolation_number_additive)
+from p3iso.solver import Certificate, isolation_number
 
 from conftest import connected_subcubic_upto, sorted_vertex_tuple, spine_tree
 from oracles import (brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set,
-                     reference_first_isolating_set, reference_packing_lower_bound)
+                     component_sum_iota, reference_first_isolating_set,
+                     reference_packing_lower_bound)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 IOTA_MID = SRC.parent / "bench" / "data" / "iota_mid.json"
@@ -33,6 +34,26 @@ def test_is_isolating_examples():
     for outside in ([7], [0, -1]):  # vertices of C7 are 0..6
         with pytest.raises(ValueError):
             is_isolating(c7, outside)
+    # the recheck's own 3-path test agrees with the search's copy finder
+    rng = random.Random(26)
+    for _ in range(3000):
+        g = gen.random_general_graph(rng.randint(1, 9), rng.random(), rng)
+        d = [v for v in range(g.n) if rng.random() < 0.25]
+        free = g.full_mask() & ~closed_mask(g, sum(1 << v for v in d))
+        assert is_isolating(g, d) == (contains_copy(g, within=free) is None)
+
+
+def test_recheck_catches_a_copy_finder_that_misses(monkeypatch):
+    # a copy finder that misses every 3-path in a mask of more than four
+    # vertices makes the search return a set that does not isolate; the
+    # recheck has its own 3-path test, so it rejects that set
+    real = patterns._find_p3
+    monkeypatch.setattr(patterns, "_find_p3",
+                        lambda g, alive: None if alive.bit_count() > 4 else real(g, alive))
+    g = gen.path(9)
+    cert = isolation_number(g)
+    assert cert.set == (0, 1)
+    assert not check.verify_certificate(g, cert)
 
 
 def test_isolation_number_catalog_values():
@@ -274,10 +295,10 @@ def test_hub_search_matches_whole_mask_search_extended(monkeypatch):
 
 def test_additivity_examples():
     two_c7 = gen.disjoint_union(gen.cycle(7), gen.cycle(7))
-    assert isolation_number_additive(two_c7).value == 4
-    assert isolation_number_additive(Graph.empty(5)).value == 0
+    assert isolation_number(two_c7).value == component_sum_iota(two_c7).value == 4
+    assert component_sum_iota(Graph.empty(5)).value == 0
     c7_k1 = gen.disjoint_union(gen.cycle(7), Graph.empty(1))
-    assert isolation_number_additive(c7_k1).value == 2
+    assert isolation_number(c7_k1).value == component_sum_iota(c7_k1).value == 2
 
 
 def test_additivity_matches_plain_on_unions(rng):
@@ -286,7 +307,7 @@ def test_additivity_matches_plain_on_unions(rng):
         g = rng.choice(pool)
         for _ in range(rng.randint(1, 2)):
             g = gen.disjoint_union(g, rng.choice(pool))
-        add = isolation_number_additive(g)
+        add = component_sum_iota(g)
         assert add.value == isolation_number(g).value
         assert is_isolating(g, add.set) and len(add.set) == add.value
         assert sorted_vertex_tuple(add, g.n)
