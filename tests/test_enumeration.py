@@ -79,6 +79,28 @@ def test_emitted_sequence_is_pinned(filter_id, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _walk_digest(n, filter_id):
+    text = "\n".join(emit_graph6(g) for g in iter_subcubic(EnumSpec(n, filter=filter_id)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_filtered_walk_to_10_is_pinned():
+    # the no-induced-C6 walk through order 10 (1664 graphs), graph6 lines
+    # in walk order, pinned before any change to the walk's decision rules
+    assert _walk_digest(10, "no-induced-c6") == (
+        "eeca1b6bec980d00d54456ad59048c2cddbca8763464d988eae1ff5eb1bdb44f")
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("n, filter_id, digest", [
+    (11, None, "9623223726e519aae59c2595333fdda083eeecfad5ff747118ef22cc209d6756"),
+    (12, "no-induced-c6", "c183009577088e600b4caf5598735b0b5a2278c75a40918bfd703306fa7441a4"),
+])
+def test_walk_is_pinned_extended(n, filter_id, digest):
+    # 8095 graphs unfiltered through order 11, 14704 filtered through 12
+    assert _walk_digest(n, filter_id) == digest
+
+
 @pytest.mark.extended
 def test_counts_to_11_extended():
     counts = enumerate_connected_subcubic(EnumSpec(11))
