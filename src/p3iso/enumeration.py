@@ -12,13 +12,34 @@ vertex in the last canonical position among those whose removal keeps the
 graph connected. Attachment sets are tried once per Aut(parent)-orbit,
 so each isomorphism class is constructed exactly once.
 
-Most children are decided without a labeling. Refinement colors start as
-degrees and never rank a lower degree above a higher one, and labelings
-list the color blocks in ascending order, so the canonical deletion has
-the top degree and then the top color among non-cut vertices. A child is
-rejected when a non-cut vertex outranks the newest one, and accepted when
-no other non-cut vertex shares its color; only the rest is labeled, and
-the labelings of an accepted child also give its automorphism group.
+Most children are decided without a labeling, by three rules. Refinement
+colors start as degrees, and labelings list the color blocks in
+ascending order, so the canonical deletion has the top color among
+non-cut vertices.
+
+- Doomed sets (``_augmentations``). A non-cut vertex v of the parent stays
+  non-cut in the child unless the attachment set S is {v}, and its degree
+  never falls. So for |S| = k, a non-cut parent vertex of degree > k
+  outranks the newest vertex in every child but the one with S = {v}, and
+  one of degree k inside S does when k >= 2. Such children would be
+  rejected; they are never built. The rule reads only degrees and cut
+  vertices, so it dooms whole Aut(parent)-orbits, and the first set of
+  every other orbit, hence every emitted graph, stays the same.
+- Decisions within refinement rounds (``_accepted``). A round's signature
+  leads with the previous color, so a round never reorders two vertices of
+  different colors: an order seen after any round holds in the stable
+  partition. The degrees count as the first round. A non-cut vertex
+  colored above the newest vertex rejects the child at once, and the
+  newest vertex alone in its top class accepts it; only a tie that lasts
+  to the stable partition goes on.
+- Twin ties (``_accepted``). A rival with the newest vertex's neighbors,
+  apart from each other, is its twin, and swapping the two is an
+  automorphism. When every non-cut rival is a twin, all of them share the
+  newest vertex's orbit, so it shares the orbit of the vertex at the
+  canonical position, and the child is accepted without a labeling.
+
+Only the rest is labeled, and the labelings of an accepted child also give
+its automorphism group.
 
 A shard ``(res, mod)`` follows the res/mod convention of nauty's geng
 (McKay & Piperno, J. Symb. Comput. 60, 2014): it walks down to the split
@@ -34,7 +55,7 @@ from collections.abc import Callable, Iterator
 from itertools import combinations, count
 
 from .graphcore import Graph, connected_within
-from .patterns import _refine_colors, canonical_data, has_induced_cycle
+from .patterns import _color_rounds, canonical_data, has_induced_cycle
 
 MAX_DEGREE = 3
 
@@ -94,34 +115,41 @@ def _accepted(g: Graph) -> tuple[bool, list[tuple[int, ...]] | None]:
     or None when the decision needed no labeling.
 
     The canonical deletion, at the last canonical position p* of a non-cut
-    vertex, has the top degree and then the top color among non-cut
-    vertices. n-1 is never a cut vertex: g - (n-1) is the connected parent.
+    vertex, has the top color among non-cut vertices. n-1 is never a cut
+    vertex: g - (n-1) is the connected parent. The rivals of n-1 are the
+    other vertices of its color; a cut vertex among them is dropped once
+    it matters (a leaf is never one). Each round is decided as the module
+    docstring says.
     """
-    n = g.n
     rows = g.rows
-    last = n - 1
+    last = g.n - 1
     full = g.full_mask()
     d = rows[last].bit_count()
-    # 1. a non-cut vertex of higher degree outranks n-1
-    for v in range(last):
-        if rows[v].bit_count() > d and connected_within(g, full & ~(1 << v)):
-            return False, None
-    # 2. so does a non-cut vertex of the same degree and a higher color;
-    # for d == 1 these are leaves, which are never cut vertices
-    colors = _refine_colors(g)
-    top = colors[last]
-    rivals = []
-    for v in range(last):
-        if (colors[v] >= top and rows[v].bit_count() == d
-                and (d == 1 or connected_within(g, full & ~(1 << v)))):
+
+    def noncut(v: int) -> bool:
+        return rows[v].bit_count() == 1 or connected_within(g, full & ~(1 << v))
+
+    rivals = [v for v in range(last) if rows[v].bit_count() >= d]
+    for colors in _color_rounds(g):
+        top = colors[last]
+        tied = []
+        for v in rivals:
             if colors[v] > top:
-                return False, None
-            rivals.append(v)
-    # 3. n-1 alone in the top class sits at p* in every labeling
-    if not rivals:
+                if noncut(v):  # outranks n-1 in every later round
+                    return False, None
+            elif colors[v] == top:
+                tied.append(v)
+        if not tied:  # n-1 alone on top in every later round
+            return True, None
+        rivals = tied
+    rivals = [v for v in rivals if noncut(v)]
+    # n-1 alone in the top class sits at p* in every labeling, and so does
+    # a vertex of its orbit when every rival is its twin
+    own = rows[last]
+    if all(rows[v] & ~(1 << last) == own & ~(1 << v) for v in rivals):
         return True, None
-    # 4. otherwise n-1 must share an orbit with the vertex at p*
-    _, labelings = canonical_data(g, colors)
+    # otherwise n-1 must share an orbit with the vertex at p*
+    _, labelings = canonical_data(g, tuple(colors))
     rivals.append(last)
     pstar = max(labelings[0].index(v) for v in rivals)
     if any(lab[pstar] == last for lab in labelings):
@@ -131,19 +159,42 @@ def _accepted(g: Graph) -> tuple[bool, list[tuple[int, ...]] | None]:
 
 def _augmentations(g: Graph, auts: list[tuple[int, ...]]) -> Iterator[Graph]:
     """One child per Aut(g)-orbit of attachment sets for a new vertex: the
-    first set of each orbit in combinations order."""
-    low = [v for v in range(g.n) if g.degree(v) < MAX_DEGREE]
+    first set of each orbit in combinations order. Doomed sets (see the
+    module docstring) are never built."""
+    n = g.n
+    rows = g.rows
+    full = g.full_mask()
+    # noncut[d]: the mask of g's non-cut vertices of degree d >= 2; a
+    # non-cut vertex of degree 3 dooms every set of size 1 or 2, and then
+    # the degree-2 ones no longer matter
+    noncut = [0] * (MAX_DEGREE + 1)
+    for d in (3, 2):
+        if noncut[3]:
+            break
+        for v in range(n):
+            if rows[v].bit_count() == d and connected_within(g, full & ~(1 << v)):
+                noncut[d] |= 1 << v
+    low = [v for v in range(n) if rows[v].bit_count() < MAX_DEGREE]
     seen: set[tuple[int, ...]] = set()  # the orbits of the sets tried
     for k in range(1, MAX_DEGREE + 1):
-        for sub in combinations(low, k):
+        above = 0
+        for d in range(k + 1, MAX_DEGREE + 1):
+            above |= noncut[d]
+        if k == 1 and above:
+            pool = [v for v in low if above == 1 << v]  # S = {v} or doomed
+        elif above:
+            continue
+        else:
+            pool = [v for v in low if not noncut[k] >> v & 1]
+        for sub in combinations(pool, k):
             if sub in seen:
                 continue
             seen.update(tuple(sorted([a[s] for s in sub])) for a in auts)
-            rows = list(g.rows) + [0]
+            child = list(rows) + [0]
             for s in sub:
-                rows[s] |= 1 << g.n
-                rows[g.n] |= 1 << s
-            yield Graph._trusted(g.n + 1, rows)
+                child[s] |= 1 << n
+                child[n] |= 1 << s
+            yield Graph._trusted(n + 1, child)
 
 
 def _children(g: Graph, labelings: list[tuple[int, ...]] | None,

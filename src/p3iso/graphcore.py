@@ -149,19 +149,25 @@ class Graph:
 
 def closed_mask(g: Graph, mask: int) -> int:
     """Bitmask of N[S] for the vertex bitmask S."""
-    out = mask
-    for v in bit_indices(mask):
-        out |= g.rows[v]
+    rows = g.rows
+    out = rest = mask
+    while rest:
+        low = rest & -rest
+        out |= rows[low.bit_length() - 1]
+        rest ^= low
     return out
 
 
 def _reach(g: Graph, seed: int, within: int) -> int:
     """The vertices of ``within`` reachable from ``seed`` inside ``within``."""
+    rows = g.rows
     comp = frontier = seed
     while frontier:
         grow = 0
-        for v in bit_indices(frontier):
-            grow |= g.rows[v]
+        while frontier:
+            low = frontier & -frontier
+            grow |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = grow & within & ~comp
         comp |= frontier
     return comp
@@ -209,8 +215,10 @@ def split_off(g: Graph, mask: int, kill: int) -> list[int]:
         while i < len(active):
             comp, front = active[i]
             grow = 0
-            for v in bit_indices(front):
-                grow |= rows[v]
+            while front:
+                low = front & -front
+                grow |= rows[low.bit_length() - 1]
+                front ^= low
             grow &= rest & ~comp
             front = grow
             for j in reversed(range(len(active))):
@@ -250,8 +258,11 @@ def delete_vertices(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     rows = []
     for v in keep:
         row = 0
-        for u in bit_indices(g.rows[v] & keep_mask):
-            row |= 1 << new_of_old[u]
+        rest = g.rows[v] & keep_mask
+        while rest:
+            low = rest & -rest
+            row |= 1 << new_of_old[low.bit_length() - 1]
+            rest ^= low
         rows.append(row)
     return Graph._trusted(len(keep), rows), tuple(keep)
 

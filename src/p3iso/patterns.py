@@ -15,6 +15,7 @@ all operations are pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .graphcore import Graph, bit_indices
@@ -147,25 +148,46 @@ def _neighbors(row: int) -> tuple[int, ...]:
     return tuple(bit_indices(row))
 
 
-def _refine_colors(g: Graph) -> tuple[int, ...]:
-    """1-dimensional color refinement; colors are small dense ints.
+def _color_rounds(g: Graph) -> Iterator[list[int]]:
+    """1-dimensional color refinement, round by round: the degrees first,
+    then the colors after each round, as small dense ints. The last list
+    is the stable partition.
 
     A round's colors refine the previous ones, so a round in which the
     class count stops growing, or reaches n, ends with an equitable
-    partition: another round would return the same dense ranks. Equal
-    colors mean equal degrees, so a signature can list a vertex's color and
-    its sorted neighbor colors in one flat tuple.
+    partition: another round would return the same dense ranks. A vertex's
+    signature is the int c*B^n - sum(B^(n-1-color(u)) for u in N(v)) with
+    B = max degree + 1: the sum writes the multiset of neighbor colors as n
+    base-B digits, lowest color the most significant, and stays below B^n.
+    Equal colors mean equal degrees, so the signatures order the vertices
+    as the tuples (c, *sorted neighbor colors) do, and the ranks are the
+    same. The signature leads with the previous color, so a round never
+    reorders two vertices of different colors.
     """
     nbrs = list(map(_neighbors, g.rows))
     colors = [len(nb) for nb in nbrs]
+    yield colors
+    n = len(colors)
+    base = max(colors, default=0) + 1
+    place = [base ** (n - 1 - c) for c in range(n)]
+    shift = base ** n
     classes = len(set(colors))
     while True:
-        sigs = [(c, *sorted([colors[u] for u in nb])) for c, nb in zip(colors, nbrs)]
+        weight = [place[c] for c in colors]
+        sigs = [c * shift - sum(map(weight.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [relabel[s] for s in sigs]
-        if len(relabel) in (classes, len(colors)):
-            return tuple(colors)
+        yield colors
+        if len(relabel) in (classes, n):
+            return
         classes = len(relabel)
+
+
+def _refine_colors(g: Graph) -> tuple[int, ...]:
+    """The stable partition of ``_color_rounds``."""
+    for colors in _color_rounds(g):
+        pass
+    return tuple(colors)
 
 
 def canonical_data(g: Graph, colors: tuple[int, ...] | None = None

@@ -91,12 +91,12 @@ class VerificationReport(Record):
 
 
 def _check_one(g: Graph, report: VerificationReport) -> None:
+    """The bound check on one connected subcubic graph."""
     row = report.row(g.n)
     t0 = time.perf_counter()
     row.examined += 1
     try:
-        if (g.max_degree() > 3 or not is_connected(g)
-                or patterns.has_induced_cycle(g, 6) is not None):
+        if patterns.has_induced_cycle(g, 6) is not None:
             return
         row.eligible += 1
         cert = solver.isolation_number(g, budget=g.n // 4, canonical=False)
@@ -148,7 +148,9 @@ def verify_stream(lines) -> VerificationReport:
     """Run the bound check over a graph6 stream (one graph per line).
 
     Every line read, blank ones included, counts in ``lines_read``. A line
-    that does not decode is recorded in ``skipped`` and fails the run.
+    that does not decode is recorded in ``skipped`` and fails the run. A
+    graph that is not connected and subcubic is examined, not eligible;
+    the enumerated walk makes no other kind.
     """
     report = VerificationReport()
 
@@ -158,10 +160,12 @@ def verify_stream(lines) -> VerificationReport:
             yield line
 
     for lineno, item in iter_graph6(counted()):
-        if isinstance(item, Graph):
-            _check_one(item, report)
-        else:
+        if not isinstance(item, Graph):
             report.skipped.append((lineno, str(item)))
+        elif item.max_degree() > 3 or not is_connected(item):
+            report.row(item.n).examined += 1
+        else:
+            _check_one(item, report)
     return report
 
 

@@ -6,6 +6,7 @@ import pytest
 from p3iso import generators as gen
 from p3iso import patterns, solver
 from p3iso.graph_io import emit_graph6
+from p3iso.graphcore import Graph
 from p3iso.solver import Certificate, isolation_number
 from p3iso.verify import (ObservationResult, check_observations,
                           verify_enumerated, verify_stream)
@@ -92,6 +93,19 @@ def test_verify_stream_counts_ineligible():
     by_order = {r["order"]: r for r in row}
     assert by_order[6]["examined"] == 1 and by_order[6]["eligible"] == 0
     assert by_order[5]["eligible"] == 1
+
+
+def test_verify_stream_counts_disconnected_and_non_subcubic_as_ineligible():
+    # the stream path alone tests connectivity and degree: the walk makes
+    # only connected subcubic graphs
+    k2 = gen.path(2)
+    star = Graph.from_edges(5, [(0, v) for v in range(1, 5)])  # K1,4
+    report = verify_stream([emit_graph6(gen.disjoint_union(k2, k2)), emit_graph6(star)])
+    by_order = {r["order"]: r for r in report.to_dict()["orders"]}
+    for n in (4, 5):
+        assert (by_order[n]["examined"], by_order[n]["eligible"]) == (1, 0)
+        assert by_order[n]["violations"] == [] and by_order[n]["exceptions"] == {}
+    assert report.passed
 
 
 def test_verify_stream_counts_every_line():
