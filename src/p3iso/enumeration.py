@@ -177,9 +177,7 @@ def _augmentations(g: Graph, auts: list[tuple[int, ...]]) -> Iterator[Graph]:
     low = [v for v in range(n) if rows[v].bit_count() < MAX_DEGREE]
     seen: set[tuple[int, ...]] = set()  # the orbits of the sets tried
     for k in range(1, MAX_DEGREE + 1):
-        above = 0
-        for d in range(k + 1, MAX_DEGREE + 1):
-            above |= noncut[d]
+        above = sum(noncut[k + 1:])  # non-cut, degree > k; the masks are disjoint
         if k == 1 and above:
             pool = [v for v in low if above == 1 << v]  # S = {v} or doomed
         elif above:

@@ -75,11 +75,11 @@ def test_counts_to_9():
 ])
 def test_emitted_sequence_is_pinned(filter_id, digest):
     # the same labeled graphs in the same order as the full-labeling walk
-    text = "\n".join(emit_graph6(g) for g in iter_subcubic(EnumSpec(9, filter=filter_id)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _walk_digest(9, filter_id) == digest
 
 
 def _walk_digest(n, filter_id):
+    """sha256 of the walk's graph6 lines, in walk order."""
     text = "\n".join(emit_graph6(g) for g in iter_subcubic(EnumSpec(n, filter=filter_id)))
     return hashlib.sha256(text.encode()).hexdigest()
 
