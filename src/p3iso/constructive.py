@@ -29,9 +29,13 @@ graphcore.split_off, which walks out from the boundary of the deleted set,
 or a remainder that split_off shows to be one component (_rest). The root
 piece is the whole input graph, whose connectivity isolate_p3_subcubic
 checks as a precondition. _piece refuses a catalog copy on entry; the
-cases check only the component shapes they rely on. Any mismatch raises
-InternalCaseExhausted, at every order, with the case ids traced so far: a
-failed case is reported, never covered by another algorithm.
+cases check only the component shapes they rely on, and a failed check
+raises InternalCaseExhausted with the case ids traced so far: a failed
+case is reported, never covered by another algorithm. A branch that the
+catalog's own data rules out has no code: the tests pin each such catalog
+fact, and fail when a statement of the cases stops running. Two statements
+have no witness input: the exceptional-remainder ``continue`` of
+_case223_non_cycle and its closing raise.
 """
 
 from __future__ import annotations
@@ -326,14 +330,6 @@ def _base(g: Graph, mask: int, trace: CaseTrace, memo: dict,
     return sum(1 << u for u in chosen)
 
 
-def _plain_or_small(g: Graph, mask: int, trace: CaseTrace, memo: dict, note: str):
-    """Solve a piece that may be a small exceptional component: a piece of
-    order <= 15 takes the base step here, a larger one is yielded."""
-    if mask.bit_count() <= 15:
-        return _base(g, mask, trace, memo, note)
-    return (yield mask)
-
-
 # -- the recursion ---------------------------------------------------------------
 
 
@@ -443,10 +439,8 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace, memo: dict
                                                  trace, memo, k))
     if h1.cid in ("G71", "G72", "G73", "G75"):
         return (yield from _case223_non_cycle(g, mask, h1, x1, trace, memo))
-    if h1.cid in ("P3", "C3"):
-        return (yield from _case224(g, mask, v, nbrs, h1, trace, memo))
-    raise InternalCaseExhausted(
-        f"component {h1.cid} cannot be doubly linked")  # G74/G76 have one open slot
+    # P3 or C3: G74 and G76 have one open slot, so they cannot be linked twice
+    return (yield from _case224(g, mask, v, nbrs, h1, trace, memo))
 
 
 def _case1(g, v, x, nv, exceptional, regular, trace):
@@ -539,21 +533,16 @@ def _case_inner(g, mask, h1, x1, x1p, trace):
 def _case223_non_cycle(g, mask, h1, x1, trace, memo):
     """H1 in {G71, G72, G73, G75}: delete a prescribed inner degree-3 vertex.
 
-    A suitable y* (full degree, outside the closed neighborhood of x1's
-    attachment, leaving a connected 3-vertex remnant inside H1 and a
-    connected non-exceptional remainder overall) always exists for these
-    four graphs; the candidates are scanned in label order.
+    y* is the first vertex in label order of full degree in H1, outside the
+    closed neighborhood of x1's attachment, that leaves a non-exceptional
+    remainder. It has no edge leaving H1, since g is subcubic, and H1 - N[y*]
+    is a connected 3-vertex graph (a catalog fact pinned in the tests).
     """
     h_mask = h1.mask
     a1 = _attachments(g, x1, h_mask)[0]
     banned = closed_mask(g, 1 << a1)
     for ystar in bit_indices(h_mask & ~banned):
         if _degree(g, h_mask, ystar) != 3:
-            continue
-        remnant = h_mask & ~closed_mask(g, 1 << ystar)
-        if remnant.bit_count() != 3 or not connected_within(g, remnant):
-            continue
-        if g.rows[ystar] & mask & ~h_mask:
             continue
         kill = closed_mask(g, 1 << ystar) & mask
         star = _rest(g, mask, kill)
@@ -609,8 +598,10 @@ def _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace, memo):
     _require((gv_mask >> w) & 1, "v and w should share a component")
     bits = sum(1 << p for p in d_prime)
     bits |= yield from _each(others)
-    bits |= yield from _plain_or_small(g, gv_mask, trace, memo,
-                                       "C11-disconnected remainder")
+    if gv_mask.bit_count() <= 15:  # may be a small exceptional copy
+        bits |= _base(g, gv_mask, trace, memo, "C11-disconnected remainder")
+    else:
+        bits |= yield gv_mask
     return _close(g, trace, bits, CASE_222, d_prime, kill, subcase="C11-disconnected",
                   normalization={i + 1: psi[i] for i in range(11)})
 
@@ -704,8 +695,10 @@ def _case224(g, mask, v, nbrs, h1, trace, memo):
                     "exactly one component should hold w")
     _require((gw_mask >> w) & 1, "w missing from its component")
     bits = 1 << x1
-    bits |= yield from _plain_or_small(g, gw_mask, trace, memo,
-                                       "Case 2.2.4 w-side remainder")
+    if gw_mask.bit_count() <= 15:  # may be a small exceptional copy
+        bits |= _base(g, gw_mask, trace, memo, "Case 2.2.4 w-side remainder")
+    else:
+        bits |= yield gw_mask
     return _close(g, trace, bits, CASE_224, [x1], kill | k2_mask,
                   subcase="ends-x1x1p-edge")
 
@@ -730,12 +723,10 @@ def _case224_double(g, mask, v, y1, x1, x1p, w, y_mid, y_far, trace, memo):
         psi = _normalize(g, gv_mask, "G71", pin=v)
         _require(psi is not None, "leaf-pinned isomorphism to the order-7 copy failed")
         chosen = [w, y1, psi[2]]
-    elif cm == "P3":
+    else:  # P3: of the catalog graphs only P3 and G71 have a leaf
         _require(not (gv_mask >> y_far) & 1,
                  "far end inside the P3 remainder forces order 7")
         chosen = [w, y1]
-    else:
-        raise InternalCaseExhausted(f"leaf remainder matched {cm}, expected P3 or G71")
     bits = sum(1 << u for u in chosen) | (yield from _each(side_parts))
     return _close(g, trace, bits, CASE_224, chosen, removed | gv_mask,
                   subcase=f"double-attachment-{cm}")

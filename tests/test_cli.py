@@ -184,13 +184,19 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     # a doubled sign in an edge list is a format error, not a crash
     (b"3 1\n1 --2\n", ["iota", "--format", "edges", "FILE"], 2, "", "bad edge line"),
     (b"--3 0\n", ["iota", "--format", "edges", "FILE"], 2, "", "bad header"),
+    # a path that cannot be opened is an input error
+    (b"", ["iota", "MISSING"], 2, "", "input error:"),
+    (b"", ["iota", "DIR"], 2, "", "input error:"),
+    # an extended order header cut short
+    (b"~~??\n", ["iota", "FILE"], 2, "", "incomplete 8-byte order header"),
 ])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, data, argv, code, out, err):
     path = tmp_path / "input"
     path.write_bytes(data)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     try:
-        got = main([str(path) if a == "FILE" else a for a in argv])
+        paths = {"FILE": path, "MISSING": tmp_path / "missing", "DIR": tmp_path}
+        got = main([str(paths.get(a, a)) for a in argv])
     except SystemExit as exc:  # argparse rejects bad arguments this way
         got = exc.code
     captured = capsys.readouterr()
@@ -233,6 +239,9 @@ def test_check_observations(capsys):
     code, out, _ = run(capsys, "check-observations")
     assert code == 0
     assert out.count("PASS") == 10 and "FAIL" not in out
+    code, out, _ = run(capsys, "check-observations", "--json")
+    recs = json.loads(out)
+    assert code == 0 and len(recs) == 10 and all(r["passed"] for r in recs)
 
 
 def test_gen_and_iota_pipeline(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import ast
 import hashlib
+import itertools
 import json
 import random
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from p3iso.check import is_isolating, verify_certificate
 from p3iso.constructive import (InternalCaseExhausted, PreconditionViolated,
                                 isolate_p3_subcubic, path_cycle_isolating_set)
 from p3iso.enumeration import EnumSpec, iter_subcubic
-from p3iso.graphcore import Graph, closed_mask, delete_vertices
+from p3iso.graphcore import Graph, closed_mask, connected_within, delete_vertices
 from p3iso.solver import Certificate, isolation_number
 
 from conftest import connected_subcubic_upto, sorted_vertex_tuple
@@ -295,16 +298,42 @@ def test_targeted_case(name, g, case, sub):
     check(g, want_case=case, want_sub=sub)
 
 
-def test_case222_c11_disconnected_mirror():
+def c11_mirror_graph():
     # x1' attaches at psi[10], not psi[1], so the C11-disconnected step takes
     # the mirrored D' = {psi[0], psi[5], psi[10]}; kept out of
     # targeted_graphs(), whose names are the golden fixture's keys
     c11 = [(i, i + 1) for i in range(4, 14)] + [(4, 14)]
-    g = Graph.from_edges(17, FRAME + c11 + [(1, 4), (2, 14), (3, 15), (15, 16)])
+    return Graph.from_edges(17, FRAME + c11 + [(1, 4), (2, 14), (3, 15), (15, 16)])
+
+
+def test_case222_c11_disconnected_mirror():
+    g = c11_mirror_graph()
     _, trace = check(g, want_case="Case2.2.2", want_sub="C11-disconnected")
     step = next(s for s in trace.steps if s.detail.get("subcase") == "C11-disconnected")
     psi = step.detail["normalization"]
     assert step.chosen == (4, 9, 14) == (psi[1], psi[6], psi[11])
+
+
+def large_remainder_graphs():
+    """(name, graph, case, subcase) whose remainder beside the case's chosen
+    vertices is above order 15, so the case yields it instead of taking the
+    base step; kept out of targeted_graphs(), whose names are the golden
+    fixture's keys."""
+    c11 = [(i, i + 1) for i in range(4, 14)] + [(4, 14)]
+    return [
+        ("c11-disconnected-order-18-rest", Graph.from_edges(31, FRAME + c11 +
+            [(1, 4), (2, 5), (3, 15)] + path_edges(15, 30)),
+         "Case2.2.2", "C11-disconnected"),
+        ("ends-order-19-wside", Graph.from_edges(25, FRAME +
+            [(4, 5), (5, 6), (1, 4), (2, 6), (1, 2), (3, 7)] + path_edges(7, 24)),
+         "Case2.2.4", "ends-x1x1p-edge"),
+    ]
+
+
+@pytest.mark.parametrize("name,g,case,sub", large_remainder_graphs(),
+                         ids=[t[0] for t in large_remainder_graphs()])
+def test_large_remainder_is_yielded(name, g, case, sub):
+    check(g, want_case=case, want_sub=sub)
 
 
 def test_g73_component_cannot_be_doubly_linked():
@@ -326,12 +355,16 @@ def test_g73_component_cannot_be_doubly_linked():
             assert has_induced_cycle(g, 6) is not None
 
 
+def plain_graphs():
+    """(graph, case) for the steps that meet no exceptional component."""
+    return [(gen.cycle(16), "Delta<=2-Cycle"), (gen.path(17), "Delta<=2-Path"),
+            (Graph.from_edges(17, FRAME + [(1, 4), (2, 5), (3, 6)] + path_edges(6, 16)),
+             "NoExceptional")]
+
+
 def test_no_exceptional_and_delta2_cases():
-    check(gen.cycle(16), want_case="Delta<=2-Cycle")
-    check(gen.path(17), want_case="Delta<=2-Path")
-    g = Graph.from_edges(17, FRAME + [(1, 4), (2, 5), (3, 6)] +
-                         path_edges(6, 16))
-    check(g, want_case="NoExceptional")
+    for g, case in plain_graphs():
+        check(g, want_case=case)
 
 
 def test_random_eligible_corpus(rng):
@@ -444,12 +477,17 @@ def caterpillar(n):
                             [(i, k + i) for i in range(k)])
 
 
+def golden_random():
+    """The criterion-5 random corpus of the golden fixture, in order."""
+    rng = random.Random(0xD15C0)
+    for i in range(1000):
+        yield f"random-{i}", gen.random_eligible_graph(rng.randint(16, 60), rng)
+
+
 def golden_corpus():
     """(name, graph) pairs whose traces are pinned in the golden fixture."""
     out = [(name, g) for name, g, _, _ in targeted_graphs()]
-    rng = random.Random(0xD15C0)  # the criterion-5 random corpus
-    for i in range(1000):
-        out.append((f"random-{i}", gen.random_eligible_graph(rng.randint(16, 60), rng)))
+    out += golden_random()
     out += [(f"caterpillar-{n}", caterpillar(n)) for n in (200, 600)]
     rng = random.Random(2501)
     out += [(f"blocktree-{n}", gen.random_eligible_graph(n, rng)) for n in (120, 250, 400)]
@@ -549,6 +587,153 @@ def test_long_caterpillar_scales():
     assert time.perf_counter() - start < 10
     assert verify_certificate(g, cert)
     assert len(cert.set) <= g.n // 4
+
+
+# -- the catalog facts that stand in for deleted branches --------------------------
+
+
+def test_only_p3_and_g71_have_a_leaf():
+    # _case224_double: v is a leaf of the exceptional remainder, so that
+    # remainder is a P3 or a G71 copy
+    assert {e.id for e in gen.catalog() if 1 in e.graph.degrees()} == {"P3", "G71"}
+
+
+def test_open_slots_of_the_catalog():
+    # the dispatch: a component that reaches its last branch is linked to two
+    # neighbors of v and needs two open slots; G74 and G76 have one each
+    slots = {e.id: sum(3 - d for d in e.graph.degrees()) for e in gen.catalog()}
+    assert slots == {"P3": 5, "C3": 3, "C7": 7, "G71": 5, "G72": 3, "G73": 3,
+                     "G74": 1, "G75": 3, "G76": 1, "C11": 11, "G11": 5, "G15": 3}
+
+
+def test_inner_vertex_leaves_a_connected_triple():
+    # _case223_non_cycle: for an attachment a (degree <= 2) of these graphs,
+    # some degree-3 y lies outside N[a], and every such y leaves H - N[y]
+    # a connected 3-vertex graph
+    pairs = 0
+    for cid in ("G71", "G72", "G73", "G75"):
+        h = gen.catalog_entry(cid).graph
+        for a in (t for t in range(h.n) if h.degree(t) <= 2):
+            pairs += 1
+            ys = [y for y in range(h.n)
+                  if h.degree(y) == 3 and not (closed_mask(h, 1 << a) >> y) & 1]
+            assert ys, (cid, a)
+            for y in ys:
+                rest = h.full_mask() & ~closed_mask(h, 1 << y)
+                assert rest.bit_count() == 3 and connected_within(h, rest), (cid, a, y)
+    assert pairs == 13
+
+
+# -- every statement of the cases runs ---------------------------------------------
+
+# (function, block header, statement) of each statement of the case layer
+# that no input of the gate below runs
+UNRUN_ALLOWED = sorted([
+    # a failed check: only the tests that break a case on purpose reach it
+    ("_require", "if not cond:", "raise InternalCaseExhausted(msg)"),
+    # no known input leaves an exceptional remainder once N[y*] is deleted
+    ("_case223_non_cycle", "if _catalog_id(g, star, memo) is not None:", "continue"),
+    # reached only if every candidate y* leaves an exceptional remainder
+    ("_case223_non_cycle", "",
+     'raise InternalCaseExhausted(f"no usable inner vertex in a {h1.cid} component")'),
+])
+
+
+def case_layer():
+    """The module-level functions of constructive that _solve reaches,
+    directly or through the cases, and the ids of the code objects they
+    hold (hashing a code object hashes its whole body)."""
+    found, codes, todo = set(), set(), [constructive._solve]
+    while todo:
+        fn = todo.pop()
+        if fn.__name__ in found:
+            continue
+        found.add(fn.__name__)
+        inner = [fn.__code__]
+        while inner:  # generator expressions and lambdas have their own code
+            code = inner.pop()
+            codes.add(id(code))
+            inner += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            todo += [f for f in map(vars(constructive).get, code.co_names)
+                     if isinstance(f, types.FunctionType)
+                     and f.__module__ == constructive.__name__]
+    return found, codes
+
+
+def _header(src: list[bytes], node) -> tuple[str, range]:
+    """A statement's source on one line, a compound one's header only, and
+    the lines that text spans; ``src`` is the module's lines as UTF-8, in
+    which the syntax tree counts its column offsets."""
+    end = node
+    if hasattr(node, "body"):
+        end = [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)][-1]
+    seg = src[node.lineno - 1:end.end_lineno]
+    seg[-1] = seg[-1][:end.end_col_offset]
+    seg[0] = seg[0][node.col_offset:]
+    text = " ".join(b" ".join(seg).decode().split())
+    return text + (":" if end is not node else ""), range(node.lineno, end.end_lineno + 1)
+
+
+def _statements(src: list[bytes], name: str, guard: str, block, out: list) -> None:
+    """(key, lines) of each statement in ``block``, nested ones included; a
+    try statement stands for nothing itself."""
+    for node in block:
+        if isinstance(node, ast.Try):
+            _statements(src, name, guard, node.body, out)
+            for h in node.handlers:
+                _statements(src, name, _header(src, h)[0], h.body, out)
+            _statements(src, name, "else:", node.orelse, out)
+            continue
+        text, lines = _header(src, node)
+        out.append(((name, guard, text), lines))
+        if hasattr(node, "body"):
+            _statements(src, name, text, node.body, out)
+        orelse = getattr(node, "orelse", [])
+        if orelse and _header(src, orelse[0])[0].startswith("elif "):
+            _statements(src, name, guard, orelse, out)
+        else:
+            _statements(src, name, "else:", orelse, out)
+
+
+def case_layer_inputs():
+    """Named inputs that between them run every statement of the case layer
+    but those of UNRUN_ALLOWED."""
+    golden = dict(itertools.islice(golden_random(), 225))
+    return ([g for _, g, _, _ in targeted_graphs()] + [c11_mirror_graph()]
+            + [g for _, g, _, _ in large_remainder_graphs()]
+            + [g for g, _ in plain_graphs()]
+            + [golden["random-6"], golden["random-224"]])  # _case21's leftovers
+
+
+def unrun_statements(graphs) -> list:
+    """The statements of the case layer whose lines no run over ``graphs``
+    reaches, keyed by function, block header and source text."""
+    names, codes = case_layer()
+    ran = set()
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return on_line
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if id(frame.f_code) in codes else None)
+    try:
+        for g in graphs:
+            isolate_p3_subcubic(g)
+    finally:
+        sys.settrace(before)
+    src = Path(constructive.__file__).read_bytes()
+    lines, statements = src.splitlines(), []
+    for node in ast.parse(src).body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            _statements(lines, node.name, "", body, statements)
+    return sorted(key for key, span in statements if ran.isdisjoint(span))
+
+
+def test_every_statement_of_the_cases_runs():
+    assert unrun_statements(case_layer_inputs()) == UNRUN_ALLOWED
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ def test_construction_validation():
     with pytest.raises(ValueError):
         Graph(2, [0b10, 0b00])  # asymmetric
     with pytest.raises(ValueError):
+        Graph(2, [0b100, 0])  # a neighbor outside 0..n-1
+    with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(1, 1)])
@@ -178,6 +180,9 @@ def test_distance_examples():
 
     two = Graph.empty(2)
     assert distance(two, 0, 1) == math.inf
+    for u, v in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            distance(two, u, v)
 
 
 def test_handshake_over_enumeration():

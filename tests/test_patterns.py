@@ -68,6 +68,8 @@ def test_induced_cycle_examples():
     assert has_induced_cycle(gen.catalog_entry("G15").graph, 6) is None
     assert has_induced_cycle(gen.complete(4), 4) is None  # every C4 is chorded
     assert has_induced_cycle(gen.cycle(7), 6) is None
+    with pytest.raises(ValueError, match="cycle length"):
+        has_induced_cycle(gen.cycle(7), 2)
     # a ``through`` vertex outside 0..n-1 is refused, even where n < k
     for g, through in ((gen.cycle(8), 8), (gen.cycle(8), -1), (gen.cycle(5), 9)):
         with pytest.raises(ValueError, match=f"vertex {through} outside"):
