@@ -47,15 +47,14 @@ def _open(path: str):
         raise InputError(str(exc)) from None
 
 
-def _read_graphs(path: str, fmt: str | None) -> list[Graph]:
-    """Autodetect edge list ("n m" header) vs graph6 lines unless forced."""
+def _read_graphs(path: str) -> list[Graph]:
+    """An edge list if the first nonblank line is an "n m" header of two
+    all-digit tokens, else graph6 lines, which hold no digit or space."""
     with _open(path) as fh:
         text = fh.read()
     lines = text.split("\n")  # numbered as the file object numbers them
-    if fmt is None:
-        head = next((ln.split() for ln in lines if ln.strip()), [])
-        fmt = "edges" if len(head) == 2 and all(t.isdigit() for t in head) else "graph6"
-    if fmt == "edges":
+    head = next((ln.split() for ln in lines if ln.strip()), [])
+    if len(head) == 2 and all(t.isdigit() for t in head):
         try:
             return [parse_edge_list(text)]
         except EdgeListError as exc:
@@ -82,7 +81,7 @@ def _one_based(vs: tuple[int, ...]) -> list[int]:
 
 
 def cmd_iota(args) -> int:
-    graphs = _read_graphs(args.input, args.format)
+    graphs = _read_graphs(args.input)
     out = []
     for g in graphs:
         cert = isolation_number(g, budget=args.budget)
@@ -110,7 +109,7 @@ def cmd_isolate(args) -> int:
     from .constructive import (InternalCaseExhausted, PreconditionViolated,
                                isolate_p3_subcubic)
 
-    graphs = _read_graphs(args.input, args.format)
+    graphs = _read_graphs(args.input)
     out = []
     code = 0
     for i, g in enumerate(graphs, 1):
@@ -246,14 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iota", help="exact P3-isolation number of input graphs")
     p.add_argument("input", help="file of graph6 lines or an edge list; - for stdin")
-    p.add_argument("--format", choices=["graph6", "edges"], default=None)
     p.add_argument("--budget", type=_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_iota)
 
     p = sub.add_parser("isolate", help="constructive floor(n/4) isolating set")
     p.add_argument("input")
-    p.add_argument("--format", choices=["graph6", "edges"], default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true",
                    help="print the case trace as JSON lines")

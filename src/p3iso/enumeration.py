@@ -59,14 +59,16 @@ from .patterns import _color_rounds, canonical_data, has_induced_cycle
 
 MAX_DEGREE = 3
 
-# Filter ids. Every filter is closed under induced subgraphs, so a graph
-# that fails one has no passing descendant and its subtree is pruned. The
-# walk grows only graphs that pass, so a filter tests a candidate child
-# before its canonical-deletion test, and only for structures through the
-# newest vertex n-1: the rest of the child is its parent, which passed.
-_HEREDITARY_FILTERS = {
-    "no-induced-c6": lambda g: has_induced_cycle(g, 6, through=g.n - 1) is None,
-}
+
+def _no_induced_c6(g: Graph) -> bool:
+    """The "no-induced-c6" filter, the walk's one filter: does g have no
+    induced 6-cycle through its newest vertex n-1? The filter is closed
+    under induced subgraphs, so a graph that fails it has no passing
+    descendant and its subtree is pruned. The walk grows only graphs that
+    pass, so it tests a candidate child before its canonical-deletion test,
+    and only for cycles through n-1: the rest of the child is its parent,
+    which passed."""
+    return has_induced_cycle(g, 6, through=g.n - 1) is None
 
 
 class EnumSpec(namedtuple("EnumSpec", "max_n filter shard")):
@@ -79,7 +81,7 @@ class EnumSpec(namedtuple("EnumSpec", "max_n filter shard")):
                 shard: tuple[int, int] = (0, 1)):
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if filter is not None and filter not in _HEREDITARY_FILTERS:
+        if filter not in (None, "no-induced-c6"):
             raise ValueError(f"unknown filter id {filter!r}")
         if not 0 <= shard[0] < shard[1]:
             raise ValueError(f"shard (res, mod) = {shard}: need 0 <= res < mod")
@@ -214,7 +216,7 @@ def iter_subcubic(spec: EnumSpec) -> Iterator[Graph]:
     depth-first. A graph that fails the filter prunes its subtree; the
     order-1 root has no structure to fail it."""
     res, mod = spec.shard
-    keep = None if spec.filter is None else _HEREDITARY_FILTERS[spec.filter]
+    keep = None if spec.filter is None else _no_induced_c6
     # deeper splits balance the shards; every shard repeats the walk above
     split = max(1, spec.max_n - 2)
     at_split = count()

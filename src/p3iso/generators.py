@@ -46,7 +46,7 @@ def complete(n: int) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.rows) + [row << g.n for row in h.rows]
-    return Graph(g.n + h.n, rows)
+    return Graph._trusted(g.n + h.n, rows)
 
 
 def attach_pendant(g: Graph, h: Graph, gv: int, hv: int) -> Graph:

@@ -29,27 +29,7 @@ class Graph6Error(ValueError):
     pass
 
 
-class MalformedHeader(Graph6Error):
-    pass
-
-
-class TruncatedBits(Graph6Error):
-    pass
-
-
 class EdgeListError(ValueError):
-    pass
-
-
-class DuplicateEdge(EdgeListError):
-    pass
-
-
-class SelfLoop(EdgeListError):
-    pass
-
-
-class OutOfRange(EdgeListError):
     pass
 
 
@@ -61,17 +41,17 @@ _TO_TEXT = bytes((b + 63) & 255 for b in range(256))
 def _decode_order(line: str) -> tuple[int, int]:
     """(n, index where the body starts)."""
     if not line:
-        raise MalformedHeader("empty line")
+        raise Graph6Error("empty line")
     if line[0] != "~":
         return ord(line[0]) - 63, 1
     if len(line) >= 2 and line[1] == "~":
         chunk, start = line[2:8], 8
         if len(chunk) < 6:
-            raise MalformedHeader("incomplete 8-byte order header")
+            raise Graph6Error("incomplete 8-byte order header")
     else:
         chunk, start = line[1:4], 4
         if len(chunk) < 3:
-            raise MalformedHeader("incomplete 4-byte order header")
+            raise Graph6Error("incomplete 4-byte order header")
     n = 0
     for ch in chunk:
         n = (n << 6) | (ord(ch) - 63)
@@ -81,18 +61,19 @@ def _decode_order(line: str) -> tuple[int, int]:
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line.
 
-    Raises MalformedHeader/TruncatedBits on structural damage. Nonzero
-    padding bits are ignored (the payload is still unambiguous).
+    Raises Graph6Error, with a message naming the fault, on a character
+    outside 63..126, a short order header or a body of the wrong length.
+    Nonzero padding bits are ignored (the payload is still unambiguous).
     """
     line = line.rstrip("\n")
     bad = _OUTSIDE_RANGE.search(line)
     if bad:
-        raise MalformedHeader(f"character {bad.group()!r} outside graph6 range 63..126")
+        raise Graph6Error(f"character {bad.group()!r} outside graph6 range 63..126")
     n, start = _decode_order(line)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(line) - start != need:
-        raise TruncatedBits(
+        raise Graph6Error(
             f"order {n} needs {need} body characters, got {len(line) - start}")
     rows = [0] * n
     # bit p of the body (from the first character's high bit) is the pair
@@ -161,12 +142,12 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(f"bad edge line {ln!r}")
         u, v = int(pair[1]), int(pair[2])
         if not (1 <= u <= n and 1 <= v <= n):
-            raise OutOfRange(f"edge {u} {v} outside 1..{n}")
+            raise EdgeListError(f"edge {u} {v} outside 1..{n}")
         if u == v:
-            raise SelfLoop(f"self-loop at {u}")
+            raise EdgeListError(f"self-loop at {u}")
         u, v = u - 1, v - 1
         if (rows[u] >> v) & 1:
-            raise DuplicateEdge(f"duplicate edge {u + 1} {v + 1}")
+            raise EdgeListError(f"duplicate edge {u + 1} {v + 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph._trusted(n, rows)

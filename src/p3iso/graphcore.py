@@ -73,7 +73,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from 0-based vertex pairs."""
+        """Build a graph from 0-based vertex pairs, each checked here."""
+        if n < 0:
+            raise ValueError(f"need exactly {n} adjacency rows, got 0")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -84,7 +86,7 @@ class Graph:
                 raise ValueError(f"duplicate edge {u},{v}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls._trusted(n, rows)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":

@@ -52,14 +52,11 @@ def _find_p3(g: Graph, alive: int) -> tuple[int, int, int] | None:
     return (a.bit_length() - 1, best, (ends & -ends).bit_length() - 1)
 
 
-def contains_copy(g: Graph, within: int | None = None) -> tuple[int, int, int] | None:
-    """A 3-path a-c-b inside g, or inside the vertex mask ``within``, as the
-    tuple (a, c, b), or None. Extra edges among the three vertices are
-    fine. A mask with a bit outside 0..n-1 (or a negative one) raises
-    ValueError.
+def contains_copy(g: Graph, within: int) -> tuple[int, int, int] | None:
+    """A 3-path a-c-b inside the vertex mask ``within`` of g, as the tuple
+    (a, c, b), or None. Extra edges among the three vertices are fine. A
+    mask with a bit outside 0..n-1 (or a negative one) raises ValueError.
     """
-    if within is None:
-        return _find_p3(g, g.full_mask())
     if within >> g.n:
         raise ValueError("vertex mask has bits outside the graph")
     return _find_p3(g, within)

@@ -71,14 +71,10 @@ class Certificate(namedtuple("Certificate", "set value exact graph_order")):
     __slots__ = ()
 
 
-# a ranked offer: (N[copy], center bit, the center's ends, the one end that
-# must be dead, 0 for the center's best copy)
-_Offers = tuple[int, list[tuple[int, int, int, int]]]
-
-
-def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
-    """The mask of centers with an offer, and every offer to the packing
-    bound in ascending (|N[copy]|, center), bucketed on |N[copy]|.
+def _p3_offers(g: Graph, closed: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """Every offer to the packing bound in ascending (|N[copy]|, center),
+    bucketed on |N[copy]|. An offer is (N[copy], center bit, the center's
+    ends, the one end that must be dead, 0 for the center's best copy).
 
     ``closed[v]`` is N[v]. A center of degree above 3 offers only the
     copies among the three neighbors that add the fewest vertices to N[c],
@@ -88,7 +84,6 @@ def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
     is dead, the copy on the other two (if any). So at any alive mask at
     most one of c's offers is live.
     """
-    centers = 0
     buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n + 1)]
     for c, row in enumerate(g.rows):
         if row.bit_count() > 3:
@@ -100,7 +95,6 @@ def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
         if not b:
             continue
         cbit = 1 << c
-        centers |= cbit
         hood_a = closed[c] | closed[a.bit_length() - 1]
         hood_b = closed[c] | closed[b.bit_length() - 1]
         d = row ^ a ^ b
@@ -118,7 +112,7 @@ def _p3_offers(g: Graph, closed: tuple[int, ...]) -> _Offers:
             if top is None or size < top[0]:
                 top = (size, hood)
         buckets[top[0]].append((top[1], cbit, row, 0))
-    return centers, [offer for bucket in buckets for offer in bucket]
+    return [offer for bucket in buckets for offer in bucket]
 
 
 class _Search:
@@ -132,7 +126,7 @@ class _Search:
     def __init__(self, g: Graph):
         self.g = g
         self.closed = tuple(row | (1 << v) for v, row in enumerate(g.rows))
-        self.centers, self.ranked = _p3_offers(g, self.closed)
+        self.ranked = _p3_offers(g, self.closed)
         self.failed: dict[int, int] = {}
 
     def scan(self, alive: int, near: int, cap: int) -> tuple[int, int, int]:
@@ -173,7 +167,8 @@ class _Search:
 
     def lower_bound(self) -> int:
         """The packing bound of the whole graph."""
-        return self.scan(self.g.full_mask(), self.centers, self.g.n)[2]
+        full = self.g.full_mask()
+        return self.scan(full, full, self.g.n)[2]
 
     def find(self, k: int, prefix_mask: int = 0) -> int | None:
         """A bitmask D with |D| <= k, prefix_mask <= D, isolating g, or None.

@@ -322,8 +322,6 @@ def check_observations() -> list[ObservationResult]:
                 fails.append(f"G71+{u + 1}-{v + 1}: match {got}")
     for e1, e2 in combinations(list(_legal_single_additions(g71)), 2):
         gp = g71.with_edge(*e1)
-        if gp.has_edge(*e2):
-            continue
         u, v = e2
         if gp.degree(u) > 2 or gp.degree(v) > 2:
             continue

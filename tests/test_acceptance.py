@@ -2,10 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the PASS/FAIL lines.
 Criteria needing an order-10/11 corpus are marked ``extended`` (deselected
-by default); the streamed order-11 criterion skips, not fails, when the
-P3ISO_N11_G6 corpus file is not provided.
+by default); the streamed order-11 criterion reads the graph6 file named by
+P3ISO_N11_G6, or else writes ``p3iso enum --max-n 11`` output and reads that.
 """
 
+import contextlib
 import functools
 import os
 import random
@@ -16,6 +17,7 @@ import pytest
 
 from p3iso import generators as gen
 from p3iso.check import is_isolating, verify_certificate
+from p3iso.cli import main
 from p3iso.constructive import isolate_p3_subcubic, path_cycle_isolating_set
 from p3iso.enumeration import EnumSpec, iter_subcubic
 from p3iso.graph_io import emit_graph6, parse_graph6
@@ -107,13 +109,16 @@ def test_criterion_3_order_10_extended():
 
 
 @pytest.mark.extended
-@pytest.mark.skipif("P3ISO_N11_G6" not in os.environ,
-                    reason="no external order-11 graph6 corpus provided")
 @criterion(4, "streamed order-11 corpus: exceptions exactly C11 and G11")
-def test_criterion_4_streamed_order_11():
-    with open(os.environ["P3ISO_N11_G6"]) as fh:
+def test_criterion_4_streamed_order_11(tmp_path):
+    path = os.environ.get("P3ISO_N11_G6")
+    if path is None:  # no external corpus: stream the enumerator's own output
+        path = tmp_path / "order11.g6"
+        with open(path, "w") as out, contextlib.redirect_stdout(out):
+            assert main(["enum", "--max-n", "11"]) == 0
+    with open(path) as fh:
         report = verify_stream(fh)
-    assert report.passed
+    assert report.passed and not report.skipped
     assert report.rows[11].exceptions == {"C11": 1, "G11": 1}
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from p3iso import constructive
 from p3iso import generators as gen
 from p3iso.graphcore import Graph
-from p3iso.cli import main
+from p3iso.cli import build_parser, main
 from p3iso.graph_io import emit_edge_list, emit_graph6, parse_graph6
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -49,6 +50,24 @@ def test_iota_edge_list_autodetect(tmp_path, capsys):
     path = write(tmp_path, "g.edges", emit_edge_list(gen.cycle(7)))
     code, out, _ = run(capsys, "iota", path)
     assert code == 0 and "iota=2" in out
+
+
+def test_option_surface_is_pinned():
+    # every argument of every subcommand; a new option means editing this
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [a.option_strings[0] if a.option_strings else a.dest
+                      for a in p._actions if a.dest != "help"]
+               for name, p in sub.choices.items()}
+    assert surface == {
+        "iota": ["input", "--budget", "--json"],
+        "isolate": ["input", "--json", "--trace"],
+        "verify": ["--max-n", "--stream", "--jobs", "--json"],
+        "check-observations": ["--json"],
+        "gen": ["kind", "n", "--format"],
+        "catalog": ["--format"],
+        "enum": ["--max-n", "--no-induced-c6"],
+    }
 
 
 def test_iota_parse_failure_exits_2(tmp_path, capsys):
@@ -182,13 +201,17 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     # --max-n sizes the enumeration, so a streamed verify refuses it too
     (b"", ["verify", "--stream", "FILE", "--max-n", "3"], 2, "", "--max-n"),
     # a doubled sign in an edge list is a format error, not a crash
-    (b"3 1\n1 --2\n", ["iota", "--format", "edges", "FILE"], 2, "", "bad edge line"),
-    (b"--3 0\n", ["iota", "--format", "edges", "FILE"], 2, "", "bad header"),
+    (b"3 1\n1 --2\n", ["iota", "FILE"], 2, "", "bad edge line"),
+    # "--3 0" is no "n m" header, so it is read as graph6
+    (b"--3 0\n", ["iota", "FILE"], 2, "", "character '-' outside graph6 range"),
     # a path that cannot be opened is an input error
     (b"", ["iota", "MISSING"], 2, "", "input error:"),
     (b"", ["iota", "DIR"], 2, "", "input error:"),
     # an extended order header cut short
     (b"~~??\n", ["iota", "FILE"], 2, "", "incomplete 8-byte order header"),
+    # the input decides its own format, so iota and isolate take no --format
+    (b"Bw\n", ["iota", "FILE", "--format", "graph6"], 2, "", "--format"),
+    (b"Bw\n", ["isolate", "FILE", "--format", "edges"], 2, "", "--format"),
 ])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, data, argv, code, out, err):
     path = tmp_path / "input"

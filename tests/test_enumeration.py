@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from p3iso import generators as gen
-from p3iso.enumeration import (_HEREDITARY_FILTERS, EnumSpec, _accepted, _augmentations,
+from p3iso.enumeration import (EnumSpec, _accepted, _augmentations, _no_induced_c6,
                                automorphisms, canonical_data, enumerate_connected_subcubic,
                                iter_subcubic)
 from p3iso.graph_io import emit_graph6
@@ -177,13 +177,12 @@ def test_orbit_closure_matches_min_over_aut_rule():
 def test_new_vertex_c6_check_matches_whole_graph_check():
     # the filter looks only at cycles through the newest vertex, which is
     # exact because the walk extends C6-free graphs only
-    keep = _HEREDITARY_FILTERS["no-induced-c6"]
     failed = 0
     for g in iter_subcubic(EnumSpec(8, filter="no-induced-c6")):
         assert has_induced_cycle(g, 6) is None
         for child in reference_augmentations(g, automorphisms(g)):
             cycle = has_induced_cycle(child, 6, through=child.n - 1)
-            assert keep(child) == (cycle is None) == (has_induced_cycle(child, 6) is None)
+            assert _no_induced_c6(child) == (cycle is None) == (has_induced_cycle(child, 6) is None)
             if cycle is not None:
                 failed += 1
                 assert cycle[0] == child.n - 1 and len(set(cycle)) == 6

@@ -31,8 +31,9 @@ def test_construction_validation():
 
 
 def test_trusted_sites_build_valid_graphs(rng):
-    # children, deletions, added edges and decodes skip the constructor's
-    # checks; each must still pass them and count its edges right
+    # children, deletions, added edges, edge-list builds, disjoint unions and
+    # decodes skip the constructor's checks; each must still pass them and
+    # count its edges right
     from p3iso.enumeration import _augmentations, automorphisms
     from p3iso.graph_io import (emit_edge_list, emit_graph6, parse_edge_list,
                                 parse_graph6)
@@ -48,6 +49,12 @@ def test_trusted_sites_build_valid_graphs(rng):
         g = gen.random_general_graph(rng.randint(1, 12), rng.random(), rng)
         checked(parse_graph6(emit_graph6(g)))
         checked(parse_edge_list(emit_edge_list(g)))
+        edges = list(g.edges())
+        rng.shuffle(edges)
+        checked(Graph.from_edges(g.n, [(v, u) if rng.random() < 0.5 else (u, v)
+                                       for u, v in edges]))
+        checked(gen.disjoint_union(g, gen.random_general_graph(rng.randint(0, 6),
+                                                               rng.random(), rng)))
         checked(delete_vertices(g, sum(1 << v for v in range(g.n) if rng.random() < 0.4))[0])
         missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                    if not g.has_edge(u, v)]

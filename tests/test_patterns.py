@@ -21,17 +21,19 @@ def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
 
 
 def test_contains_copy_p3_examples():
-    assert contains_copy(gen.path(2)) is None
-    wit = contains_copy(gen.cycle(5))
+    p2 = gen.path(2)
+    assert contains_copy(p2, p2.full_mask()) is None
+    c5 = gen.cycle(5)
+    wit = contains_copy(c5, c5.full_mask())
     assert wit is not None
     a, c, b = wit
-    assert gen.cycle(5).has_edge(a, c) and gen.cycle(5).has_edge(c, b)
+    assert c5.has_edge(a, c) and c5.has_edge(c, b)
 
     # C6 minus a closed neighborhood still holds a 3-path: one vertex cannot
     # isolate a 6-cycle
     c6 = gen.cycle(6)
     sub, _ = delete_vertices(c6, closed_mask(c6, 1 << 0))
-    assert contains_copy(sub) is not None
+    assert contains_copy(sub, sub.full_mask()) is not None
 
     # a mask with a bit beyond the last vertex, or a negative one, is refused
     for outside in (1 << 6, -1):
@@ -59,7 +61,7 @@ def test_contains_copy_witnesses_are_copies(rng):
 
 def test_contains_copy_p3_iff_max_degree_2():
     for g in connected_subcubic_upto(7):
-        assert (contains_copy(g) is not None) == (g.max_degree() >= 2)
+        assert (contains_copy(g, g.full_mask()) is not None) == (g.max_degree() >= 2)
 
 
 def test_induced_cycle_examples():
