@@ -6,6 +6,16 @@ order, the P3-isolation number is at most floor(n/4), and the graphs
 exceeding it are exactly the exceptional-catalog members of that order. A
 non-catalog offender is a violation and fails the run, and so is a solver
 set within the bound that fails its independent recheck.
+
+The enumerated check carries isolating sets down the walk. The walk emits
+each graph g of order n just after its parent g - (n-1), whose isolating
+set D, alone or with n-1 added, usually isolates g too. So the check keeps,
+per order, the set accepted for the last graph of that order, and an
+eligible g tries D, then D + (n-1,) when |D| < floor(n/4), before it is
+solved. A candidate is accepted only when ``check.is_isolating`` passes it
+and it meets the size bound; where it came from is never trusted, so a
+stale or wrong set costs one solve and changes no row. A streamed run
+solves every graph.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from itertools import combinations
 from . import generators
 from . import patterns
 from . import solver
-from .check import verify_certificate
+from .check import is_isolating, verify_certificate
 from .enumeration import EnumSpec, enumerate_connected_subcubic
 from .graph_io import emit_graph6, iter_graph6
 from .graphcore import (Graph, Record, closed_mask, delete_vertices, distance,
@@ -90,18 +100,41 @@ class VerificationReport(Record):
         }
 
 
-def _check_one(g: Graph, report: VerificationReport) -> None:
-    """The bound check on one connected subcubic graph."""
-    row = report.row(g.n)
+def _check_one(g: Graph, report: VerificationReport,
+               carried: dict[int, tuple[int, ...] | None] | None = None) -> None:
+    """The bound check on one connected subcubic graph.
+
+    ``carried`` maps an order to the isolating set accepted for the last
+    graph of that order, or None. The graph's own entry is reset first, so
+    an ineligible or exceptional graph passes nothing on. An eligible graph
+    of order n tries the set D kept for order n-1, then D + (n-1,) when
+    |D| < floor(n/4), and is solved only when neither passes; the set it
+    accepts becomes its order's entry. Soundness rests on ``is_isolating``
+    and the size test alone: a candidate is a guess, and one that fails
+    falls back to the solve, so every row is the one a solve would give."""
+    n = g.n
+    row = report.row(n)
     t0 = time.perf_counter()
     row.examined += 1
+    if carried is not None:
+        carried[n] = None
     try:
         if patterns.has_induced_cycle(g, 6) is not None:
             return
         row.eligible += 1
-        cert = solver.isolation_number(g, budget=g.n // 4, canonical=False)
+        budget = n // 4
+        parent = None if carried is None else carried.get(n - 1)
+        if parent is not None:
+            for cand in (parent, parent + (n - 1,)):
+                if len(cand) <= budget and is_isolating(g, cand):
+                    carried[n] = cand
+                    return
+        cert = solver.isolation_number(g, budget=budget, canonical=False)
         if cert.exact:
-            if not (verify_certificate(g, cert) and len(cert.set) <= g.n // 4):
+            if verify_certificate(g, cert) and len(cert.set) <= budget:
+                if carried is not None:
+                    carried[n] = cert.set
+            else:
                 row.violations.append(emit_graph6(g))
         else:
             cid = patterns.catalog_match(g)
@@ -114,10 +147,12 @@ def _check_one(g: Graph, report: VerificationReport) -> None:
 
 
 def _verify_part(max_n: int, res: int, mod: int) -> VerificationReport:
-    """The bound check over shard ``res`` of ``mod`` of the walk to max_n."""
+    """The bound check over shard ``res`` of ``mod`` of the walk to max_n,
+    carrying each order's accepted set to the next order's graphs."""
     report = VerificationReport({n: OrderReport(n) for n in range(1, max_n + 1)})
+    carried: dict[int, tuple[int, ...] | None] = {}
     enumerate_connected_subcubic(EnumSpec(max_n, shard=(res, mod)),
-                                 sink=lambda g: _check_one(g, report))
+                                 sink=lambda g: _check_one(g, report, carried))
     return report
 
 

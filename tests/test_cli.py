@@ -170,48 +170,79 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     assert (payload["lines_read"], payload["graphs"], payload["skipped"]) == (3, 2, 1)
 
 
+# Each id spells out the name pytest derives from the row's values and list
+# index (argvN), so the test names stay as they are and a row inserted
+# anywhere renames no other row. A new row gets a short id of its own.
 @pytest.mark.parametrize("data, argv, code, out, err", [
     # the optional '>>graph6<<' header shares its line with the first graph
-    (b">>graph6<<Bw\nBg\n", ["iota", "FILE"], 0,
-     "n=3 m=3 iota=1 set=[1]\nn=3 m=2 iota=1 set=[1]\n", ""),
-    (b">>graph6<<Bw\nBg\n", ["iota", "-"], 0,
-     "n=3 m=3 iota=1 set=[1]\nn=3 m=2 iota=1 set=[1]\n", ""),
-    (b">>graph6<<\n", ["iota", "FILE", "--json"], 2, "", "no graph"),
-    (b">>graph6<<\n", ["isolate", "FILE", "--json"], 2, "", "no graph"),
+    pytest.param(b">>graph6<<Bw\nBg\n", ["iota", "FILE"], 0,
+                 "n=3 m=3 iota=1 set=[1]\nn=3 m=2 iota=1 set=[1]\n", "",
+                 id=">>graph6<<Bw\nBg\n-argv0-0-n=3 m=3 iota=1 set=[1]\n"
+                    "n=3 m=2 iota=1 set=[1]\n-"),
+    pytest.param(b">>graph6<<Bw\nBg\n", ["iota", "-"], 0,
+                 "n=3 m=3 iota=1 set=[1]\nn=3 m=2 iota=1 set=[1]\n", "",
+                 id=">>graph6<<Bw\nBg\n-argv1-0-n=3 m=3 iota=1 set=[1]\n"
+                    "n=3 m=2 iota=1 set=[1]\n-"),
+    pytest.param(b">>graph6<<\n", ["iota", "FILE", "--json"], 2, "", "no graph",
+                 id=">>graph6<<\n-argv2-2--no graph"),
+    pytest.param(b">>graph6<<\n", ["isolate", "FILE", "--json"], 2, "", "no graph",
+                 id=">>graph6<<\n-argv3-2--no graph"),
     # a byte outside ASCII fails its own line, on every command
-    (b"Bw\n\xe9\n", ["iota", "FILE"], 2, "", "line 2"),
-    (b"Bw\n\xe9\n", ["iota", "-"], 2, "", "line 2"),
-    (b"Bw\n\xe9\n", ["isolate", "FILE"], 2, "", "line 2"),
-    (b"Bw\n\xe9\n", ["verify", "--stream", "FILE"], 2,
-     "FAIL: 1 unreadable line(s) skipped", "line 2"),
-    (b"Bw\n\xe9\n", ["verify", "--stream", "-"], 2,
-     "FAIL: 1 unreadable line(s) skipped", "line 2"),
+    pytest.param(b"Bw\n\xe9\n", ["iota", "FILE"], 2, "", "line 2",
+                 id="Bw\n\xe9\n-argv4-2--line 2"),
+    pytest.param(b"Bw\n\xe9\n", ["iota", "-"], 2, "", "line 2",
+                 id="Bw\n\xe9\n-argv5-2--line 2"),
+    pytest.param(b"Bw\n\xe9\n", ["isolate", "FILE"], 2, "", "line 2",
+                 id="Bw\n\xe9\n-argv6-2--line 2"),
+    pytest.param(b"Bw\n\xe9\n", ["verify", "--stream", "FILE"], 2,
+                 "FAIL: 1 unreadable line(s) skipped", "line 2",
+                 id="Bw\n\xe9\n-argv7-2-FAIL: 1 unreadable line(s) skipped-line 2"),
+    pytest.param(b"Bw\n\xe9\n", ["verify", "--stream", "-"], 2,
+                 "FAIL: 1 unreadable line(s) skipped", "line 2",
+                 id="Bw\n\xe9\n-argv8-2-FAIL: 1 unreadable line(s) skipped-line 2"),
     # bad arguments are usage errors; P3 is the only family, so argparse
     # rejects --family as an unknown option
-    (b"Bw\n", ["iota", "FILE", "--family", "foo"], 2, "", "--family"),
-    (b"Bw\n", ["iota", "FILE", "--family", "cycle:2"], 2, "", "--family"),
-    (b"Bw\n", ["iota", "FILE", "--budget", "-1"], 2, "", "--budget"),
-    (b"", ["verify", "--max-n", "0"], 2, "", "--max-n"),
-    (b"", ["enum", "--max-n", "0"], 2, "", "--max-n"),
-    (b"", ["verify", "--jobs", "0"], 2, "", "--jobs"),
-    (b"", ["verify", "--jobs", "-3"], 2, "", "--jobs"),
+    pytest.param(b"Bw\n", ["iota", "FILE", "--family", "foo"], 2, "", "--family",
+                 id="Bw\n-argv9-2----family"),
+    pytest.param(b"Bw\n", ["iota", "FILE", "--family", "cycle:2"], 2, "", "--family",
+                 id="Bw\n-argv10-2----family"),
+    pytest.param(b"Bw\n", ["iota", "FILE", "--budget", "-1"], 2, "", "--budget",
+                 id="Bw\n-argv11-2----budget"),
+    pytest.param(b"", ["verify", "--max-n", "0"], 2, "", "--max-n",
+                 id="-argv12-2----max-n"),
+    pytest.param(b"", ["enum", "--max-n", "0"], 2, "", "--max-n",
+                 id="-argv13-2----max-n"),
+    pytest.param(b"", ["verify", "--jobs", "0"], 2, "", "--jobs",
+                 id="-argv14-2----jobs"),
+    pytest.param(b"", ["verify", "--jobs", "-3"], 2, "", "--jobs",
+                 id="-argv15-2----jobs"),
     # enum has no --jobs; a streamed verify has nothing to split
-    (b"", ["enum", "--max-n", "3", "--jobs", "2"], 2, "", "--jobs"),
-    (b"", ["verify", "--stream", "FILE", "--jobs", "2"], 2, "", "--jobs"),
+    pytest.param(b"", ["enum", "--max-n", "3", "--jobs", "2"], 2, "", "--jobs",
+                 id="-argv16-2----jobs"),
+    pytest.param(b"", ["verify", "--stream", "FILE", "--jobs", "2"], 2, "", "--jobs",
+                 id="-argv17-2----jobs"),
     # --max-n sizes the enumeration, so a streamed verify refuses it too
-    (b"", ["verify", "--stream", "FILE", "--max-n", "3"], 2, "", "--max-n"),
+    pytest.param(b"", ["verify", "--stream", "FILE", "--max-n", "3"], 2, "", "--max-n",
+                 id="-argv18-2----max-n"),
     # a doubled sign in an edge list is a format error, not a crash
-    (b"3 1\n1 --2\n", ["iota", "FILE"], 2, "", "bad edge line"),
+    pytest.param(b"3 1\n1 --2\n", ["iota", "FILE"], 2, "", "bad edge line",
+                 id="3 1\n1 --2\n-argv19-2--bad edge line"),
     # "--3 0" is no "n m" header, so it is read as graph6
-    (b"--3 0\n", ["iota", "FILE"], 2, "", "character '-' outside graph6 range"),
+    pytest.param(b"--3 0\n", ["iota", "FILE"], 2, "", "character '-' outside graph6 range",
+                 id="--3 0\n-argv20-2--character '-' outside graph6 range"),
     # a path that cannot be opened is an input error
-    (b"", ["iota", "MISSING"], 2, "", "input error:"),
-    (b"", ["iota", "DIR"], 2, "", "input error:"),
+    pytest.param(b"", ["iota", "MISSING"], 2, "", "input error:",
+                 id="-argv21-2--input error:"),
+    pytest.param(b"", ["iota", "DIR"], 2, "", "input error:",
+                 id="-argv22-2--input error:"),
     # an extended order header cut short
-    (b"~~??\n", ["iota", "FILE"], 2, "", "incomplete 8-byte order header"),
+    pytest.param(b"~~??\n", ["iota", "FILE"], 2, "", "incomplete 8-byte order header",
+                 id="~~??\n-argv23-2--incomplete 8-byte order header"),
     # the input decides its own format, so iota and isolate take no --format
-    (b"Bw\n", ["iota", "FILE", "--format", "graph6"], 2, "", "--format"),
-    (b"Bw\n", ["isolate", "FILE", "--format", "edges"], 2, "", "--format"),
+    pytest.param(b"Bw\n", ["iota", "FILE", "--format", "graph6"], 2, "", "--format",
+                 id="Bw\n-argv24-2----format"),
+    pytest.param(b"Bw\n", ["isolate", "FILE", "--format", "edges"], 2, "", "--format",
+                 id="Bw\n-argv25-2----format"),
 ])
 def test_exit_code_contract(tmp_path, monkeypatch, capsys, data, argv, code, out, err):
     path = tmp_path / "input"

@@ -4,7 +4,9 @@ import os
 import pytest
 
 from p3iso import generators as gen
-from p3iso import patterns, solver
+from p3iso import patterns, solver, verify
+from p3iso.check import is_isolating
+from p3iso.enumeration import EnumSpec, iter_subcubic
 from p3iso.graph_io import emit_graph6
 from p3iso.graphcore import Graph
 from p3iso.solver import Certificate, isolation_number
@@ -34,6 +36,92 @@ def _without_times(report):
     for row in payload["orders"]:
         del row["elapsed_s"]
     return payload
+
+
+def _walk_vs_stream(n):
+    # the stream solves every graph, so the walk's carried sets must
+    # change no row; only the stream counts the lines it read
+    walk = _without_times(verify_enumerated(n))
+    stream = _without_times(verify_stream(
+        emit_graph6(g) for g in iter_subcubic(EnumSpec(n))))
+    assert (walk.pop("lines_read"), stream.pop("lines_read")) == (0, walk["graphs"])
+    assert walk == stream, n
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_carried_sets_change_no_row(n):
+    _walk_vs_stream(n)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("n", [10, 11])
+def test_carried_sets_change_no_row_extended(n):
+    _walk_vs_stream(n)
+
+
+def _counting_solves(monkeypatch):
+    solved = []
+    real = solver.isolation_number
+
+    def counted(g, *args, **kwargs):
+        solved.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "isolation_number", counted)
+    return solved
+
+
+@pytest.mark.parametrize("poison", [
+    (),         # () and (7,) both leave a 3-path
+    (0, 1),     # leaves 3..7, and at floor(8/4) = 2 takes no vertex more
+    (0, 3, 6),  # isolates, but is larger than floor(8/4)
+])
+def test_poisoned_carry_is_solved_instead(monkeypatch, poison):
+    g = gen.path(8)
+    expected = verify_stream([emit_graph6(g)]).to_dict()["orders"]
+    solved = _counting_solves(monkeypatch)
+    carried = {7: poison}
+    report = verify.VerificationReport()
+    verify._check_one(g, report, carried)
+    assert solved == [g]
+    assert report.to_dict()["orders"] == expected
+    assert len(carried[8]) <= 2 and is_isolating(g, carried[8])
+
+
+def test_ineligible_or_exceptional_graph_carries_nothing():
+    carried = {5: (0,), 6: (0, 1), 7: (0, 1)}
+    report = verify.VerificationReport()
+    verify._check_one(gen.cycle(6), report, carried)  # has an induced C6
+    verify._check_one(gen.cycle(7), report, carried)  # in the catalog
+    assert carried[6] is None and carried[7] is None
+    assert report.passed and report.row(7).exceptions == {"C7": 1}
+
+
+def test_walk_rechecks_exact_certificates(monkeypatch):
+    # a solver that claims an empty exact set for every graph it is asked
+    # about: each walk graph that reaches it and has a 3-path is reported,
+    # and its bogus set is not carried to its children
+    solved = []
+
+    def bogus(g, budget=None, canonical=True):
+        solved.append(g)
+        return Certificate((), 0, True, g.n)
+
+    monkeypatch.setattr(solver, "isolation_number", bogus)
+    report = verify_enumerated(5)
+    assert not report.passed
+    got = sorted(v for r in report.rows.values() for v in r.violations)
+    assert got == sorted(emit_graph6(g) for g in solved if not is_isolating(g, ()))
+    assert {g.n for g in solved} == {1, 3, 4, 5}
+    assert len(got) == len(solved) - 1  # every solved graph but K1
+
+
+def test_walk_solves_only_where_carried_sets_fail(monkeypatch):
+    # 25 of the 251 eligible graphs through order 8 are solved; the rest
+    # take their parent's set, alone or with the newest vertex
+    solved = _counting_solves(monkeypatch)
+    assert verify_enumerated(8).passed
+    assert len(solved) == 25
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
