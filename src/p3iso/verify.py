@@ -7,15 +7,15 @@ exceeding it are exactly the exceptional-catalog members of that order. A
 non-catalog offender is a violation and fails the run, and so is a solver
 set within the bound that fails its independent recheck.
 
-The enumerated check carries isolating sets down the walk. The walk emits
-each graph g of order n just after its parent g - (n-1), whose isolating
-set D, alone or with n-1 added, usually isolates g too. So the check keeps,
-per order, the set accepted for the last graph of that order, and an
-eligible g tries D, then D + (n-1,) when |D| < floor(n/4), before it is
-solved. A candidate is accepted only when ``check.is_isolating`` passes it
-and it meets the size bound; where it came from is never trusted, so a
-stale or wrong set costs one solve and changes no row. A streamed run
-solves every graph.
+Both checks carry isolating sets. The walk emits each graph g of order n
+just after its parent g - (n-1), whose isolating set D, alone or with n-1
+added, usually isolates g too. So the check keeps, per order, the set
+accepted for the last graph of that order, and an eligible g tries D,
+then D + (n-1,) when |D| < floor(n/4), before it is solved. A candidate
+is accepted only when ``check.is_isolating`` passes it and it meets the
+size bound; where it came from is never trusted, so a stale or wrong set
+costs one solve and changes no row. A stream's line order thus sets only
+the hit rate, and the order ``p3iso enum`` writes gives the walk's.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class VerificationReport(Record):
 
 
 def _check_one(g: Graph, report: VerificationReport,
-               carried: dict[int, tuple[int, ...] | None] | None = None) -> None:
+               carried: dict[int, tuple[int, ...] | None]) -> None:
     """The bound check on one connected subcubic graph.
 
     ``carried`` maps an order to the isolating set accepted for the last
@@ -109,21 +109,20 @@ def _check_one(g: Graph, report: VerificationReport,
     an ineligible or exceptional graph passes nothing on. An eligible graph
     of order n tries the set D kept for order n-1, then D + (n-1,) when
     |D| < floor(n/4), and is solved only when neither passes; the set it
-    accepts becomes its order's entry. Soundness rests on ``is_isolating``
-    and the size test alone: a candidate is a guess, and one that fails
-    falls back to the solve, so every row is the one a solve would give."""
+    accepts becomes its order's entry. Only ``is_isolating`` and the size
+    test decide: a failed candidate falls back to the solve, so any graph
+    order gives the rows a solve would give and sets only the hit rate."""
     n = g.n
     row = report.row(n)
     t0 = time.perf_counter()
     row.examined += 1
-    if carried is not None:
-        carried[n] = None
+    carried[n] = None
     try:
         if patterns.has_induced_cycle(g, 6) is not None:
             return
         row.eligible += 1
         budget = n // 4
-        parent = None if carried is None else carried.get(n - 1)
+        parent = carried.get(n - 1)
         if parent is not None:
             for cand in (parent, parent + (n - 1,)):
                 if len(cand) <= budget and is_isolating(g, cand):
@@ -132,8 +131,7 @@ def _check_one(g: Graph, report: VerificationReport,
         cert = solver.isolation_number(g, budget=budget, canonical=False)
         if cert.exact:
             if verify_certificate(g, cert) and len(cert.set) <= budget:
-                if carried is not None:
-                    carried[n] = cert.set
+                carried[n] = cert.set
             else:
                 row.violations.append(emit_graph6(g))
         else:
@@ -149,7 +147,7 @@ def _check_one(g: Graph, report: VerificationReport,
 def _verify_part(max_n: int, res: int, mod: int) -> VerificationReport:
     """The bound check over shard ``res`` of ``mod`` of the walk to max_n,
     carrying each order's accepted set to the next order's graphs."""
-    report = VerificationReport({n: OrderReport(n) for n in range(1, max_n + 1)})
+    report = VerificationReport()
     carried: dict[int, tuple[int, ...] | None] = {}
     enumerate_connected_subcubic(EnumSpec(max_n, shard=(res, mod)),
                                  sink=lambda g: _check_one(g, report, carried))
@@ -182,12 +180,13 @@ def verify_enumerated(max_n: int, jobs: int = 1) -> VerificationReport:
 def verify_stream(lines) -> VerificationReport:
     """Run the bound check over a graph6 stream (one graph per line).
 
-    Every line read, blank ones included, counts in ``lines_read``. A line
-    that does not decode is recorded in ``skipped`` and fails the run. A
-    graph that is not connected and subcubic is examined, not eligible;
-    the enumerated walk makes no other kind.
+    Every line read, blank ones included, counts in ``lines_read``; a line
+    that does not decode is kept in ``skipped`` and fails the run. A graph
+    that is not connected and subcubic is examined, not eligible (the walk
+    makes none). Sets carry as on the walk: line order sets the hit rate.
     """
     report = VerificationReport()
+    carried: dict[int, tuple[int, ...] | None] = {}
 
     def counted():
         for line in lines:
@@ -200,7 +199,7 @@ def verify_stream(lines) -> VerificationReport:
         elif item.max_degree() > 3 or not is_connected(item):
             report.row(item.n).examined += 1
         else:
-            _check_one(item, report)
+            _check_one(item, report, carried)
     return report
 
 

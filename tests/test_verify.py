@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import random
 
 import pytest
 
@@ -38,25 +39,42 @@ def _without_times(report):
     return payload
 
 
-def _walk_vs_stream(n):
-    # the stream solves every graph, so the walk's carried sets must
-    # change no row; only the stream counts the lines it read
+def _walk_vs_stream(n, monkeypatch):
+    # the stream carries sets as the walk does, so line order moves only
+    # the number of solves, never a row. Descending order reads no
+    # order-(n-1) line before an order-n line, so nothing can be carried:
+    # it is the reference that solves every eligible graph. Walk order
+    # solves exactly the graphs the walk solves. Returns the solve counts
+    # of the walk and of the three orders
+    graphs = list(iter_subcubic(EnumSpec(n)))
+    shuffled = graphs[:]
+    random.Random(n).shuffle(shuffled)
+    solved = _counting_solves(monkeypatch)
     walk = _without_times(verify_enumerated(n))
-    stream = _without_times(verify_stream(
-        emit_graph6(g) for g in iter_subcubic(EnumSpec(n))))
-    assert (walk.pop("lines_read"), stream.pop("lines_read")) == (0, walk["graphs"])
-    assert walk == stream, n
+    counts = [len(solved)]
+    assert walk.pop("lines_read") == 0
+    for order in (sorted(graphs, key=lambda g: -g.n), graphs, shuffled):
+        del solved[:]
+        stream = _without_times(verify_stream(emit_graph6(g) for g in order))
+        assert stream.pop("lines_read") == walk["graphs"]
+        assert stream == walk, n
+        counts.append(len(solved))
+    eligible = sum(row["eligible"] for row in walk["orders"])
+    assert counts[1:3] == [eligible, counts[0]], (n, counts)
+    return counts
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_carried_sets_change_no_row(n):
-    _walk_vs_stream(n)
+def test_carried_sets_change_no_row(monkeypatch, n):
+    counts = _walk_vs_stream(n, monkeypatch)
+    pinned = {8: [25, 251, 25], 9: [73, 606, 73]}  # walk, descending, walk order
+    assert counts[:3] == pinned.get(n, counts[:3]), counts
 
 
 @pytest.mark.extended
 @pytest.mark.parametrize("n", [10, 11])
-def test_carried_sets_change_no_row_extended(n):
-    _walk_vs_stream(n)
+def test_carried_sets_change_no_row_extended(monkeypatch, n):
+    _walk_vs_stream(n, monkeypatch)
 
 
 def _counting_solves(monkeypatch):
@@ -69,6 +87,29 @@ def _counting_solves(monkeypatch):
 
     monkeypatch.setattr(solver, "isolation_number", counted)
     return solved
+
+
+def _filtered_stream_vs_walk(n):
+    # the theorem's class, made by the filtered walk and streamed through
+    # verify, gives the unfiltered walk's eligible graphs, exceptions and
+    # violations at every order, and every graph it streams is eligible
+    walk = verify_enumerated(n).rows
+    filtered = verify_stream(emit_graph6(g) for g in
+                             iter_subcubic(EnumSpec(n, filter="no-induced-c6")))
+    assert filtered.passed and sorted(filtered.rows) == sorted(walk)
+    for k, row in filtered.rows.items():
+        assert row.examined == row.eligible, k
+        assert (row.eligible, row.exceptions, sorted(row.violations)) == \
+            (walk[k].eligible, walk[k].exceptions, sorted(walk[k].violations)), k
+
+
+def test_filtered_stream_matches_walk():
+    _filtered_stream_vs_walk(9)
+
+
+@pytest.mark.extended
+def test_filtered_stream_matches_walk_extended():
+    _filtered_stream_vs_walk(11)
 
 
 @pytest.mark.parametrize("poison", [
