@@ -16,7 +16,7 @@ for g in iter_subcubic(EnumSpec(7)):
     counts[g.n] = counts.get(g.n, 0) + 1
 print("connected subcubic classes by order:", counts)
 
-spec = EnumSpec(7, filter="no-induced-c6")
+spec = EnumSpec(7, no_induced_c6=True)
 eligible = sum(1 for g in iter_subcubic(spec) if g.n == 7)
 print("of the 64 order-7 classes,", eligible, "have no induced 6-cycle")
 

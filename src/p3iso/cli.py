@@ -95,8 +95,9 @@ def cmd_iota(args) -> int:
         }
         out.append(rec)
         if not args.json:
-            tag = "iota" if cert.exact else f"iota>{args.budget}"
-            print(f"n={g.n} m={g.edge_count} {tag}={cert.value} set={rec['set']}")
+            found = (f"iota={cert.value} set={rec['set']}" if cert.exact
+                     else f"iota>{args.budget}")
+            print(f"n={g.n} m={g.edge_count} {found}")
     if args.json:
         print(_json(out if len(out) > 1 else out[0]))
     return 0
@@ -150,6 +151,8 @@ def cmd_verify(args) -> int:
     if args.stream:
         with _open(args.stream) as fh:
             report = verify_stream(fh)
+        if not report.graphs and not report.skipped:
+            raise InputError("no graph in input")
     else:
         report = verify_enumerated(args.max_n or 9, jobs=args.jobs)
     payload = report.to_dict()
@@ -221,7 +224,7 @@ def cmd_catalog(args) -> int:
 def cmd_enum(args) -> int:
     from .enumeration import EnumSpec, enumerate_connected_subcubic
 
-    spec = EnumSpec(args.max_n, filter=("no-induced-c6" if args.no_induced_c6 else None))
+    spec = EnumSpec(args.max_n, no_induced_c6=args.no_induced_c6)
     counts = enumerate_connected_subcubic(spec, sink=lambda g: print(emit_graph6(g)))
     print(_json({"counts": {str(k): v for k, v in sorted(counts.items())}},
                 sort_keys=False),

@@ -51,7 +51,11 @@ from .graphcore import (Graph, Record, bit_indices, closed_mask,
                         connected_within, delete_vertices, is_connected, split_off)
 from .solver import Certificate
 
-CASE_BASE = "Base<=15"
+# pieces of at most this order take the exact base step; _piece relies on
+# it covering the largest catalog order
+_BASE_ORDER = 15
+
+CASE_BASE = f"Base<={_BASE_ORDER}"
 CASE_PATH = "Delta<=2-Path"
 CASE_CYCLE = "Delta<=2-Cycle"
 CASE_NO_EXC = "NoExceptional"
@@ -101,8 +105,8 @@ class TraceStep(namedtuple("TraceStep", "case_id chosen removed detail")):
 class CaseTrace(Record):
     __slots__ = ("steps",)
 
-    def __init__(self, steps: list[TraceStep] | None = None):
-        self.steps = [] if steps is None else steps
+    def __init__(self):
+        self.steps: list[TraceStep] = []
 
     def add(self, case_id: str, chosen, removed, detail: dict | None = None):
         self.steps.append(TraceStep(case_id, tuple(sorted(chosen)),
@@ -343,9 +347,9 @@ def _piece(g: Graph, mask: int, trace: CaseTrace, memo: dict):
     one-component assertion where a case yields a whole remainder. This
     entry is the only place a yielded piece is checked for exceptionality,
     through the base step _base on the extracted piece (every catalog
-    order is <= 15).
+    order is <= _BASE_ORDER).
     """
-    if mask.bit_count() <= 15:
+    if mask.bit_count() <= _BASE_ORDER:
         return _base(g, mask, trace, memo)
     v = next((u for u in bit_indices(mask) if _degree(g, mask, u) == 3), None)
     if v is None:
@@ -598,7 +602,7 @@ def _c11_disconnected(g, mask, v, w, psi, y_mask, att_x1p, trace, memo):
     _require((gv_mask >> w) & 1, "v and w should share a component")
     bits = sum(1 << p for p in d_prime)
     bits |= yield from _each(others)
-    if gv_mask.bit_count() <= 15:  # may be a small exceptional copy
+    if gv_mask.bit_count() <= _BASE_ORDER:  # may be a small exceptional copy
         bits |= _base(g, gv_mask, trace, memo, "C11-disconnected remainder")
     else:
         bits |= yield gv_mask
@@ -695,7 +699,7 @@ def _case224(g, mask, v, nbrs, h1, trace, memo):
                     "exactly one component should hold w")
     _require((gw_mask >> w) & 1, "w missing from its component")
     bits = 1 << x1
-    if gw_mask.bit_count() <= 15:  # may be a small exceptional copy
+    if gw_mask.bit_count() <= _BASE_ORDER:  # may be a small exceptional copy
         bits |= _base(g, gw_mask, trace, memo, "Case 2.2.4 w-side remainder")
     else:
         bits |= yield gw_mask

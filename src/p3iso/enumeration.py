@@ -61,31 +61,30 @@ MAX_DEGREE = 3
 
 
 def _no_induced_c6(g: Graph) -> bool:
-    """The "no-induced-c6" filter, the walk's one filter: does g have no
-    induced 6-cycle through its newest vertex n-1? The filter is closed
-    under induced subgraphs, so a graph that fails it has no passing
-    descendant and its subtree is pruned. The walk grows only graphs that
-    pass, so it tests a candidate child before its canonical-deletion test,
-    and only for cycles through n-1: the rest of the child is its parent,
-    which passed."""
+    """The walk's filter: does g have no induced 6-cycle through its newest
+    vertex n-1? Having no induced 6-cycle is closed under induced
+    subgraphs, so a graph that fails has no passing descendant and its
+    subtree is pruned. The filtered walk grows only graphs that pass, so it
+    tests a candidate child before its canonical-deletion test, and only
+    for cycles through n-1: the rest of the child is its parent, which
+    passed."""
     return has_induced_cycle(g, 6, through=g.n - 1) is None
 
 
-class EnumSpec(namedtuple("EnumSpec", "max_n filter shard")):
-    """Connected subcubic graphs of orders 1..max_n, optionally restricted by
-    a filter id, in shard ``res`` of ``mod`` (all of them by default)."""
+class EnumSpec(namedtuple("EnumSpec", "max_n no_induced_c6 shard")):
+    """Connected subcubic graphs of orders 1..max_n, only those without an
+    induced 6-cycle if ``no_induced_c6``, in shard ``res`` of ``mod`` (all
+    of them by default)."""
 
     __slots__ = ()
 
-    def __new__(cls, max_n: int, filter: str | None = None,
+    def __new__(cls, max_n: int, no_induced_c6: bool = False,
                 shard: tuple[int, int] = (0, 1)):
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if filter not in (None, "no-induced-c6"):
-            raise ValueError(f"unknown filter id {filter!r}")
         if not 0 <= shard[0] < shard[1]:
             raise ValueError(f"shard (res, mod) = {shard}: need 0 <= res < mod")
-        return super().__new__(cls, max_n, filter, shard)
+        return super().__new__(cls, max_n, no_induced_c6, shard)
 
 
 # -- automorphisms --------------------------------------------------------------
@@ -197,14 +196,14 @@ def _augmentations(g: Graph, auts: list[tuple[int, ...]]) -> Iterator[Graph]:
             yield Graph._trusted(n + 1, child)
 
 
-def _children(g: Graph, labelings: list[tuple[int, ...]] | None,
-              keep: Callable[[Graph], bool] | None
+def _children(g: Graph, labelings: list[tuple[int, ...]] | None, no_induced_c6: bool
               ) -> Iterator[tuple[Graph, list[tuple[int, ...]] | None]]:
-    """Accepted children of g that pass ``keep``, with their labelings, if
-    _accepted made any. ``labelings`` are g's own, or None to label g here."""
+    """Accepted children of g, only those without an induced 6-cycle if
+    ``no_induced_c6``, with their labelings, if _accepted made any.
+    ``labelings`` are g's own, or None to label g here."""
     auts = automorphisms(g) if labelings is None else _automorphisms_of(labelings)
     for child in _augmentations(g, auts):
-        if keep is not None and not keep(child):
+        if no_induced_c6 and not _no_induced_c6(child):
             continue
         accepted, child_labelings = _accepted(child)
         if accepted:
@@ -213,10 +212,9 @@ def _children(g: Graph, labelings: list[tuple[int, ...]] | None,
 
 def iter_subcubic(spec: EnumSpec) -> Iterator[Graph]:
     """The isomorphism classes of orders 1..max_n in the spec's shard,
-    depth-first. A graph that fails the filter prunes its subtree; the
-    order-1 root has no structure to fail it."""
+    depth-first. In the filtered walk a graph with an induced 6-cycle
+    prunes its subtree; the order-1 root has none."""
     res, mod = spec.shard
-    keep = None if spec.filter is None else _no_induced_c6
     # deeper splits balance the shards; every shard repeats the walk above
     split = max(1, spec.max_n - 2)
     at_split = count()
@@ -227,7 +225,7 @@ def iter_subcubic(spec: EnumSpec) -> Iterator[Graph]:
         if res == 0 or g.n >= split:
             yield g
         if g.n < spec.max_n:
-            for child, child_labelings in _children(g, labelings, keep):
+            for child, child_labelings in _children(g, labelings, spec.no_induced_c6):
                 yield from walk(child, child_labelings)
 
     return walk(Graph.empty(1), None)

@@ -113,8 +113,6 @@ _CATALOG_EDGES: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
                  (14, 15))),
 }
 
-CATALOG_IDS = tuple(_CATALOG_EDGES)
-
 _DOCUMENTED_MAX_DEGREE = {
     "P3": 2, "C3": 2, "C7": 2, "G71": 3, "G72": 3, "G73": 3, "G74": 3,
     "G75": 3, "G76": 3, "C11": 2, "G11": 3, "G15": 3,
@@ -253,13 +251,6 @@ def _random_block_tree(n: int, rng: random.Random) -> Graph:
             continue  # the next block would find nowhere to attach: draw again
         g = joined
     return g
-
-
-def random_general_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """Erdos-Renyi sample; no degree bound (test oracle helper)."""
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 # The self-check runs on import, so no later catalog reader pays for it.

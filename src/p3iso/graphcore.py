@@ -10,12 +10,11 @@ Graphs are immutable after construction and safe to share across
 workers. Every vertex set passed between functions of the package is an
 int bitmask, bit ``v`` set iff v is in the set; an isolating set leaves
 the package as a sorted vertex tuple (``solver.Certificate``), and so do
-the sets of a constructive trace step. Components are bitmasks,
-from ``component_masks``, or, for a connected mask with some vertices
-deleted, from ``split_off``: it searches from the boundary of the deleted
-set and stops once one search is left, so it costs the small side of the
-split, not the whole mask. Its answer is exact only when that mask is
-connected.
+the sets of a constructive trace step. Components are bitmasks from
+``split_off``, for a connected mask with some vertices deleted: it
+searches from the boundary of the deleted set and stops once one search
+is left, so it costs the small side of the split, not the whole mask. Its
+answer is exact only when that mask is connected.
 """
 
 from __future__ import annotations
@@ -37,8 +36,10 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int]):
+        if n < 0:
+            raise ValueError(f"order must be >= 0, got {n}")
         rows = tuple(rows)
-        if n < 0 or len(rows) != n:
+        if len(rows) != n:
             raise ValueError(f"need exactly {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
@@ -75,7 +76,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from 0-based vertex pairs, each checked here."""
         if n < 0:
-            raise ValueError(f"need exactly {n} adjacency rows, got 0")
+            raise ValueError(f"order must be >= 0, got {n}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -94,14 +95,8 @@ class Graph:
 
     # -- basic queries ----------------------------------------------------
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bit_indices(self.rows[v]))
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.rows)
 
     @property
     def edge_count(self) -> int:
@@ -160,10 +155,10 @@ def closed_mask(g: Graph, mask: int) -> int:
     return out
 
 
-def _reach(g: Graph, seed: int, within: int) -> int:
-    """The vertices of ``within`` reachable from ``seed`` inside ``within``."""
+def connected_within(g: Graph, within: int) -> bool:
+    """Does ``within`` induce a connected subgraph? The empty set does."""
     rows = g.rows
-    comp = frontier = seed
+    comp = frontier = within & -within
     while frontier:
         grow = 0
         while frontier:
@@ -172,30 +167,11 @@ def _reach(g: Graph, seed: int, within: int) -> int:
             frontier ^= low
         frontier = grow & within & ~comp
         comp |= frontier
-    return comp
-
-
-def component_masks(g: Graph, within: int | None = None) -> list[int]:
-    """Connected-component bitmasks of the subgraph induced on ``within``.
-
-    Components are ordered by their smallest vertex.
-    """
-    remaining = g.full_mask() if within is None else within
-    comps = []
-    while remaining:
-        comp = _reach(g, remaining & -remaining, remaining)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
-def connected_within(g: Graph, within: int) -> bool:
-    return within == 0 or _reach(g, within & -within, within) == within
+    return comp == within
 
 
 def split_off(g: Graph, mask: int, kill: int) -> list[int]:
-    """The components of ``mask & ~kill``, ordered by smallest vertex, as
-    ``component_masks`` orders them.
+    """The components of ``mask & ~kill``, ordered by smallest vertex.
 
     Precondition: ``mask`` induces a connected subgraph. Then every
     component of the remainder holds a vertex adjacent to ``kill``, so one

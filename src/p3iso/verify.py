@@ -39,13 +39,11 @@ class OrderReport(Record):
     __slots__ = ("order", "examined", "eligible", "exceptions", "violations",
                  "elapsed")
 
-    def __init__(self, order: int, examined: int = 0, eligible: int = 0,
-                 exceptions: Counter[str] | None = None,
-                 violations: list[str] | None = None, elapsed: float = 0.0):
-        self.order, self.examined, self.eligible = order, examined, eligible
-        self.exceptions = Counter() if exceptions is None else exceptions
-        self.violations = [] if violations is None else violations
-        self.elapsed = elapsed
+    def __init__(self, order: int):
+        self.order, self.examined, self.eligible = order, 0, 0
+        self.exceptions: Counter[str] = Counter()
+        self.violations: list[str] = []
+        self.elapsed = 0.0
 
     def add(self, other: "OrderReport") -> None:
         self.examined += other.examined
@@ -61,11 +59,10 @@ class VerificationReport(Record):
 
     __slots__ = ("rows", "lines_read", "skipped")
 
-    def __init__(self, rows: dict[int, OrderReport] | None = None,
-                 lines_read: int = 0, skipped: list[tuple[int, str]] | None = None):
-        self.rows = {} if rows is None else rows
-        self.lines_read = lines_read
-        self.skipped = [] if skipped is None else skipped
+    def __init__(self):
+        self.rows: dict[int, OrderReport] = {}
+        self.lines_read = 0
+        self.skipped: list[tuple[int, str]] = []
 
     @property
     def graphs(self) -> int:

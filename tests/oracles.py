@@ -1,32 +1,57 @@
 """Independent brute-force oracles the test suite checks the library against.
 
 Everything here is deliberately naive: subset scans, permutation scans,
-a from-scratch graph6 encoder, and the induced-cycle search, canonical
-labeling and orbit rule as they were first written (a cycle search
-without prunes, a whole-prefix column scan at every search node, a
-refinement that runs one confirming round, a min over Aut per
-attachment set, and an exact search that scans the whole alive mask at
-every node), which the faster code must match exactly. Nothing imports
-the algorithms under test beyond the Graph value type itself, except the
-canonical-deletion reference, which is defined relative to the library's
-canonical labeling, the whole-mask search, which shares the solver's
-failure memo and ``lex_min`` and replaces ``find``, the packing bound
-and its per-center offers table, and the component sum, which solves each
-component with the solver.
+one whole search per component, a from-scratch graph6 encoder, and the
+induced-cycle search, canonical labeling and orbit rule as they were
+first written (a cycle search without prunes, a whole-prefix column scan
+at every search node, a refinement that runs one confirming round, a min
+over Aut per attachment set, and an exact search that scans the whole
+alive mask at every node), which the faster code must match exactly.
+Nothing imports the algorithms under test beyond the Graph value type
+itself, except the canonical-deletion reference, which is defined
+relative to the library's canonical labeling, the whole-mask search,
+which shares the solver's failure memo and ``lex_min`` and replaces
+``find``, the packing bound and its per-center offers table, and the
+component sum, which solves each component with the solver. The G(n, p)
+sampler ``random_general_graph`` draws the tests' general-graph inputs.
 """
 
 from itertools import combinations, permutations
 
-from p3iso.graphcore import (Graph, bit_indices, closed_mask, component_masks,
-                             delete_vertices)
+from p3iso.graphcore import Graph, bit_indices, closed_mask, delete_vertices
 from p3iso.patterns import contains_copy
 from p3iso.solver import Certificate, _Search, isolation_number
+
+
+def random_general_graph(n: int, p: float, rng) -> Graph:
+    """An Erdos-Renyi sample G(n, p) drawn with ``rng``: no degree bound."""
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+def component_masks(g: Graph, within: int | None = None) -> list[int]:
+    """Connected-component bitmasks of the subgraph induced on ``within``
+    (all of g by default), ordered by smallest vertex: one whole search per
+    component, the reference ``graphcore.split_off`` is checked against."""
+    remaining = g.full_mask() if within is None else within
+    comps = []
+    while remaining:
+        comp = frontier = remaining & -remaining
+        while frontier:
+            grow = 0
+            for v in bit_indices(frontier):
+                grow |= g.rows[v]
+            frontier = grow & remaining & ~comp
+            comp |= frontier
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
 
 
 def closed_nbhd_set(g: Graph, vs) -> set[int]:
     out = set(vs)
     for v in vs:
-        out.update(g.neighbors(v))
+        out.update(bit_indices(g.rows[v]))
     return out
 
 
@@ -383,7 +408,7 @@ def _connected_without(g: Graph, v: int) -> bool:
     stack = list(seen)
     while stack:
         u = stack.pop()
-        for w in g.neighbors(u):
+        for w in bit_indices(g.rows[u]):
             if w in keep and w not in seen:
                 seen.add(w)
                 stack.append(w)

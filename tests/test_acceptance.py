@@ -27,7 +27,8 @@ from p3iso.solver import _Search, isolation_number
 from p3iso.verify import check_observations, verify_enumerated, verify_stream
 
 from conftest import atlas_by_order, spine_tree
-from oracles import closed_nbhd_set, component_sum_iota, encode_graph6_reference
+from oracles import (closed_nbhd_set, component_sum_iota, encode_graph6_reference,
+                     random_general_graph)
 
 
 def criterion(num, desc):
@@ -175,7 +176,7 @@ def test_criterion_6_lemmas():
         assert isolation_number(g, budget=2, canonical=False).value <= 2
     rng = random.Random(88)
     for _ in range(10_000):
-        g = gen.random_general_graph(rng.randint(1, 8), rng.random(), rng)
+        g = random_general_graph(rng.randint(1, 8), rng.random(), rng)
         assert isolation_number(g, budget=2, canonical=False).value <= 2
 
     # closed-form path/cycle sets are valid isolating sets up to n = 40
@@ -239,13 +240,13 @@ def test_criterion_6_lemmas():
         if g.n == 8:
             assert_additive(g)
     for _ in range(300):
-        g = gen.random_general_graph(8, rng.uniform(0.15, 0.5), rng)
+        g = random_general_graph(8, rng.uniform(0.15, 0.5), rng)
         if is_connected(g):
             assert_additive(g)
 
     # union bound: iota(G) <= |X| + iota(G - Y) for Y inside N[X]
     for _ in range(1000):
-        g = gen.random_general_graph(rng.randint(1, 10), rng.uniform(0.1, 0.5), rng)
+        g = random_general_graph(rng.randint(1, 10), rng.uniform(0.1, 0.5), rng)
         x = [v for v in range(g.n) if rng.random() < 0.25]
         y = sum(1 << v for v in closed_nbhd_set(g, x) if rng.random() < 0.6)
         sub, _ = delete_vertices(g, y)
@@ -277,7 +278,7 @@ def test_criterion_8_graph6():
     for _ in range(10_000):
         n = rng.randint(0, 62)
         if rng.random() < 0.5:
-            g = gen.random_general_graph(n, rng.random(), rng)
+            g = random_general_graph(n, rng.random(), rng)
         else:
             g = gen.random_subcubic_connected(max(n, 1), rng)
         line = emit_graph6(g)

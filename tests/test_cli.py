@@ -52,6 +52,15 @@ def test_iota_edge_list_autodetect(tmp_path, capsys):
     assert code == 0 and "iota=2" in out
 
 
+def test_iota_text_past_the_budget(tmp_path, capsys):
+    # a graph that needs more than the budget has no value or set to print
+    path = write(tmp_path, "c7.g6", emit_graph6(gen.cycle(7)))
+    code, out, _ = run(capsys, "iota", path, "--budget", "1")
+    assert (code, out) == (0, "n=7 m=7 iota>1\n")
+    code, out, _ = run(capsys, "iota", path, "--budget", "2")
+    assert (code, out) == (0, "n=7 m=7 iota=2 set=[1, 3]\n")
+
+
 def test_option_surface_is_pinned():
     # every argument of every subcommand; a new option means editing this
     sub = next(a for a in build_parser()._actions
@@ -168,6 +177,20 @@ def test_verify_damaged_stream_exits_2(monkeypatch, capsys):
     payload = json.loads(out)
     assert code == 2 and not payload["passed"]
     assert (payload["lines_read"], payload["graphs"], payload["skipped"]) == (3, 2, 1)
+    # with no line that decodes, each bad line is still listed
+    monkeypatch.setattr(sys, "stdin", io.StringIO("junk\n\nB\n"))
+    code, out, err = run(capsys, "verify", "--stream", "-", "--json")
+    assert code == 2 and json.loads(out)["skipped"] == 2
+    assert "line 1" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("data", ["", "\n  \n\n"], ids=["empty", "blank-only"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_verify_stream_without_a_graph_exits_2(monkeypatch, capsys, data, flags):
+    # as for iota and isolate, an input with no graph is an input error
+    monkeypatch.setattr(sys, "stdin", io.StringIO(data))
+    code, out, err = run(capsys, "verify", "--stream", "-", *flags)
+    assert (code, out) == (2, "") and "input error: no graph in input" in err
 
 
 # Each id spells out the name pytest derives from the row's values and list
@@ -335,7 +358,7 @@ def test_catalog_formats(capsys):
     assert code == 0 and len(out.strip().splitlines()) == 12
     code, out, _ = run(capsys, "catalog", "--format", "json")
     names = [json.loads(ln)["name"] for ln in out.strip().splitlines()]
-    assert names == list(gen.CATALOG_IDS)
+    assert names == [e.id for e in gen.catalog()]
     code, out, _ = run(capsys, "catalog", "--format", "edges")
     assert out.startswith("3 2\n")
 

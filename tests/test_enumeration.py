@@ -13,19 +13,23 @@ from p3iso.graphcore import Graph, delete_vertices, is_connected
 from p3iso.patterns import _refine_colors, canonical_form, has_induced_cycle
 
 from conftest import atlas_by_order, spine_tree
-from oracles import (all_graphs, full_labeling_accepted, reference_augmentations,
-                     reference_canonical_data, reference_refine_colors, relabeled_edge_sets)
+from oracles import (all_graphs, full_labeling_accepted, random_general_graph,
+                     reference_augmentations, reference_canonical_data,
+                     reference_refine_colors, relabeled_edge_sets)
 
 COUNTS = [1, 1, 2, 6, 10, 29, 64, 194, 531, 1733, 5524]  # orders 1..11
+
+
+def _walk_id(value):
+    """Test ids name the walk: "None" unfiltered, "no-induced-c6" filtered."""
+    if isinstance(value, bool):
+        return "no-induced-c6" if value else "None"
+    return None
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         EnumSpec(0)
-    with pytest.raises(ValueError):
-        EnumSpec(5, filter="bogus")
-    with pytest.raises(ValueError):
-        EnumSpec(5, filter=lambda g: True)  # filters are ids, not callables
 
 
 def test_tiny_orders():
@@ -69,36 +73,36 @@ def test_counts_to_9():
     assert [counts[n] for n in range(1, 10)] == COUNTS[:9]
 
 
-@pytest.mark.parametrize("filter_id, digest", [
-    (None, "98f90ab44985f100e0185c714929f9fc18ac1a02755e1ed49fca034f67ab077a"),
-    ("no-induced-c6", "ebd77ef49a5667da6c6047a268c63af5f1ba7f645056075eea6aca291496b33f"),
-])
-def test_emitted_sequence_is_pinned(filter_id, digest):
+@pytest.mark.parametrize("no_c6, digest", [
+    (False, "98f90ab44985f100e0185c714929f9fc18ac1a02755e1ed49fca034f67ab077a"),
+    (True, "ebd77ef49a5667da6c6047a268c63af5f1ba7f645056075eea6aca291496b33f"),
+], ids=_walk_id)
+def test_emitted_sequence_is_pinned(no_c6, digest):
     # the same labeled graphs in the same order as the full-labeling walk
-    assert _walk_digest(9, filter_id) == digest
+    assert _walk_digest(9, no_c6) == digest
 
 
-def _walk_digest(n, filter_id):
+def _walk_digest(n, no_c6):
     """sha256 of the walk's graph6 lines, in walk order."""
-    text = "\n".join(emit_graph6(g) for g in iter_subcubic(EnumSpec(n, filter=filter_id)))
+    text = "\n".join(emit_graph6(g) for g in iter_subcubic(EnumSpec(n, no_induced_c6=no_c6)))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_filtered_walk_to_10_is_pinned():
     # the no-induced-C6 walk through order 10 (1664 graphs), graph6 lines
     # in walk order, pinned before any change to the walk's decision rules
-    assert _walk_digest(10, "no-induced-c6") == (
+    assert _walk_digest(10, True) == (
         "eeca1b6bec980d00d54456ad59048c2cddbca8763464d988eae1ff5eb1bdb44f")
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("n, filter_id, digest", [
-    (11, None, "9623223726e519aae59c2595333fdda083eeecfad5ff747118ef22cc209d6756"),
-    (12, "no-induced-c6", "c183009577088e600b4caf5598735b0b5a2278c75a40918bfd703306fa7441a4"),
-])
-def test_walk_is_pinned_extended(n, filter_id, digest):
+@pytest.mark.parametrize("n, no_c6, digest", [
+    (11, False, "9623223726e519aae59c2595333fdda083eeecfad5ff747118ef22cc209d6756"),
+    (12, True, "c183009577088e600b4caf5598735b0b5a2278c75a40918bfd703306fa7441a4"),
+], ids=_walk_id)
+def test_walk_is_pinned_extended(n, no_c6, digest):
     # 8095 graphs unfiltered through order 11, 14704 filtered through 12
-    assert _walk_digest(n, filter_id) == digest
+    assert _walk_digest(n, no_c6) == digest
 
 
 @pytest.mark.extended
@@ -131,7 +135,7 @@ def test_canonical_data_matches_reference_labeling(rng):
     children = [c for g in walk if g.n < 8
                 for c in reference_augmentations(g, automorphisms(g))]
     general = [Graph.empty(0)] + [
-        gen.random_general_graph(rng.randint(1, 7), rng.uniform(0.1, 0.9), rng)
+        random_general_graph(rng.randint(1, 7), rng.uniform(0.1, 0.9), rng)
         for _ in range(299)]
     assert any(g.max_degree() > 3 for g in general)
     assert any(g.n and not is_connected(g) for g in general)
@@ -178,7 +182,7 @@ def test_new_vertex_c6_check_matches_whole_graph_check():
     # the filter looks only at cycles through the newest vertex, which is
     # exact because the walk extends C6-free graphs only
     failed = 0
-    for g in iter_subcubic(EnumSpec(8, filter="no-induced-c6")):
+    for g in iter_subcubic(EnumSpec(8, no_induced_c6=True)):
         assert has_induced_cycle(g, 6) is None
         for child in reference_augmentations(g, automorphisms(g)):
             cycle = has_induced_cycle(child, 6, through=child.n - 1)
@@ -205,59 +209,58 @@ def test_no_duplicates_up_to_7():
 
 
 def test_hereditary_filter_agrees_with_post_filtering():
-    spec = EnumSpec(7, filter="no-induced-c6")
-    filtered = [g for g in iter_subcubic(spec)]
+    filtered = list(iter_subcubic(EnumSpec(7, no_induced_c6=True)))
     plain = [g for g in iter_subcubic(EnumSpec(7))
              if has_induced_cycle(g, 6) is None]
     assert len(filtered) == len(plain)
     assert all(has_induced_cycle(g, 6) is None for g in filtered)
 
 
-def _shard_lines(n, filter_id, mod):
+def _shard_lines(n, no_c6, mod):
     """graph6 lines delivered over all shards of ``mod``, as a multiset."""
     got: Counter = Counter()
     for res in range(mod):
-        spec = EnumSpec(n, filter=filter_id, shard=(res, mod))
+        spec = EnumSpec(n, no_induced_c6=no_c6, shard=(res, mod))
         enumerate_connected_subcubic(spec, sink=lambda g: got.update([emit_graph6(g)]))
     return got
 
 
-def _shard_counts(n, filter_id, mod):
+def _shard_counts(n, no_c6, mod):
     """{order: count} summed over all shards of ``mod``."""
     total: Counter = Counter()
     for res in range(mod):
-        total.update(enumerate_connected_subcubic(EnumSpec(n, filter=filter_id, shard=(res, mod))))
+        total.update(enumerate_connected_subcubic(EnumSpec(n, no_c6, shard=(res, mod))))
     return dict(total)
 
 
 def test_parallel_matches_serial():
     serial = enumerate_connected_subcubic(EnumSpec(8))
-    assert _shard_counts(8, None, 2) == serial
+    assert _shard_counts(8, False, 2) == serial
     assert sum(serial.values()) == sum(1 for _ in iter_subcubic(EnumSpec(8)))
 
 
 def test_parallel_with_filters_matches_serial():
-    spec = EnumSpec(7, filter="no-induced-c6")
-    assert _shard_counts(7, "no-induced-c6", 2) == enumerate_connected_subcubic(spec)
+    spec = EnumSpec(7, no_induced_c6=True)
+    assert _shard_counts(7, True, 2) == enumerate_connected_subcubic(spec)
 
 
-@pytest.mark.parametrize("filter_id", [None, "no-induced-c6"])
-def test_parallel_delivers_same_graphs(filter_id):
+@pytest.mark.parametrize("no_c6", [False, True], ids=_walk_id)
+def test_parallel_delivers_same_graphs(no_c6):
     # shards are the parallel units: together they deliver the same labeled
     # graphs as the serial walk, each exactly once, at every order
     for n in range(1, 10):
-        serial = Counter(emit_graph6(g) for g in iter_subcubic(EnumSpec(n, filter=filter_id)))
+        serial = Counter(emit_graph6(g) for g in iter_subcubic(EnumSpec(n, no_c6)))
         assert len(serial) == sum(serial.values())
         for mod in (1, 2, 3, 7):
-            assert _shard_lines(n, filter_id, mod) == serial, (n, mod)
+            assert _shard_lines(n, no_c6, mod) == serial, (n, mod)
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("filter_id", [None, "no-induced-c6"])
-def test_shards_deliver_same_graphs_at_11_extended(filter_id):
-    serial = Counter(emit_graph6(g) for g in iter_subcubic(EnumSpec(11, filter=filter_id)))
+@pytest.mark.parametrize("no_c6", [False, True], ids=_walk_id)
+def test_shards_deliver_same_graphs_at_11_extended(no_c6):
+    serial = Counter(emit_graph6(g) for g in iter_subcubic(EnumSpec(11, no_c6)))
     for mod in (1, 2, 3, 7):
-        assert _shard_lines(11, filter_id, mod) == serial, mod
+        assert _shard_lines(11, no_c6, mod) == serial, mod
 
 
 @pytest.mark.parametrize("shard", [(0, 0), (-1, 2), (2, 2), (5, 3)])

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p3iso import generators as gen
-from p3iso.graphcore import (Graph, bit_indices, closed_mask, component_masks,
-                             connected_within, delete_vertices, distance,
-                             is_connected, split_off)
+from p3iso.graphcore import (Graph, bit_indices, closed_mask, connected_within,
+                             delete_vertices, distance, is_connected, split_off)
 from p3iso.patterns import contains_copy, is_isomorphic
 
 from conftest import connected_subcubic_upto
+from oracles import component_masks, random_general_graph
 
 
 def test_construction_validation():
@@ -30,6 +30,16 @@ def test_construction_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
 
 
+def test_negative_order_is_named():
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        Graph(-1, [])
+
+
+def test_negative_order_is_named_from_edges():
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        Graph.from_edges(-1, [])
+
+
 def test_trusted_sites_build_valid_graphs(rng):
     # children, deletions, added edges, edge-list builds, disjoint unions and
     # decodes skip the constructor's checks; each must still pass them and
@@ -46,15 +56,15 @@ def test_trusted_sites_build_valid_graphs(rng):
         for child in _augmentations(g, automorphisms(g)):
             checked(child)
     for _ in range(100):
-        g = gen.random_general_graph(rng.randint(1, 12), rng.random(), rng)
+        g = random_general_graph(rng.randint(1, 12), rng.random(), rng)
         checked(parse_graph6(emit_graph6(g)))
         checked(parse_edge_list(emit_edge_list(g)))
         edges = list(g.edges())
         rng.shuffle(edges)
         checked(Graph.from_edges(g.n, [(v, u) if rng.random() < 0.5 else (u, v)
                                        for u, v in edges]))
-        checked(gen.disjoint_union(g, gen.random_general_graph(rng.randint(0, 6),
-                                                               rng.random(), rng)))
+        checked(gen.disjoint_union(g, random_general_graph(rng.randint(0, 6),
+                                                           rng.random(), rng)))
         checked(delete_vertices(g, sum(1 << v for v in range(g.n) if rng.random() < 0.4))[0])
         missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                    if not g.has_edge(u, v)]
@@ -150,7 +160,7 @@ def test_split_off_matches_component_masks(rng):
         if i % 2:
             g = gen.random_subcubic_connected(rng.randint(1, 40), rng)
         else:  # degree above 3 and many boundary seeds
-            g = gen.random_general_graph(rng.randint(1, 24), rng.random() * 0.3, rng)
+            g = random_general_graph(rng.randint(1, 24), rng.random() * 0.3, rng)
         mask = _connected_mask(g, rng)
         assert connected_within(g, mask)
         kill = sum(1 << rng.randrange(g.n) for _ in range(rng.randint(0, 6)))
@@ -194,7 +204,7 @@ def test_distance_examples():
 
 def test_handshake_over_enumeration():
     for g in connected_subcubic_upto(6):
-        assert sum(g.degrees()) == 2 * g.edge_count
+        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
 
 
 def test_distance_triangle_inequality():

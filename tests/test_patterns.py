@@ -10,7 +10,7 @@ from p3iso.patterns import (catalog_match, contains_copy, has_induced_cycle,
                             is_isomorphic)
 
 from conftest import connected_subcubic_upto
-from oracles import (brute_has_induced_cycle, brute_is_isomorphic,
+from oracles import (brute_has_induced_cycle, brute_is_isomorphic, random_general_graph,
                      reference_has_induced_cycle)
 
 
@@ -47,7 +47,7 @@ def test_contains_copy_witnesses_are_copies(rng):
         return any(ends.count(v) >= 2 for v in keep)
 
     for _ in range(400):
-        g = gen.random_general_graph(rng.randint(1, 8), rng.uniform(0.2, 0.8), rng)
+        g = random_general_graph(rng.randint(1, 8), rng.uniform(0.2, 0.8), rng)
         within = rng.getrandbits(g.n)
         keep = set(bit_indices(within))
         edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
@@ -106,7 +106,7 @@ def test_induced_cycle_agrees_with_subset_scan():
 def test_induced_cycle_agrees_on_random_general_graphs(rng):
     for _ in range(150):
         n = rng.randint(4, 9)
-        g = gen.random_general_graph(n, rng.uniform(0.2, 0.7), rng)
+        g = random_general_graph(n, rng.uniform(0.2, 0.7), rng)
         for k in (4, 5, 6):
             assert (has_induced_cycle(g, k) is not None) == \
                 brute_has_induced_cycle(g, k)
@@ -116,7 +116,7 @@ def test_pruned_induced_cycle_keeps_the_witness(rng):
     # the prunes cut only branches that cannot close, so the first cycle
     # found is the unpruned search's, with and without ``through``
     graphs = [gen.random_subcubic_connected(rng.randint(3, 16), rng) for _ in range(150)]
-    graphs += [gen.random_general_graph(rng.randint(3, 10), rng.uniform(0.2, 0.8), rng)
+    graphs += [random_general_graph(rng.randint(3, 10), rng.uniform(0.2, 0.8), rng)
                for _ in range(150)]
     graphs += [gen.random_eligible_graph(n, rng) for n in (20, 60, 150, 400)]
     for g in graphs:
@@ -153,10 +153,10 @@ def test_is_isomorphic_matches_brute_on_small_pairs(rng):
     kinds = set()
     for _ in range(200):
         n = rng.randint(1, 7)
-        g = gen.random_general_graph(n, rng.choice([0.0, 0.2, 0.4, 0.6, 0.9]), rng)
+        g = random_general_graph(n, rng.choice([0.0, 0.2, 0.4, 0.6, 0.9]), rng)
         h = shuffled_copy(g, rng)
         if rng.random() < 0.5:
-            draws = (gen.random_general_graph(n, rng.random(), rng) for _ in range(50))
+            draws = (random_general_graph(n, rng.random(), rng) for _ in range(50))
             h = next((d for d in draws if d.edge_count == g.edge_count), h)
         expected = brute_is_isomorphic(g, h)
         wit = is_isomorphic(g, h)

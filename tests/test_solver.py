@@ -18,7 +18,7 @@ from p3iso.solver import Certificate, isolation_number
 
 from conftest import connected_subcubic_upto, sorted_vertex_tuple, spine_tree
 from oracles import (brute_iota_p3, brute_min_isolating_sets, closed_nbhd_set,
-                     component_sum_iota, reference_first_isolating_set,
+                     component_sum_iota, random_general_graph, reference_first_isolating_set,
                      reference_packing_lower_bound)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -37,7 +37,7 @@ def test_is_isolating_examples():
     # the recheck's own 3-path test agrees with the search's copy finder
     rng = random.Random(26)
     for _ in range(3000):
-        g = gen.random_general_graph(rng.randint(1, 9), rng.random(), rng)
+        g = random_general_graph(rng.randint(1, 9), rng.random(), rng)
         d = [v for v in range(g.n) if rng.random() < 0.25]
         free = g.full_mask() & ~closed_mask(g, sum(1 << v for v in d))
         assert is_isolating(g, d) == (contains_copy(g, within=free) is None)
@@ -143,7 +143,7 @@ def test_minimality_recheck_against_subset_scan(rng):
 def test_differential_against_brute_force(rng):
     # general graphs: disconnected, dense and of any degree
     for _ in range(300):
-        g = gen.random_general_graph(rng.randint(1, 9), rng.uniform(0.1, 0.8), rng)
+        g = random_general_graph(rng.randint(1, 9), rng.uniform(0.1, 0.8), rng)
         value = brute_iota_p3(g)
         cert = isolation_number(g)
         assert cert.exact and cert.value == value, list(g.edges())
@@ -161,7 +161,7 @@ def test_differential_against_brute_force(rng):
 def test_first_found_set_matches_unpruned_search(rng):
     # the memo, the packing bound and the dominance skip only cut subtrees
     # that fail, so the plain search returns the unpruned search's first set
-    graphs = [gen.random_general_graph(rng.randint(1, 9), rng.uniform(0.1, 0.8), rng)
+    graphs = [random_general_graph(rng.randint(1, 9), rng.uniform(0.1, 0.8), rng)
               for _ in range(300)]
     graphs += [gen.random_subcubic_connected(rng.randint(1, 14), rng) for _ in range(200)]
     for g in graphs:
@@ -176,7 +176,7 @@ def test_first_found_set_matches_unpruned_search(rng):
 def test_packing_bound_matches_per_offer_scan(rng):
     for _ in range(300):
         if rng.random() < 0.5:
-            g = gen.random_general_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
+            g = random_general_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
         else:
             g = gen.random_subcubic_connected(rng.randint(1, 20), rng)
         search = solver._Search(g)
@@ -204,7 +204,7 @@ def test_ranked_offers(rng):
     # live offer and no other center has one; and the walk stopped at
     # cap + 1 reads the reference bound capped the same way. General graphs
     # reach centers of degree above 3
-    graphs = [gen.random_general_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
+    graphs = [random_general_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
               for _ in range(300)]
     graphs += [gen.random_subcubic_connected(rng.randint(1, 20), rng) for _ in range(150)]
     for g in graphs:
@@ -279,7 +279,7 @@ def test_hub_search_matches_whole_mask_search(rng, monkeypatch):
     for _ in range(25):
         _assert_same_search(monkeypatch, gen.random_eligible_graph(rng.randint(16, 60), rng))
     for _ in range(150):
-        _assert_same_search(monkeypatch, gen.random_general_graph(
+        _assert_same_search(monkeypatch, random_general_graph(
             rng.randint(1, 14), rng.uniform(0.1, 0.8), rng))
 
 

@@ -95,7 +95,7 @@ def _filtered_stream_vs_walk(n):
     # violations at every order, and every graph it streams is eligible
     walk = verify_enumerated(n).rows
     filtered = verify_stream(emit_graph6(g) for g in
-                             iter_subcubic(EnumSpec(n, filter="no-induced-c6")))
+                             iter_subcubic(EnumSpec(n, no_induced_c6=True)))
     assert filtered.passed and sorted(filtered.rows) == sorted(walk)
     for k, row in filtered.rows.items():
         assert row.examined == row.eligible, k
