@@ -33,9 +33,7 @@ cases check only the component shapes they rely on, and a failed check
 raises InternalCaseExhausted with the case ids traced so far: a failed
 case is reported, never covered by another algorithm. A branch that the
 catalog's own data rules out has no code: the tests pin each such catalog
-fact, and fail when a statement of the cases stops running. Two statements
-have no witness input: the exceptional-remainder ``continue`` of
-_case223_non_cycle and its closing raise.
+fact, and fail when a statement of the cases stops running.
 """
 
 from __future__ import annotations
@@ -442,7 +440,7 @@ def _solve_with_vertex(g: Graph, mask: int, v: int, trace: CaseTrace, memo: dict
         return (yield from _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w,
                                                  trace, memo, k))
     if h1.cid in ("G71", "G72", "G73", "G75"):
-        return (yield from _case223_non_cycle(g, mask, h1, x1, trace, memo))
+        return (yield from _case223_non_cycle(g, mask, h1, x1, trace))
     # P3 or C3: G74 and G76 have one open slot, so they cannot be linked twice
     return (yield from _case224(g, mask, v, nbrs, h1, trace, memo))
 
@@ -479,9 +477,8 @@ def _case21(g, mask, v, ch, trace, memo):
     bits = 1 << xh
     sub_bits, removed = yield from _lemma_gv(g, ch.mask, y)
     bits |= sub_bits
-    removed |= 1 << xh
     gv_mask, others = _split(g, mask, (1 << xh) | ch.mask, v)
-    detail: dict = {"exceptional": ch.cid, "leftover": []}
+    detail = {"exceptional": ch.cid}
     bits |= yield from _each(others)
     gv_cid = _catalog_id(g, gv_mask, memo)
     if gv_cid is None:
@@ -494,13 +491,7 @@ def _case21(g, mask, v, ch, trace, memo):
         bits |= gbits
         removed |= grem
         detail["gv_exceptional"] = gv_cid
-        if gv_mask.bit_count() == 3:
-            detail["leftover"] = _leftover(g, gv_mask, bits)
-    if ch.mask.bit_count() == 3:
-        detail["leftover"] = sorted(set(detail["leftover"]) |
-                                    set(_leftover(g, ch.mask, bits)))
-    trace.add(CASE_21, [xh], bit_indices(removed), detail)
-    return bits
+    return _close(g, trace, bits, CASE_21, [xh], removed | (1 << xh), **detail)
 
 
 def _normalize(g: Graph, h_mask: int, cid: str, pin: int | None = None):
@@ -534,27 +525,31 @@ def _case_inner(g, mask, h1, x1, x1p, trace):
     return (1 << y) | (yield _rest(g, mask, kill))
 
 
-def _case223_non_cycle(g, mask, h1, x1, trace, memo):
+def _case223_non_cycle(g, mask, h1, x1, trace):
     """H1 in {G71, G72, G73, G75}: delete a prescribed inner degree-3 vertex.
 
-    y* is the first vertex in label order of full degree in H1, outside the
-    closed neighborhood of x1's attachment, that leaves a non-exceptional
-    remainder. It has no edge leaving H1, since g is subcubic, and H1 - N[y*]
-    is a connected 3-vertex graph (a catalog fact pinned in the tests).
+    y* is the first vertex in label order of full degree in H1 outside the
+    closed neighborhood of x1's attachment a1. It has no edge leaving H1,
+    since g is subcubic, so N[y*] lies in H1 and the remainder has order
+    n - 4 >= 12. R = H1 - N[y*] is a connected 3-vertex graph, and the
+    remainder is never exceptional: the only catalog graph that large is
+    G15, in which every vertex has degree at least 2, so a vertex of R keeps
+    at most one edge into N[y*], and only as a degree-2 vertex of the copy.
+    The degree-2 vertices of G15 are pairwise at distance at least 4, while
+    R's are within distance 2 of each other, so R would have at most one
+    edge into N[y*]; every (H1, y*) has two to four. The tests pin each of
+    these catalog facts, and _piece would still refuse an exceptional
+    remainder on entry.
     """
     h_mask = h1.mask
-    a1 = _attachments(g, x1, h_mask)[0]
-    banned = closed_mask(g, 1 << a1)
-    for ystar in bit_indices(h_mask & ~banned):
-        if _degree(g, h_mask, ystar) != 3:
-            continue
-        kill = closed_mask(g, 1 << ystar) & mask
-        star = _rest(g, mask, kill)
-        if _catalog_id(g, star, memo) is not None:
-            continue
-        trace.add(CASE_223, [ystar], bit_indices(kill), {"subcase": h1.cid})
-        return (1 << ystar) | (yield star)
-    raise InternalCaseExhausted(f"no usable inner vertex in a {h1.cid} component")
+    banned = closed_mask(g, 1 << _attachments(g, x1, h_mask)[0])
+    ystar = next((y for y in bit_indices(h_mask & ~banned)
+                  if _degree(g, h_mask, y) == 3), None)
+    _require(ystar is not None, f"no inner vertex of full degree in a {h1.cid} component")
+    kill = closed_mask(g, 1 << ystar) & mask
+    star = _rest(g, mask, kill)
+    trace.add(CASE_223, [ystar], bit_indices(kill), {"subcase": h1.cid})
+    return (1 << ystar) | (yield star)
 
 
 def _cycle_component_case(g, mask, v, nv, h1, x1, x1p, w, trace, memo, k: int):

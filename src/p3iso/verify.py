@@ -70,7 +70,9 @@ class VerificationReport(Record):
 
     @property
     def passed(self) -> bool:
-        return not self.skipped and all(not r.violations for r in self.rows.values())
+        """At least one graph examined, no line skipped and no violation."""
+        return (self.graphs > 0 and not self.skipped
+                and all(not r.violations for r in self.rows.values()))
 
     def row(self, order: int) -> OrderReport:
         if order not in self.rows:

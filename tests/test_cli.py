@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from p3iso import constructive
+from p3iso import constructive, verify
 from p3iso import generators as gen
 from p3iso.graphcore import Graph
 from p3iso.cli import build_parser, main
@@ -319,6 +319,15 @@ def test_check_observations(capsys):
     code, out, _ = run(capsys, "check-observations", "--json")
     recs = json.loads(out)
     assert code == 0 and len(recs) == 10 and all(r["passed"] for r in recs)
+
+
+def test_check_observations_reports_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "check_observations", lambda: [
+        verify.ObservationResult("holds", True),
+        verify.ObservationResult("breaks", False, "vertex 3")])
+    code, out, err = run(capsys, "check-observations")
+    assert code == 1 and out.splitlines() == ["PASS holds", "FAIL breaks: vertex 3"]
+    assert err == "observation checks failed\n"
 
 
 def test_gen_and_iota_pipeline(tmp_path, capsys):

@@ -16,7 +16,8 @@ from p3iso.check import is_isolating, verify_certificate
 from p3iso.constructive import (InternalCaseExhausted, PreconditionViolated,
                                 isolate_p3_subcubic, path_cycle_isolating_set)
 from p3iso.enumeration import EnumSpec, iter_subcubic
-from p3iso.graphcore import Graph, closed_mask, connected_within, delete_vertices
+from p3iso.graphcore import (Graph, bit_indices, closed_mask, connected_within,
+                             delete_vertices, distance, split_off)
 from p3iso.solver import Certificate, isolation_number
 
 from conftest import connected_subcubic_upto, sorted_vertex_tuple
@@ -624,19 +625,89 @@ def test_inner_vertex_leaves_a_connected_triple():
     assert pairs == 13
 
 
+def test_inner_vertex_leaves_no_catalog_remainder():
+    # _case223_non_cycle: a remainder of order n - 4 >= 12 could only be a
+    # G15 copy. G15 has minimum degree 2 and its degree-2 vertices are
+    # pairwise at distance >= 4, so the connected triple R = H - N[y] of
+    # such a copy keeps at most one edge into N[y]; in these graphs R has
+    # two to four for every degree-3 y
+    assert [e.id for e in gen.catalog() if e.order >= 12] == ["G15"]
+    g15 = gen.catalog_entry("G15").graph
+    low = [u for u in range(g15.n) if g15.degree(u) == 2]
+    assert g15.min_degree() == 2
+    assert min(distance(g15, a, b) for a, b in itertools.combinations(low, 2)) >= 4
+    edges = {}
+    for cid in ("G71", "G72", "G73", "G75"):
+        h = gen.catalog_entry(cid).graph
+        for y in (t for t in range(h.n) if h.degree(t) == 3):
+            ny = closed_mask(h, 1 << y)
+            rest = h.full_mask() & ~ny
+            assert rest.bit_count() == 3 and connected_within(h, rest), (cid, y)
+            edges[cid, y] = sum((h.rows[u] & ny).bit_count() for u in bit_indices(rest))
+    assert len(edges) == 15
+    assert all(2 <= k <= 4 for k in edges.values()), edges
+
+
+def order19_configurations():
+    """Every way an order-19 piece could leave a G15 copy S after Case
+    2.2.3 deletes N[y*] from a doubly linked order-7 component H: a
+    degree-3 v of S, the pair {x1, x1'} of its neighbors that link H, a
+    3-vertex component R of S - N[v] next to either, and an isomorphism
+    from R onto H - N[y*] for a degree-3 y* of H. Yields (S, v, H, N[y*]
+    as a mask of H, the map from R to H)."""
+    s = gen.catalog_entry("G15").graph
+    for v in (u for u in range(s.n) if s.degree(u) == 3):
+        nv = closed_mask(s, 1 << v)
+        for x1, x1p in itertools.combinations(bit_indices(s.rows[v]), 2):
+            for r in split_off(s, s.full_mask(), nv):
+                if r.bit_count() != 3 or not (s.rows[x1] | s.rows[x1p]) & r:
+                    continue
+                for cid in ("G71", "G72", "G73", "G75"):
+                    h = gen.catalog_entry(cid).graph
+                    for y in (t for t in range(h.n) if h.degree(t) == 3):
+                        ny = closed_mask(h, 1 << y)
+                        for image in itertools.permutations(bit_indices(h.full_mask() & ~ny)):
+                            phi = dict(zip(bit_indices(r), image))
+                            if all((s.rows[a] >> b ^ h.rows[phi[a]] >> phi[b]) & 1 == 0
+                                   for a, b in itertools.combinations(phi, 2)):
+                                yield s, v, h, ny, phi
+
+
+@pytest.mark.extended
+def test_no_order19_piece_leaves_a_g15_remainder_extended():
+    # the argument of test_inner_vertex_leaves_no_catalog_remainder, by
+    # exhaustion: put N[y*] back on every configuration with every set of
+    # edges between N[y*] and N(v); no graph built is subcubic
+    embeddings = built = subcubic = 0
+    for s, v, h, ny, phi in order19_configurations():
+        embeddings += 1
+        label = dict(zip(bit_indices(ny), range(s.n, s.n + 4)))
+        label.update((phi[a], a) for a in phi)
+        base = list(s.rows) + [0] * 4
+        for a, b in h.edges():
+            if (ny >> a | ny >> b) & 1:
+                base[label[a]] |= 1 << label[b]
+                base[label[b]] |= 1 << label[a]
+        slots = [(p, q) for p in range(s.n, s.n + 4) for q in bit_indices(s.rows[v])]
+        for chosen in range(1 << len(slots)):
+            rows = list(base)
+            for i in bit_indices(chosen):
+                p, q = slots[i]
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+            built += 1
+            subcubic += max(row.bit_count() for row in rows) <= 3
+    assert (embeddings, built, subcubic) == (552, 552 << 12, 0)
+
+
 # -- every statement of the cases runs ---------------------------------------------
 
 # (function, block header, statement) of each statement of the case layer
 # that no input of the gate below runs
-UNRUN_ALLOWED = sorted([
+UNRUN_ALLOWED = [
     # a failed check: only the tests that break a case on purpose reach it
     ("_require", "if not cond:", "raise InternalCaseExhausted(msg)"),
-    # no known input leaves an exceptional remainder once N[y*] is deleted
-    ("_case223_non_cycle", "if _catalog_id(g, star, memo) is not None:", "continue"),
-    # reached only if every candidate y* leaves an exceptional remainder
-    ("_case223_non_cycle", "",
-     'raise InternalCaseExhausted(f"no usable inner vertex in a {h1.cid} component")'),
-])
+]
 
 
 def case_layer():

@@ -8,7 +8,7 @@ from p3iso.check import is_isolating
 from p3iso.solver import isolation_number
 
 
-def test_standard_graphs():
+def test_standard_graphs(rng):
     p3 = gen.path(3)
     assert p3.edge_count == 2 and p3.max_degree() == 2
     c6 = gen.cycle(6)
@@ -20,6 +20,12 @@ def test_standard_graphs():
         gen.cycle(2)
     with pytest.raises(BadOrder):
         gen.complete(0)
+    with pytest.raises(BadOrder, match=r"^construction needs n >= 1, got 0$"):
+        gen.construction_B_p3(0)
+    with pytest.raises(BadOrder, match=r"^tree needs n >= 1$"):
+        gen.random_subcubic_tree(0, rng)
+    with pytest.raises(BadOrder, match=r"^need n >= 1$"):
+        gen.random_eligible_graph(0, rng)
 
 
 def test_construction_b_examples():

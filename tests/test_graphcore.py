@@ -28,6 +28,10 @@ def test_construction_validation():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+    for u, v in ((0, 1), (1, 0), (2, 2)):
+        with pytest.raises(ValueError, match=rf"^cannot add edge {u},{v}$"):
+            gen.path(3).with_edge(u, v)
+    assert gen.path(3).with_edge(0, 2) == gen.cycle(3)
 
 
 def test_negative_order_is_named():
@@ -38,6 +42,15 @@ def test_negative_order_is_named():
 def test_negative_order_is_named_from_edges():
     with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
         Graph.from_edges(-1, [])
+
+
+def test_graph_is_immutable_and_shows_its_size():
+    g = gen.path(3)
+    for name, value in (("n", 4), ("rows", (0, 0, 0)), ("extra", 1)):
+        with pytest.raises(AttributeError, match=r"^Graph is immutable$"):
+            setattr(g, name, value)
+    assert (g.n, g.rows) == (3, (0b10, 0b101, 0b10))
+    assert repr(g) == "Graph(n=3, m=2)"
 
 
 def test_trusted_sites_build_valid_graphs(rng):

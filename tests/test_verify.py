@@ -243,6 +243,13 @@ def test_verify_stream_counts_every_line():
     assert [no for no, _ in report.skipped] == [3] and not report.passed
 
 
+def test_report_without_a_graph_does_not_pass():
+    # an input that holds no graph checks nothing, so it proves nothing
+    report = verify_stream(["", "  "])
+    assert (report.lines_read, report.graphs, report.skipped) == (2, 0, [])
+    assert report.to_dict()["passed"] is False
+
+
 def test_violation_detection(monkeypatch):
     # the theorem says violations cannot exist, so force one: hide the
     # catalog match and stream an exceptional graph
