@@ -28,10 +28,12 @@ non-cut vertices.
 - Decisions within refinement rounds (``_accepted``). A round's signature
   leads with the previous color, so a round never reorders two vertices of
   different colors: an order seen after any round holds in the stable
-  partition. The degrees count as the first round. A non-cut vertex
-  colored above the newest vertex rejects the child at once, and the
-  newest vertex alone in its top class accepts it; only a tie that lasts
-  to the stable partition goes on.
+  partition. The degrees count as the first round. Rounds are compared by
+  their signatures, which order the vertices as their ranks would; ranks
+  are built only to weight the next round. A non-cut vertex colored above
+  the newest vertex rejects the child at once, and the newest vertex alone
+  in its top class accepts it; only a tie that lasts to the stable
+  partition goes on, and the stable round's signatures order its labeling.
 - Twin ties (``_accepted``). A rival with the newest vertex's neighbors,
   apart from each other, is its twin, and swapping the two is an
   automorphism. When every non-cut rival is a twin, all of them share the
@@ -150,7 +152,7 @@ def _accepted(g: Graph) -> tuple[bool, list[tuple[int, ...]] | None]:
     if all(rows[v] & ~(1 << last) == own & ~(1 << v) for v in rivals):
         return True, None
     # otherwise n-1 must share an orbit with the vertex at p*
-    _, labelings = canonical_data(g, tuple(colors))
+    _, labelings = canonical_data(g, colors)
     rivals.append(last)
     pstar = max(labelings[0].index(v) for v in rivals)
     if any(lab[pstar] == last for lab in labelings):

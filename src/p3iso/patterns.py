@@ -15,7 +15,7 @@ all operations are pure.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from .graphcore import Graph, bit_indices
@@ -145,49 +145,58 @@ def _neighbors(row: int) -> tuple[int, ...]:
     return tuple(bit_indices(row))
 
 
+@lru_cache(maxsize=1 << 8)
+def _places(base: int, n: int) -> tuple[tuple[int, ...], int]:
+    """The place weights B^(n-1-c) for c in 0..n-1, and B^n, for B = base."""
+    return tuple(base ** (n - 1 - c) for c in range(n)), base ** n
+
+
 def _color_rounds(g: Graph) -> Iterator[list[int]]:
     """1-dimensional color refinement, round by round: the degrees first,
-    then the colors after each round, as small dense ints. The last list
-    is the stable partition.
+    then each round's signatures, which order the vertices as the round's
+    dense ranks would. The last list is the stable partition.
+
+    A vertex's signature is the int c*B^n - sum(B^(n-1-color(u)) for u in
+    N(v)) with c its previous color and B = max degree + 1: the sum writes
+    the multiset of neighbor colors as n base-B digits, lowest color the
+    most significant, and stays below B^n. Equal colors mean equal degrees,
+    so the signatures order the vertices as the tuples (c, *sorted neighbor
+    colors) do. The signature leads with the previous color, so a round
+    never reorders two vertices of different colors.
 
     A round's colors refine the previous ones, so a round in which the
     class count stops growing, or reaches n, ends with an equitable
-    partition: another round would return the same dense ranks. A vertex's
-    signature is the int c*B^n - sum(B^(n-1-color(u)) for u in N(v)) with
-    B = max degree + 1: the sum writes the multiset of neighbor colors as n
-    base-B digits, lowest color the most significant, and stays below B^n.
-    Equal colors mean equal degrees, so the signatures order the vertices
-    as the tuples (c, *sorted neighbor colors) do, and the ranks are the
-    same. The signature leads with the previous color, so a round never
-    reorders two vertices of different colors.
+    partition and is the last. Dense ranks (0, 1, ... in signature order)
+    are built only when a next round is asked for, to weight it, so a
+    reader that compares colors and stops early never builds them.
     """
     nbrs = list(map(_neighbors, g.rows))
     colors = [len(nb) for nb in nbrs]
     yield colors
     n = len(colors)
-    base = max(colors, default=0) + 1
-    place = [base ** (n - 1 - c) for c in range(n)]
-    shift = base ** n
+    place, shift = _places(max(colors, default=0) + 1, n)
     classes = len(set(colors))
     while True:
         weight = [place[c] for c in colors]
         sigs = [c * shift - sum(map(weight.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
-        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [relabel[s] for s in sigs]
-        yield colors
-        if len(relabel) in (classes, n):
+        yield sigs
+        distinct = sorted(set(sigs))
+        if len(distinct) in (classes, n):
             return
-        classes = len(relabel)
+        classes = len(distinct)
+        rank = {s: i for i, s in enumerate(distinct)}
+        colors = [rank[s] for s in sigs]
 
 
 def _refine_colors(g: Graph) -> tuple[int, ...]:
-    """The stable partition of ``_color_rounds``."""
-    for colors in _color_rounds(g):
+    """The stable partition of ``_color_rounds``, ranked once as dense ints."""
+    for sigs in _color_rounds(g):
         pass
-    return tuple(colors)
+    rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return tuple(rank[s] for s in sigs)
 
 
-def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
+def canonical_data(g: Graph, colors: Sequence[int] | None = None
                    ) -> tuple[tuple, list[tuple[int, ...]]]:
     """(canonical form, all labelings achieving it).
 
@@ -195,17 +204,21 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
     form is the maximal tuple of adjacency columns over labelings that
     list the refinement color classes in ascending order; the column of
     the vertex at pos has bit pos-1-p set iff it is adjacent to the vertex
-    at p < pos. ``colors``, if given, must be ``_refine_colors(g)``; it
-    saves refining again.
+    at p < pos. ``colors``, if given, saves refining again: it may be
+    ``_refine_colors(g)`` or any order-preserving image of it (a sequence
+    c with c[u] < c[v] exactly when u's rank is below v's), such as the
+    last round's signatures from ``_color_rounds``, since only the order
+    of the color classes is read.
 
-    One depth-first search over each node's maximal-column candidates, in
-    ascending block order, keeps ``best``: the best column sequence so far,
-    or its prefix while the first descent under a new best is under way.
-    A node whose top column falls below best's there is cut; one whose top
-    column rises above it replaces best from that position on and clears
-    the labelings; a leaf ties best and adds its labeling. No cut subtree
-    holds a maximal labeling, and all of them are reached after the last
-    replacement, so they come out in depth-first order.
+    One depth-first search over each node's maximal-column candidates,
+    found in one scan of its block, in ascending block order, keeps
+    ``best``: the best column sequence so far, or its prefix while the
+    first descent under a new best is under way. A node whose top column
+    falls below best's there is cut; one whose top column rises above it
+    replaces best from that position on and clears the labelings; a leaf
+    ties best and adds its labeling. No cut subtree holds a maximal
+    labeling, and all of them are reached after the last replacement, so
+    they come out in depth-first order.
     """
     n = g.n
     if n == 0:
@@ -227,13 +240,17 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
     vertex_at: list[int] = []
 
     def search(pos: int, used: int):
-        if pos == n:
-            labelings.append(tuple(vertex_at))
-            return
+        # the unused vertices of the block with its top column; the block
+        # always holds one, as earlier positions took fewer than its size
         top = -1
         for v in block_at[pos]:
-            if not (used >> v) & 1 and col[v] > top:
-                top = col[v]
+            if not (used >> v) & 1:
+                c = col[v]
+                if c > top:
+                    top = c
+                    cands = [v]
+                elif c == top:
+                    cands.append(v)
         if pos < len(best):
             if top < best[pos]:
                 return
@@ -242,10 +259,11 @@ def canonical_data(g: Graph, colors: tuple[int, ...] | None = None
         if pos == len(best):
             best.append(top)
             labelings.clear()
+        if pos == n - 1:  # one vertex left, so a leaf
+            labelings.append((*vertex_at, cands[0]))
+            return
         bit = 1 << (n - 1 - pos)
-        for v in block_at[pos]:
-            if (used >> v) & 1 or col[v] != top:
-                continue
+        for v in cands:
             for u in nbrs[v]:
                 col[u] += bit
             vertex_at.append(v)

@@ -314,9 +314,9 @@ def check_observations() -> list[ObservationResult]:
     low = [v for v in range(g15.n) if g15.degree(v) == 2]
     dists = [distance(g15, u, v) for u, v in combinations(low, 2)]
     if len(low) != 3:
-        fails.append(f"expected 3 degree-2 vertices, got {len(low)}")
+        fails.append(f"G15: expected 3 degree-2 vertices, got {len(low)}")
     if not dists or min(dists) != 4:
-        fails.append(f"pairwise distances {dists}")
+        fails.append(f"G15: pairwise distances {dists}")
     add("order15-degree2-distance-4", fails)
 
     # the four attachable order-7 graphs: a far full-degree vertex whose
@@ -361,7 +361,7 @@ def check_observations() -> list[ObservationResult]:
         gp = gp.with_edge(u, v)
         got = patterns.catalog_match(gp)
         if got not in ("G71", "G72", "G73", "G74", "G76"):
-            fails.append(f"G71+{e1}+{e2}: match {got}")
+            fails.append(f"G71+{e1[0] + 1}-{e1[1] + 1}+{u + 1}-{v + 1}: match {got}")
     add("order7-leafy-edge-additions", fails)
 
     # deleting any low-degree vertex drops the isolation number by one unit

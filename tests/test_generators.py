@@ -106,6 +106,41 @@ def test_catalog_match_reads_the_self_checked_catalog(tampered_catalog):
         catalog_match(gen.cycle(7))
 
 
+_C7 = tuple((i, i + 1) for i in range(1, 7)) + ((1, 7),)
+
+
+@pytest.mark.parametrize("cid, order, edges, message", [
+    ("C3", 4, ((1, 2), (2, 3), (1, 3)), "C3: order 4 is not 3 mod 4"),
+    ("C7", 7, _C7[:5], "C7: not connected"),
+    ("G71", 7, gen._CATALOG_EDGES["G71"][1] + ((4, 7),), "G71: not subcubic"),
+    ("C7", 7, _C7 + ((1, 4),), "C7: max degree 3 != documented"),
+    ("C7", 7, _C7[:5] + ((1, 6), (6, 7)), "C7: has an induced 6-cycle"),
+    ("C7", 7, _C7[:6], "C7: iota 1 != 2"),
+], ids=["order", "connected", "subcubic", "max-degree", "induced-c6", "iota"])
+def test_catalog_self_check_names_the_graph(monkeypatch, cid, order, edges, message):
+    # one tampered transcription: the load refuses it, and its message names
+    # the graph and the property that failed
+    from p3iso.patterns import _catalog_forms
+
+    monkeypatch.setattr(gen, "_CATALOG_EDGES", {**gen._CATALOG_EDGES, cid: (order, edges)})
+    gen.catalog.cache_clear()
+    _catalog_forms.cache_clear()
+    try:
+        with pytest.raises(CatalogSelfCheckFailed) as info:
+            gen.catalog()
+    finally:
+        gen.catalog.cache_clear()
+        _catalog_forms.cache_clear()
+    assert message in str(info.value).split("; "), str(info.value)
+
+
+def test_eligible_sampler_that_never_succeeds_names_the_order(monkeypatch, rng):
+    # every draw lands in the catalog and is re-rolled until the tries run out
+    monkeypatch.setattr(gen.patterns, "catalog_match", lambda g: "G15")
+    with pytest.raises(RuntimeError, match=r"^could not sample an eligible graph of order 9$"):
+        gen.random_eligible_graph(9, rng)
+
+
 def test_disjoint_union_and_pendant():
     u = gen.disjoint_union(gen.cycle(3), gen.path(2))
     assert u.n == 5 and u.edge_count == 4

@@ -6,12 +6,12 @@ import pytest
 from p3iso import generators as gen
 from p3iso.graphcore import (Graph, bit_indices, closed_mask, delete_vertices,
                              is_connected)
-from p3iso.patterns import (catalog_match, contains_copy, has_induced_cycle,
-                            is_isomorphic)
+from p3iso.patterns import (_color_rounds, _refine_colors, canonical_data, catalog_match,
+                            contains_copy, has_induced_cycle, is_isomorphic)
 
 from conftest import connected_subcubic_upto
 from oracles import (brute_has_induced_cycle, brute_is_isomorphic, random_general_graph,
-                     reference_has_induced_cycle)
+                     reference_has_induced_cycle, reference_refine_colors)
 
 
 def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
@@ -246,3 +246,27 @@ def test_catalog_match_exact_over_small_eligible_graphs():
             found[cid] = found.get(cid, 0) + 1
     assert found == {cid: 1 for cid in
                      ("P3", "C3", "C7", "G71", "G72", "G73", "G74", "G75", "G76")}
+
+
+def test_canonical_data_reads_only_the_order_of_colors(rng):
+    # the walk hands canonical_data the stable round's raw signatures, not
+    # dense ranks; those, and any other order-preserving recoloring of
+    # _refine_colors, must give the same form and labelings in the same order
+    graphs = [Graph.empty(0)]
+    graphs += [gen.random_subcubic_connected(rng.randint(1, 12), rng) for _ in range(150)]
+    graphs += [random_general_graph(rng.randint(1, 8), rng.uniform(0.1, 0.9), rng)
+               for _ in range(150)]
+    assert any(g.max_degree() > 3 for g in graphs)
+    moved = 0
+    for g in graphs:
+        ranks = _refine_colors(g)
+        assert ranks == reference_refine_colors(g), g
+        *_, sigs = _color_rounds(g)
+        assert len(sigs) == g.n
+        assert all((a < b) == (ra < rb) for a, ra in zip(sigs, ranks)
+                   for b, rb in zip(sigs, ranks)), g
+        moved += sigs != list(ranks)
+        want = canonical_data(g)
+        assert canonical_data(g, sigs) == want, g
+        assert canonical_data(g, tuple(3 * r + 1 for r in ranks)) == want, g
+    assert moved > 0  # the signatures are not already the ranks

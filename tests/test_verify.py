@@ -278,6 +278,51 @@ def test_check_observations_all_pass():
     assert not failed, failed
 
 
+def _g15_with_low_edge():
+    # G15 with its first two degree-2 vertices joined: one is left
+    g15 = gen.catalog_entry("G15").graph
+    a, b, _ = (v for v in range(15) if g15.degree(v) == 2)
+    return g15.with_edge(a, b)
+
+
+# two 3-paths, 1-3-5 and 2-7-4, and the isolated vertex 6 (printed labels);
+# an added edge closes a triangle but never makes a catalog graph
+_TWO_PATHS = Graph.from_edges(7, [(0, 2), (2, 4), (1, 6), (6, 3)])
+# a 6-cycle on 1..6 with the pendant 7 at 1
+_C6_PENDANT = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
+
+
+_TAMPERS = [
+    ("catalog-iota-(n+1)/4", "C3", Graph.empty(3), ["C3: iota=0"]),
+    ("catalog-minus-vertex-connectivity", "C7", _C6_PENDANT, ["C7: vertex 1"]),
+    ("order7-remote-full-vertex", "G72", gen.cycle(7), ["G72: vertex 1"]),
+    ("order7-low-degree-nonadjacent", "G72", gen.cycle(7), ["G72: edge 1-2"]),
+    ("order11-15-neighborhood-deletion", "C11", gen.path(11),
+     ["C11: min degree 1", "C11: vertex 3"]),
+    ("order15-degree2-distance-4", "G15", _g15_with_low_edge(),
+     ["G15: expected 3 degree-2 vertices, got 1", "G15: pairwise distances []"]),
+    ("order7-attachable-remnant", "G72", gen.cycle(7), ["G72: vertex 1"]),
+    ("order7-single-edge-additions", "G75", _TWO_PATHS,
+     ["G75+1-2: match None", "G75+1-5: iota > 1"]),
+    ("order7-leafy-edge-additions", "G71", _TWO_PATHS,
+     ["G71+1-2: match None", "G71+2-4: iota > 1", "G71+1-2+1-4: match None"]),
+    ("catalog-minus-low-vertex-bound", "C7", _C6_PENDANT, ["C7: vertex 7"]),
+    ("catalog-minus-low-vertex-bound", "C7", gen.path(7), ["C7: vertex 2 disconnects"]),
+]
+
+
+@pytest.mark.parametrize("check, cid, graph, messages", _TAMPERS,
+                         ids=[f"{check}-{cid}" for check, cid, *_ in _TAMPERS])
+def test_observation_failures_name_the_graph(monkeypatch, check, cid, graph, messages):
+    # one catalog graph swapped for a tampered one: the check fails, and its
+    # message names the graph and the vertex or edge it fails at
+    entries = tuple(e._replace(graph=graph) if e.id == cid else e for e in gen.catalog())
+    monkeypatch.setattr(gen, "catalog", lambda: entries)
+    result = {r.name: r for r in check_observations()}[check]
+    assert not result.passed
+    assert set(messages) <= set(result.message.split("; ")), result.message
+
+
 def test_single_edge_addition_specials_directly():
     # the two special augmentations of the order-7 wheel-like graph drop its
     # isolation number to 1; every other legal addition stays exceptional
